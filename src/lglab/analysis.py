@@ -295,8 +295,8 @@ def stabilization(
     which every later checkpoint stays within epsilon of the final mean. An
     empty pair is flagged not-stabilized with no n_star.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if checkpoint_stride < 1:
         raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_stride}")
     by_pair = _pair_products(trials)

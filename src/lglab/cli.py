@@ -359,6 +359,10 @@ def cmd_optimize(grid_step: float, tolerance: float) -> int:
 
 
 def cmd_analyze(trials_path, significance: float, epsilon: float) -> int:
+    if not math.isfinite(significance):
+        raise ConfigError(f"--significance: expected a finite number, got {significance}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"--epsilon: expected a finite number > 0, got {epsilon}")
     try:
         trials = read_trial_log(trials_path)
     except OSError as exc:

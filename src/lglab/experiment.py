@@ -16,6 +16,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -402,6 +403,21 @@ def run_trial_scalar(
 # -- trial log file format ----------------------------------------------------
 
 TRIAL_LOG_HEADER = "index,pair,s_first,s_second,lambda_id,model_tag"
+_HEADER_LINE = (TRIAL_LOG_HEADER + "\n").encode()
+
+# rows are encoded, written and checked in chunks of this many, so neither
+# direction holds a string per trial for the whole log
+_CHUNK_ROWS = 1 << 16
+
+# the ",pair,s_first,s_second," middle of a row, indexed by
+# pair_code*4 + 2*(s_first > 0) + (s_second > 0)
+_ROW_MIDDLES = np.array(
+    [f",{p.value},{s1},{s2}," for p in _PAIR_BY_CODE for s1 in (-1, 1) for s2 in (-1, 1)],
+    dtype=object,
+)
+
+# the longest canonical lambda_id: str of an int64 or repr of a float64
+_LAMBDA_MAX_WIDTH = len(repr(-2.2250738585072014e-308))
 
 
 def _format_lambda(value) -> str:
@@ -412,6 +428,25 @@ def _format_lambda(value) -> str:
     return str(int(value))
 
 
+def _encode_rows(log: TrialLog, lo: int, hi: int) -> str:
+    """Rows lo..hi-1 of the CSV trial log, each ending in a newline.
+
+    The one definition of the row format: the writer emits it, and the reader
+    accepts its fast parse only when this reproduces the file bytes.
+    """
+    keys = log.pair_codes[lo:hi].astype(np.intp) * 4
+    keys += 2 * (log.s_first[lo:hi] > 0)
+    keys += log.s_second[lo:hi] > 0
+    middles = _ROW_MIDDLES[keys].tolist()
+    lam = log.lambda_ids
+    if lam is None:
+        lams = repeat("")
+    else:
+        lams = map(repr if lam.dtype.kind == "f" else str, lam[lo:hi].tolist())
+    tail = f",{log.model_tag}\n"
+    return "".join([f"{i}{m}{v}{tail}" for i, m, v in zip(range(lo, hi), middles, lams)])
+
+
 def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> None:
     """Write the CSV trial log: byte-exact for identical runs.
 
@@ -419,22 +454,21 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
     as 12|13|23 and lambda_id empty for the quantum world. Unix newlines, no
     trailing whitespace.
     """
-    lines = [TRIAL_LOG_HEADER]
     if isinstance(trials, TrialLog):
-        pair_strs = np.array([p.value for p in _PAIR_BY_CODE])
-        lam = trials.lambda_ids
-        for i in range(len(trials)):
-            lam_s = "" if lam is None else _format_lambda(lam[i])
-            lines.append(
-                f"{i},{pair_strs[trials.pair_codes[i]]},{trials.s_first[i]},"
-                f"{trials.s_second[i]},{lam_s},{trials.model_tag}"
-            )
-    else:
-        for rec in trials:
-            lines.append(
-                f"{rec.index},{rec.pair.value},{rec.s_first},{rec.s_second},"
-                f"{_format_lambda(rec.lambda_id)},{rec.model_tag}"
-            )
+        # the row encoder writes any outcome that is not positive as -1
+        if not (np.all(np.abs(trials.s_first) == 1) and np.all(np.abs(trials.s_second) == 1)):
+            raise ValueError("outcomes must be 1 or -1")
+        with open(path, "wb") as out:
+            out.write(_HEADER_LINE)
+            for lo in range(0, len(trials), _CHUNK_ROWS):
+                out.write(_encode_rows(trials, lo, min(lo + _CHUNK_ROWS, len(trials))).encode("utf-8"))
+        return
+    lines = [TRIAL_LOG_HEADER]
+    for rec in trials:
+        lines.append(
+            f"{rec.index},{rec.pair.value},{rec.s_first},{rec.s_second},"
+            f"{_format_lambda(rec.lambda_id)},{rec.model_tag}"
+        )
     lines.append("")  # final newline
     Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
 
@@ -444,8 +478,117 @@ class TrialLogFormatError(ValueError):
 
 
 def read_trial_log(path) -> TrialLog:
-    """Parse a CSV trial log, validating the schema line by line."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a CSV trial log.
+
+    A log exactly as write_trial_log would write it is parsed column-wise;
+    any other file goes through the line scanner, which validates the schema
+    line by line and names the first bad line.
+    """
+    data = Path(path).read_bytes()
+    log = _parse_canonical(data)
+    if log is None:
+        log = _scan_lines(_decode_text(data))
+    return log
+
+
+def _parse_canonical(data: bytes) -> Optional[TrialLog]:
+    """The columns of a log that _encode_rows reproduces byte for byte, else None.
+
+    The parse itself is loose (it reads only field widths and a few bytes);
+    the re-encoding check is what makes every accepted file parse exactly as
+    the line scanner would parse it.
+    """
+    # the scanner reads text with universal newlines, so any \r goes to it
+    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # ends[0] closes the header
+    n = len(ends) - 1
+    if n == 0:
+        return None
+    first = data[ends[0] + 1 : ends[1]].split(b",")
+    if len(first) != 6:
+        return None
+    try:
+        model_tag = first[5].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    lam_s = first[4]
+    lambda_ids: Optional[np.ndarray] = None
+    if lam_s:
+        # the scanner's rule: floats iff some value has a '.' or an 'e'
+        float_lambdas = b"." in lam_s or b"e" in lam_s
+        lambda_ids = np.empty(n, dtype=np.float64 if float_lambdas else np.int64)
+    log = TrialLog(
+        np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8), lambda_ids, model_tag
+    )
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        start, stop = int(ends[lo]) + 1, int(ends[hi]) + 1
+        chunk = buf[start:stop]
+        commas = np.flatnonzero(chunk == ord(","))
+        if len(commas) != 5 * (hi - lo):
+            return None
+        commas = commas.reshape(-1, 5)
+        # with as many commas as rows * 5, this puts exactly five in each row
+        if np.any(commas[:, 0] < ends[lo:hi] + 1 - start) or np.any(commas[:, 4] > ends[lo + 1 : hi + 1] - start):
+            return None
+        c0, c1, c2, c3, c4 = commas.T
+        # "12", "13", "23" -> 0, 1, 2 from the sum of the two digits
+        codes = chunk[c0 + 1].astype(np.int16) + chunk[c0 + 2] - (ord("1") + ord("2"))
+        if np.any((codes < 0) | (codes > 2)):
+            return None
+        log.pair_codes[lo:hi] = codes
+        # "1" is one byte wide, "-1" two
+        log.s_first[lo:hi] = np.where(c2 - c1 == 2, 1, -1)
+        log.s_second[lo:hi] = np.where(c3 - c2 == 2, 1, -1)
+        if lambda_ids is not None:
+            values = _parse_lambdas(chunk, c3 + 1, c4 - c3 - 1, lambda_ids.dtype)
+            if values is None:
+                return None
+            lambda_ids[lo:hi] = values
+        if _encode_rows(log, lo, hi).encode("utf-8") != data[start:stop]:
+            return None
+    return log
+
+
+def _parse_lambdas(chunk: np.ndarray, starts: np.ndarray, widths: np.ndarray, dtype) -> Optional[np.ndarray]:
+    """The lambda_id fields at starts/widths of chunk as dtype, or None."""
+    width = int(widths.max())
+    if widths.min() < 1 or width > _LAMBDA_MAX_WIDTH:
+        return None
+    # one fixed-width, NUL-padded byte string per row
+    cells = np.zeros((len(starts), width), dtype=np.uint8)
+    last = len(chunk) - 1
+    for j in range(width):
+        cells[:, j] = np.where(widths > j, chunk[np.minimum(starts + j, last)], 0)
+    try:
+        values = cells.view(f"S{width}").ravel().astype(dtype)
+    except (ValueError, OverflowError):
+        return None
+    # the scanner rejects "inf" and "nan", which repr writes for non-finite floats
+    if dtype.kind == "f" and not np.all(np.isfinite(values)):
+        return None
+    return values
+
+
+def _decode_text(data: bytes) -> str:
+    """The file as the line scanner reads it: UTF-8 with universal newlines."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[: exc.start].decode("utf-8"))
+        line_no = before.count("\n") + 1
+        raise TrialLogFormatError(f"line {line_no}: not valid UTF-8 (byte 0x{data[exc.start]:02x})") from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _scan_lines(text: str) -> TrialLog:
+    """Parse the log line by line, naming the first line that breaks the schema."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -490,10 +633,16 @@ def read_trial_log(path) -> TrialLog:
     model_tag = tags.pop() if len(tags) == 1 else "mixed"
     lambda_ids: Optional[np.ndarray] = None
     if any(v is not None for v in lambda_vals):
-        if any(v is None for v in lambda_vals):
-            raise TrialLogFormatError("lambda_id column mixes empty and non-empty values")
+        empty_first = lambda_vals[0] is None
+        for k, v in enumerate(lambda_vals):
+            if (v is None) != empty_first:
+                raise TrialLogFormatError(f"line {k + 2}: lambda_id column mixes empty and non-empty values")
         if all(isinstance(v, int) for v in lambda_vals):
-            lambda_ids = np.array(lambda_vals, dtype=np.int64)
+            try:
+                lambda_ids = np.array(lambda_vals, dtype=np.int64)
+            except OverflowError:
+                k = next(k for k, v in enumerate(lambda_vals) if not -(2**63) <= v < 2**63)
+                raise TrialLogFormatError(f"line {k + 2}: lambda_id {lambda_vals[k]} does not fit in 64 bits") from None
         else:
             lambda_ids = np.array([float(v) for v in lambda_vals], dtype=np.float64)
     return TrialLog(pair_codes, s_first, s_second, lambda_ids, model_tag)

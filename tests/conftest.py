@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lglab import Direction, SlotBinding, SpacetimeEvent
+
+# property tests draw the same examples on every run, and their timing on a
+# loaded machine does not fail them
+settings.register_profile("lglab", derandomize=True, deadline=None)
+settings.load_profile("lglab")
 
 
 @pytest.fixture

@@ -290,6 +290,13 @@ def test_stabilization_validates_arguments():
         stabilization(recs, epsilon=0.1, checkpoint_stride=0)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_stabilization_rejects_non_finite_epsilon(epsilon):
+    recs = records_from_products({pair: [1, 1] for pair in PairChoice})
+    with pytest.raises(ValueError, match="epsilon"):
+        stabilization(recs, epsilon=epsilon)
+
+
 # -- JSON emission ------------------------------------------------------------------
 
 

@@ -210,6 +210,33 @@ def test_analyze_missing_file_exits_1(tmp_path):
     assert main(["analyze", "--trials", str(tmp_path / "nope.csv")]) == EXIT_CONFIG
 
 
+def _handwritten_log(tmp_path):
+    lines = [TRIAL_LOG_HEADER] + [f"{k},{pair},1,1,,x" for k, pair in enumerate(("12", "13", "23") * 2)]
+    path = tmp_path / "hand.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_analyze_non_finite_significance_exits_1(tmp_path, capsys, value):
+    path = _handwritten_log(tmp_path)
+    code = main(["analyze", "--trials", str(path), "--significance", value])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--significance" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_analyze_bad_epsilon_exits_1(tmp_path, capsys, value):
+    path = _handwritten_log(tmp_path)
+    code = main(["analyze", "--trials", str(path), "--epsilon", value])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--epsilon" in captured.err
+
+
 # -- exact / bound / optimize -------------------------------------------------------
 
 
