@@ -46,33 +46,33 @@ class PairEstimate:
             raise ValueError(f"pair {self.pair.value}: |mean| must be <= 1, got {self.mean}")
 
 
-def _pair_products(trials: Union[TrialLog, Iterable[TrialRecord]]) -> dict[PairChoice, np.ndarray]:
-    """Products s_first*s_second per pair, in trial order, as float64."""
-    if isinstance(trials, TrialLog):
-        products = trials.s_first.astype(np.float64) * trials.s_second
-        codes = trials.pair_codes
-    else:
-        recs = list(trials)
-        products = np.array([r.s_first * r.s_second for r in recs], dtype=np.float64)
-        codes = np.array([PAIR_ORDER.index(r.pair) for r in recs], dtype=np.uint8)
-    return {pair: products[codes == c] for c, pair in enumerate(PAIR_ORDER)}
+def _as_log(trials: Union[TrialLog, Iterable[TrialRecord]]) -> TrialLog:
+    return trials if isinstance(trials, TrialLog) else TrialLog.from_records(trials)
 
 
 def estimate_pairs(
     trials: Union[TrialLog, Iterable[TrialRecord]],
 ) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
-    """Per-pair product means and standard errors, in (12, 13, 23) order."""
-    by_pair = _pair_products(trials)
-    undersampled = [p.value for p in PAIR_ORDER if len(by_pair[p]) < 2]
+    """Per-pair product means and standard errors, in (12, 13, 23) order.
+
+    Products are +/-1, so a pair's mean is (n_same - n_diff) / n from integer
+    counts; that equals the mean of the float products exactly, because
+    their sum is an integer below 2^53.
+    """
+    log = _as_log(trials)
+    keys = log.pair_codes * 2
+    keys += log.s_first == log.s_second
+    # row = pair code, columns = (outcomes differ, outcomes agree)
+    counts = np.bincount(keys, minlength=6).reshape(3, 2).tolist()
+    undersampled = [p.value for p, (n_diff, n_same) in zip(PAIR_ORDER, counts) if n_diff + n_same < 2]
     if undersampled:
         raise AnalysisError(
             f"pair(s) {', '.join(undersampled)} have fewer than 2 trials; every pair needs n >= 2"
         )
     estimates = []
-    for pair in PAIR_ORDER:
-        prods = by_pair[pair]
-        n = len(prods)
-        mean = float(np.mean(prods))
+    for pair, (n_diff, n_same) in zip(PAIR_ORDER, counts):
+        n = n_diff + n_same
+        mean = (n_same - n_diff) / n
         se = math.sqrt(max(0.0, 1.0 - mean * mean) / n)
         estimates.append(PairEstimate(pair=pair, n=n, mean=mean, std_error=se))
     return tuple(estimates)
@@ -221,8 +221,8 @@ def maximize_violation(
     """
     if not 0.0 < grid_step <= math.pi / 64:
         raise ValueError(f"grid step must be in (0, pi/64], got {grid_step}")
-    if refine_tolerance <= 0.0:
-        raise ValueError(f"refine tolerance must be > 0, got {refine_tolerance}")
+    if not (math.isfinite(refine_tolerance) and refine_tolerance > 0.0):
+        raise ValueError(f"refine tolerance must be finite and > 0, got {refine_tolerance}")
 
     axis = np.arange(0.0, math.pi, grid_step)
     a_grid, b_grid = np.meshgrid(axis, axis, indexing="ij")
@@ -299,11 +299,12 @@ def stabilization(
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if checkpoint_stride < 1:
         raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_stride}")
-    by_pair = _pair_products(trials)
+    log = _as_log(trials)
+    same = log.s_first == log.s_second
     reports = []
-    for pair in PAIR_ORDER:
-        prods = by_pair[pair]
-        n = len(prods)
+    for code, pair in enumerate(PAIR_ORDER):
+        pair_same = np.compress(log.pair_codes == code, same)  # several times faster than same[mask]
+        n = len(pair_same)
         if n == 0:
             reports.append(
                 PairStabilization(pair=pair, n=0, final_mean=None, n_star=None, stabilized=False, checkpoints=())
@@ -312,7 +313,9 @@ def stabilization(
         counts = np.arange(checkpoint_stride, n + 1, checkpoint_stride)
         if len(counts) == 0 or counts[-1] != n:
             counts = np.append(counts, n)
-        running = np.cumsum(prods)[counts - 1] / counts
+        # the running product sum after k samples is 2 * (agreements so far) - k,
+        # an exact integer, so the division matches a float cumsum's bit for bit
+        running = (2 * np.cumsum(pair_same, dtype=np.int64)[counts - 1] - counts) / counts
         final_mean = float(running[-1])
         deviations = np.abs(running - final_mean)
         # suffix max: checkpoint k qualifies iff nothing at or after k deviates

@@ -277,7 +277,10 @@ def cmd_run(config_path, report_path, trials_path) -> int:
         config.geometry,
         override_foc=config.override_foc,
     )
-    write_trial_log(trials, trials_path)
+    try:
+        write_trial_log(trials, trials_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --trials file: {exc}") from None
     report = {
         "schema": SCHEMA_VERSION,
         "config": config.echo,
@@ -289,7 +292,10 @@ def cmd_run(config_path, report_path, trials_path) -> int:
     report.update(
         _analysis_sections(trials, config.significance, config.epsilon, config.checkpoint_stride)
     )
-    Path(report_path).write_text(dumps_stable(report), encoding="utf-8", newline="\n")
+    try:
+        Path(report_path).write_text(dumps_stable(report), encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --report file: {exc}") from None
     lhs = report["lg_report"]["lhs"]
     violated = report["lg_report"]["violated"]
     print(f"wrote {trials_path} ({config.n_trials} trials) and {report_path}")
@@ -342,6 +348,8 @@ def cmd_bound(n_mixtures: int = 10_000) -> int:
 
 
 def cmd_optimize(grid_step: float, tolerance: float) -> int:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"--tol: expected a finite number > 0, got {tolerance}")
     try:
         theta_ab, theta_bc, lhs_max = maximize_violation(grid_step, tolerance)
     except ValueError as exc:

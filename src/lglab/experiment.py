@@ -9,6 +9,8 @@ loophole studies may override the check explicitly.
 
 Trials derive independent generator streams from (master_seed, index), so a
 run can be sharded across workers and still produce a byte-identical log.
+The engine works through the index range in fixed chunks: each chunk selects
+one pair per lane and hands every lane to the world's lane kernel at once.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .hidden_vars import ConspiracyModel, ResponseModel, TimeSlot
+from .hidden_vars import SLOT_PAIRS, ConspiracyModel, ResponseModel, TimeSlot, signs
 from .quantum import Direction, PolarizationState, reduce_direction_angle, run_quantum_trial
 from .rng import (
     SeededGenerator,
@@ -70,12 +72,9 @@ class PairChoice(Enum):
         return s[0].value, s[1].value
 
 
-_PAIR_SLOTS = {
-    PairChoice.P12: (TimeSlot.T1, TimeSlot.T2),
-    PairChoice.P13: (TimeSlot.T1, TimeSlot.T3),
-    PairChoice.P23: (TimeSlot.T2, TimeSlot.T3),
-}
+# pair codes index both tuples: code 0 is P12, 1 is P13, 2 is P23
 _PAIR_BY_CODE = (PairChoice.P12, PairChoice.P13, PairChoice.P23)
+_PAIR_SLOTS: dict[PairChoice, tuple[TimeSlot, TimeSlot]] = dict(zip(_PAIR_BY_CODE, SLOT_PAIRS))
 PAIR_ORDER = _PAIR_BY_CODE
 
 
@@ -167,6 +166,34 @@ class QuantumWorld:
             raise ValueError(f"unknown initial-state policy {self.policy!r}")
         object.__setattr__(self, "initial_angle", reduce_direction_angle(self.initial_angle))
 
+    def sample_lanes(
+        self, binding: SlotBinding, codes, states: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, None]:
+        """Two consecutive measurements per lane, lane k on pair code codes[k].
+
+        The lane-wise form of run_quantum_trial: every per-pair constant is a
+        table indexed by pair code, so each lane reads exactly the values the
+        scalar path computes for its pair.
+        """
+        directions = [binding.directions_for(pair) for pair in _PAIR_BY_CODE]
+        # p2[2*code + o1]: the second measurement's threshold after the
+        # first outcome collapsed the photon onto its axis (o1) or across it
+        p2 = []
+        for first, second in directions:
+            for post in (first.angle + math.pi / 2.0, first.angle):
+                p2.append(float(np.cos(reduce_direction_angle(post) - second.angle)) ** 2)
+        if self.policy == "fresh_uniform":
+            initial = uniforms(states) * np.pi
+            # mirror the scalar state reduction at the fp seam
+            initial[initial >= np.pi] = 0.0
+            first_angle = np.array([first.angle for first, _ in directions])
+            p1 = np.cos(initial - first_angle[codes]) ** 2
+        else:
+            p1 = np.array([float(np.cos(self.initial_angle - first.angle)) ** 2 for first, _ in directions])[codes]
+        o1 = uniforms(states) < p1
+        o2 = uniforms(states) < np.array(p2)[codes * 2 + o1]
+        return signs(o1), signs(o2), None
+
 
 World = Union[QuantumWorld, ResponseModel, ConspiracyModel]
 
@@ -211,6 +238,28 @@ class TrialLog:
         self.s_second = s_second
         self.lambda_ids = lambda_ids
         self.model_tag = model_tag
+
+    @classmethod
+    def from_records(cls, records: Iterable[TrialRecord]) -> "TrialLog":
+        """The columns of a record sequence, in its order.
+
+        lambda_id must be None on every record or on none; records whose
+        model tags differ give the tag "mixed", as the log reader does.
+        """
+        recs = list(records)
+        lambda_ids: Optional[np.ndarray] = None
+        if any(r.lambda_id is not None for r in recs):
+            if any(r.lambda_id is None for r in recs):
+                raise ValueError("lambda_id mixes empty and non-empty values")
+            lambda_ids = np.array([r.lambda_id for r in recs])
+        tags = {r.model_tag for r in recs}
+        return cls(
+            np.array([_PAIR_BY_CODE.index(r.pair) for r in recs], dtype=np.uint8),
+            np.array([r.s_first for r in recs], dtype=np.int8),
+            np.array([r.s_second for r in recs], dtype=np.int8),
+            lambda_ids,
+            tags.pop() if len(tags) == 1 else "mixed",
+        )
 
     def __len__(self) -> int:
         return len(self.pair_codes)
@@ -259,74 +308,47 @@ class TrialLog:
 
 # -- vectorized engine -------------------------------------------------------
 
+# The engine samples, and the trial-log codec encodes, writes and checks, in
+# chunks of this many trials, so no step holds a temporary per trial for the
+# whole run.
+_CHUNK_ROWS = 1 << 16
+
 
 def _select_pairs_batch(states: np.ndarray) -> np.ndarray:
     """Vectorized select_pair: one code in {0,1,2} per lane, stepping lanes
     exactly as the scalar rejection loop would."""
-    n = len(states)
-    codes = np.full(n, 255, dtype=np.uint8)
-    unresolved = np.arange(n)
-    for _ in range(SELECT_PAIR_MAX_ATTEMPTS):
-        if unresolved.size == 0:
+    step_states(states)
+    codes = (states >> np.uint64(62)).astype(np.uint8)
+    # about a quarter of the lanes draw the rejected value 3 and step again
+    rejected = np.flatnonzero(codes == 3)
+    for _ in range(SELECT_PAIR_MAX_ATTEMPTS - 1):
+        if rejected.size == 0:
             return codes
-        sub = states[unresolved]  # fancy indexing copies the lanes
-        step_states(sub)
-        states[unresolved] = sub
+        sub = step_states(states[rejected])  # fancy indexing copies the lanes
+        states[rejected] = sub
         bits = (sub >> np.uint64(62)).astype(np.uint8)
-        accepted = bits != 3
-        codes[unresolved[accepted]] = bits[accepted]
-        unresolved = unresolved[~accepted]
+        codes[rejected] = bits
+        rejected = rejected[bits == 3]
+    if rejected.size == 0:
+        return codes
     raise RuntimeError(f"pair selection failed {SELECT_PAIR_MAX_ATTEMPTS} rejections in a row")
 
 
-def _quantum_pair_batch(
-    world: QuantumWorld, first: Direction, second: Direction, states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, None]:
-    if world.policy == "fresh_uniform":
-        initial = uniforms(states) * np.pi
-        # mirror the scalar state reduction at the fp seam
-        initial = np.where(initial >= np.pi, 0.0, initial)
-        p1 = np.cos(initial - first.angle) ** 2
-    else:
-        p1 = float(np.cos(world.initial_angle - first.angle)) ** 2
-    o1 = uniforms(states) < p1
-    post_plus = reduce_direction_angle(first.angle)
-    post_minus = reduce_direction_angle(first.angle + math.pi / 2.0)
-    p2_plus = float(np.cos(post_plus - second.angle)) ** 2
-    p2_minus = float(np.cos(post_minus - second.angle)) ** 2
-    o2 = uniforms(states) < np.where(o1, p2_plus, p2_minus)
-    s_first = np.where(o1, 1, -1).astype(np.int8)
-    s_second = np.where(o2, 1, -1).astype(np.int8)
-    return s_first, s_second, None
-
-
-def _run_index_range(
-    binding: SlotBinding, world: World, lo: int, hi: int, master_seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    n = hi - lo
+def _sample_chunk(binding: SlotBinding, world: World, master_seed: int, lo: int, hi: int):
+    """Trials lo..hi-1: (pair_codes, s_first, s_second, lambda_ids or None)."""
     states = derive_states(master_seed, np.arange(lo, hi, dtype=np.uint64))
-    pair_codes = _select_pairs_batch(states)
-    s_first = np.empty(n, dtype=np.int8)
-    s_second = np.empty(n, dtype=np.int8)
-    lambda_ids: Optional[np.ndarray] = None
-    if not isinstance(world, QuantumWorld):
-        lambda_dtype = np.float64 if world.tag == "rotor" else np.int64
-        lambda_ids = np.empty(n, dtype=lambda_dtype)
-    for code, pair in enumerate(_PAIR_BY_CODE):
-        mask = pair_codes == code
-        if not mask.any():
-            continue
-        sub_states = states[mask]
-        if isinstance(world, QuantumWorld):
-            first, second = binding.directions_for(pair)
-            s1, s2, lam = _quantum_pair_batch(world, first, second, sub_states)
-        else:
-            s1, s2, lam = world.sample_pair_batch(pair.slots, sub_states)
-        s_first[mask] = s1
-        s_second[mask] = s2
-        if lambda_ids is not None:
-            lambda_ids[mask] = lam
-    return pair_codes, s_first, s_second, lambda_ids
+    codes = _select_pairs_batch(states)
+    return (codes, *world.sample_lanes(binding, codes, states))
+
+
+def _store_chunk(log: TrialLog, lo: int, chunk) -> None:
+    codes, s_first, s_second, lambda_ids = chunk
+    hi = lo + len(codes)
+    log.pair_codes[lo:hi] = codes
+    log.s_first[lo:hi] = s_first
+    log.s_second[lo:hi] = s_second
+    if log.lambda_ids is not None:
+        log.lambda_ids[lo:hi] = lambda_ids
 
 
 def run_experiment(
@@ -357,22 +379,33 @@ def run_experiment(
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
 
-    bounds = np.linspace(0, n_trials, min(n_shards, n_trials) + 1, dtype=int)
+    # The first chunk runs alone: the lambda column takes the dtype of the
+    # lambdas the world returns, so the columns exist before any shard starts.
+    head = min(_CHUNK_ROWS, n_trials)
+    chunk = _sample_chunk(binding, world, master_seed, 0, head)
+    lambda_ids = None if chunk[3] is None else np.empty(n_trials, dtype=chunk[3].dtype)
+    log = TrialLog(
+        np.empty(n_trials, dtype=np.uint8),
+        np.empty(n_trials, dtype=np.int8),
+        np.empty(n_trials, dtype=np.int8),
+        lambda_ids,
+        world.tag,
+    )
+    _store_chunk(log, 0, chunk)
+
+    def run_range(lo: int, hi: int) -> None:
+        for start in range(lo, hi, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, hi)
+            _store_chunk(log, start, _sample_chunk(binding, world, master_seed, start, stop))
+
+    bounds = np.linspace(head, n_trials, min(n_shards, n_trials - head) + 1, dtype=int)
     ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if len(ranges) == 1:
-        parts = [_run_index_range(binding, world, 0, n_trials, master_seed)]
-    else:
+        run_range(*ranges[0])
+    elif ranges:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(
-                pool.map(lambda r: _run_index_range(binding, world, r[0], r[1], master_seed), ranges)
-            )
-    pair_codes = np.concatenate([p[0] for p in parts])
-    s_first = np.concatenate([p[1] for p in parts])
-    s_second = np.concatenate([p[2] for p in parts])
-    lambda_ids = None
-    if parts[0][3] is not None:
-        lambda_ids = np.concatenate([p[3] for p in parts])
-    return TrialLog(pair_codes, s_first, s_second, lambda_ids, world.tag)
+            list(pool.map(lambda r: run_range(*r), ranges))
+    return log
 
 
 def run_trial_scalar(
@@ -404,10 +437,6 @@ def run_trial_scalar(
 
 TRIAL_LOG_HEADER = "index,pair,s_first,s_second,lambda_id,model_tag"
 _HEADER_LINE = (TRIAL_LOG_HEADER + "\n").encode()
-
-# rows are encoded, written and checked in chunks of this many, so neither
-# direction holds a string per trial for the whole log
-_CHUNK_ROWS = 1 << 16
 
 # the ",pair,s_first,s_second," middle of a row, indexed by
 # pair_code*4 + 2*(s_first > 0) + (s_second > 0)

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .rng import UnitUniformSource, uniforms
+from .rng import SeededGenerator, UnitUniformSource, uniforms
 
 # lambda identifiers: a row index for discrete models, an angle for continuous ones
 HiddenVariable = Union[int, float]
@@ -39,6 +39,20 @@ class TimeSlot(Enum):
 
 SlotPair = tuple[TimeSlot, TimeSlot]
 
+# The three protocol pairs, earlier slot first. A pair's position here is its
+# pair code, the per-lane value every lane kernel is indexed by.
+SLOT_PAIRS: tuple[SlotPair, ...] = (
+    (TimeSlot.T1, TimeSlot.T2),
+    (TimeSlot.T1, TimeSlot.T3),
+    (TimeSlot.T2, TimeSlot.T3),
+)
+
+# Slot numbers by pair code: which response each outcome reads, and the slot
+# the pair leaves out. They are also the bit positions of a strategy mask.
+_FIRST_SLOT = np.array([a.value for a, _ in SLOT_PAIRS], dtype=np.int64)
+_SECOND_SLOT = np.array([b.value for _, b in SLOT_PAIRS], dtype=np.int64)
+_OTHER_SLOT = 3 - _FIRST_SLOT - _SECOND_SLOT
+
 
 def _check_pair(pair: SlotPair) -> SlotPair:
     if pair[0] == pair[1]:
@@ -46,11 +60,27 @@ def _check_pair(pair: SlotPair) -> SlotPair:
     return pair
 
 
+def _pair_code(pair: SlotPair) -> int:
+    if pair not in SLOT_PAIRS:
+        raise ValueError(f"({pair[0]}, {pair[1]}) is not one of the three protocol pairs")
+    return SLOT_PAIRS.index(pair)
+
+
+def signs(positive: np.ndarray) -> np.ndarray:
+    """Outcomes as int8: +1 where positive is True, -1 elsewhere."""
+    return positive.view(np.int8) * 2 - 1
+
+
 class ResponseModel(ABC):
     """Deterministic response family S(lambda, slot) with a lambda distribution.
 
     respond must be a pure function of (lambda, slot): the standing initial
     conditions fix all three slot responses at once.
+
+    The engine samples a model through sample_lanes. The default kernel runs
+    sample_lambda and respond lane by lane, so a subclass that implements
+    only those two methods already runs; overriding sample_lanes with array
+    code is an optimization that must give the same outcomes and lambdas.
     """
 
     tag: str = "response"
@@ -60,6 +90,34 @@ class ResponseModel(ABC):
 
     @abstractmethod
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int: ...
+
+    def sample_lanes(self, binding, codes, states: np.ndarray):
+        """One trial per lane: (s_first, s_second, lambda_ids) as arrays.
+
+        codes holds each lane's pair code (an index into SLOT_PAIRS), or one
+        code for every lane; states holds each lane's generator state and is
+        advanced in place by the draws the lane consumes. binding is the
+        run's SlotBinding, which response models do not need: they carry
+        their own directions. The lambda array's dtype is the column's dtype
+        in the trial log.
+        """
+        codes = np.broadcast_to(codes, states.shape)
+        s_first = np.empty(len(states), dtype=np.int8)
+        s_second = np.empty(len(states), dtype=np.int8)
+        lams = []
+        for k, code in enumerate(codes.tolist()):
+            gen = SeededGenerator(int(states[k]))
+            first, second = SLOT_PAIRS[code]
+            lam = self.sample_lambda(gen)
+            s_first[k] = self.respond(lam, first)
+            s_second[k] = self.respond(lam, second)
+            lams.append(lam)
+            states[k] = gen.state
+        return s_first, s_second, np.array(lams)
+
+    def sample_pair_batch(self, pair: SlotPair, states: np.ndarray):
+        """sample_lanes with every lane on the same pair."""
+        return self.sample_lanes(None, _pair_code(pair), states)
 
 
 class TableModel(ResponseModel):
@@ -89,6 +147,7 @@ class TableModel(ResponseModel):
         self.rows = list(zip(weights, triples))
         self._weights = np.array(weights, dtype=np.float64)
         self._responses = np.array(triples, dtype=np.int8)
+        self._flat_responses = self._responses.ravel()
         self._cum = np.cumsum(self._weights)
 
     def sample_lambda(self, rand: UnitUniformSource) -> int:
@@ -99,12 +158,13 @@ class TableModel(ResponseModel):
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int:
         return int(self._responses[int(lam), slot.value])
 
-    def sample_pair_batch(self, pair: SlotPair, states: np.ndarray):
+    def sample_lanes(self, binding, codes, states: np.ndarray):
         u = uniforms(states)
         lam = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.rows) - 1)
-        s_first = self._responses[lam, pair[0].value]
-        s_second = self._responses[lam, pair[1].value]
-        return s_first, s_second, lam.astype(np.int64)
+        row = lam * 3
+        s_first = self._flat_responses[row + _FIRST_SLOT[codes]]
+        s_second = self._flat_responses[row + _SECOND_SLOT[codes]]
+        return s_first, s_second, lam.astype(np.int64, copy=False)
 
 
 class RotorModel(ResponseModel):
@@ -121,6 +181,8 @@ class RotorModel(ResponseModel):
             raise ValueError(f"rotor model needs exactly three directions, got {len(directions)}")
         self.directions = tuple(directions)
         self._angles = np.array([d.angle for d in self.directions], dtype=np.float64)
+        self._first_angle = self._angles[_FIRST_SLOT]
+        self._second_angle = self._angles[_SECOND_SLOT]
 
     def sample_lambda(self, rand: UnitUniformSource) -> float:
         return rand.next_uniform() * math.pi
@@ -129,18 +191,11 @@ class RotorModel(ResponseModel):
         c = float(np.cos(2.0 * (float(lam) - self._angles[slot.value])))
         return 1 if c >= 0.0 else -1
 
-    def sample_pair_batch(self, pair: SlotPair, states: np.ndarray):
+    def sample_lanes(self, binding, codes, states: np.ndarray):
         lam = uniforms(states) * np.pi
-        s_first = np.where(np.cos(2.0 * (lam - self._angles[pair[0].value])) >= 0.0, 1, -1)
-        s_second = np.where(np.cos(2.0 * (lam - self._angles[pair[1].value])) >= 0.0, 1, -1)
-        return s_first.astype(np.int8), s_second.astype(np.int8), lam
-
-
-_ALL_PAIRS: tuple[SlotPair, ...] = (
-    (TimeSlot.T1, TimeSlot.T2),
-    (TimeSlot.T1, TimeSlot.T3),
-    (TimeSlot.T2, TimeSlot.T3),
-)
+        s_first = signs(np.cos(2.0 * (lam - self._first_angle[codes])) >= 0.0)
+        s_second = signs(np.cos(2.0 * (lam - self._second_angle[codes])) >= 0.0)
+        return s_first, s_second, lam
 
 
 @dataclass(frozen=True)
@@ -161,7 +216,7 @@ class ConspiracyModel:
     tag: str = field(default="conspiracy", init=False)
 
     def __post_init__(self) -> None:
-        if set(self.target_means) != set(_ALL_PAIRS):
+        if set(self.target_means) != set(SLOT_PAIRS):
             raise ValueError("conspiracy model needs a target mean for each of the three slot pairs")
         for pair, m in self.target_means.items():
             if not (-1.0 <= m <= 1.0):
@@ -171,6 +226,8 @@ class ConspiracyModel:
         object.__setattr__(
             self, "_p_same", {pair: (1.0 + m) / 2.0 for pair, m in self.target_means.items()}
         )
+        # the same probabilities by pair code, for the lane kernel
+        object.__setattr__(self, "_p_same_by_code", np.array([self._p_same[pair] for pair in SLOT_PAIRS]))
 
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int:
         lam = int(lam)
@@ -200,21 +257,22 @@ class ConspiracyModel:
         lam = sum((1 << slot.value) for slot in TimeSlot if by_slot[slot] > 0)
         return s_first, s_second, lam
 
-    def sample_pair_batch(self, pair: SlotPair, states: np.ndarray):
-        u_mode = uniforms(states)
-        u1 = uniforms(states)
+    def sample_lanes(self, binding, codes, states: np.ndarray):
+        """sample_pair on every lane at once, lane k on pair code codes[k]."""
+        conditioned = uniforms(states) < self.strength
+        first_plus = uniforms(states) < 0.5
         u2 = uniforms(states)
-        u3 = uniforms(states)
-        conditioned = u_mode < self.strength
-        s_first = np.where(u1 < 0.5, 1, -1).astype(np.int8)
-        matched = np.where(u2 < self._p_same[pair], s_first, -s_first)
-        s_second = np.where(conditioned, matched, np.where(u2 < 0.5, 1, -1)).astype(np.int8)
-        s_other = np.where(u3 < 0.5, 1, -1).astype(np.int8)
-        other_slot = next(s for s in TimeSlot if s not in pair)
-        lam = np.zeros(len(states), dtype=np.int64)
-        for slot, s in ((pair[0], s_first), (pair[1], s_second), (other_slot, s_other)):
-            lam |= (s > 0).astype(np.int64) << slot.value
-        return s_first, s_second, lam
+        # a conditioned second outcome matches the first iff u2 < p_same
+        second_plus = np.where(conditioned, (u2 < self._p_same_by_code[codes]) == first_plus, u2 < 0.5)
+        other_plus = uniforms(states) < 0.5
+        lam = first_plus.astype(np.int64) << _FIRST_SLOT[codes]
+        lam |= second_plus.astype(np.int64) << _SECOND_SLOT[codes]
+        lam |= other_plus.astype(np.int64) << _OTHER_SLOT[codes]
+        return signs(first_plus), signs(second_plus), lam
+
+    def sample_pair_batch(self, pair: SlotPair, states: np.ndarray):
+        """sample_lanes with every lane on the same pair."""
+        return self.sample_lanes(None, _pair_code(pair), states)
 
 
 WorldModel = Union[ResponseModel, ConspiracyModel]
@@ -286,19 +344,37 @@ def brute_force_bound() -> float:
     return max(value for _, value in deterministic_strategy_values())
 
 
+def _random_mixture_weights(rand: UnitUniformSource) -> list[float]:
+    """Eight positive weights summing to 1, one per deterministic strategy."""
+    while True:
+        weights = [rand.next_uniform() for _ in range(8)]
+        total = math.fsum(weights)
+        if all(w > 0.0 for w in weights) and total > 0.0:
+            return [w / total for w in weights]
+
+
 def random_table_model(rand: UnitUniformSource) -> TableModel:
     """A random mixture over the 8 deterministic strategies."""
     triples = [t for t, _ in deterministic_strategy_values()]
-    while True:
-        weights = [rand.next_uniform() for _ in triples]
-        total = math.fsum(weights)
-        if all(w > 0.0 for w in weights) and total > 0.0:
-            break
-    return TableModel([(w / total, t) for w, t in zip(weights, triples)])
+    return TableModel(list(zip(_random_mixture_weights(rand), triples)))
+
+
+def _mixture_lhs(trials: int, rand: UnitUniformSource) -> np.ndarray:
+    """Exact inequality LHS of trials random mixtures, drawn as random_table_model draws them.
+
+    One (trials, 8) @ (8, 3) product gives every mixture's three pair
+    expectations; each is the same sum of weight * (+/-1) that
+    expectation_exact forms for one model.
+    """
+    weights = np.array([_random_mixture_weights(rand) for _ in range(trials)])
+    responses = np.array([t for t, _ in deterministic_strategy_values()], dtype=np.float64)
+    products = responses[:, _FIRST_SLOT] * responses[:, _SECOND_SLOT]  # column = pair code
+    e12, e13, e23 = (weights @ products).T
+    return np.abs(e12 - e13) + e23
 
 
 def mixture_bound_check(trials: int, rand: UnitUniformSource) -> float:
     """Max exact inequality LHS over random strategy mixtures; must stay <= 1."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    return max(table_lhs_exact(random_table_model(rand)) for _ in range(trials))
+    return float(np.max(_mixture_lhs(trials, rand)))

@@ -229,6 +229,12 @@ def test_optimizer_validates_arguments():
         maximize_violation(refine_tolerance=0.0)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_optimizer_rejects_non_finite_tolerance(tolerance):
+    with pytest.raises(ValueError, match="refine tolerance"):
+        maximize_violation(refine_tolerance=tolerance)
+
+
 # -- stabilization ----------------------------------------------------------------
 
 

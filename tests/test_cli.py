@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -118,6 +119,16 @@ def test_run_is_byte_reproducible(tmp_path):
     _, r2, t2 = run_cli(tmp_path, path, "r2.json", "t2.csv")
     assert r1.read_bytes() == r2.read_bytes()
     assert t1.read_bytes() == t2.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--report"])
+def test_run_unwritable_output_exits_1_naming_the_flag(tmp_path, capsys, flag):
+    path = write_config(tmp_path)
+    missing_dir = tmp_path / "missing" / "out"
+    outputs = {"--report": tmp_path / "report.json", "--trials": tmp_path / "trials.csv", flag: missing_dir}
+    args = ["run", "--config", str(path)] + [str(a) for item in outputs.items() for a in item]
+    assert main(args) == EXIT_CONFIG
+    assert f"error: cannot write {flag} file" in capsys.readouterr().err
 
 
 def test_timelike_geometry_refused_with_exit_2(tmp_path, capsys):
@@ -279,6 +290,13 @@ def test_bound_output_is_stable(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_bound_output_bytes_are_pinned(capsys):
+    # the SHA-256 of the output of the per-model mixture loop the vectorized check replaced
+    assert main(["bound"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "98c0de289ef8124e4d713663705035ad97c432be97fe442a998cebd6d99c8e0c"
+
+
 def test_optimize_defaults(capsys):
     code = main(["optimize"])
     assert code == EXIT_OK
@@ -290,6 +308,14 @@ def test_optimize_loose_tolerance(capsys):
     code = main(["optimize", "--tol", "1e-2"])
     assert code == EXIT_OK
     assert abs(json.loads(capsys.readouterr().out)["lhs_max"] - 1.5) < 0.02
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_optimize_bad_tolerance_exits_1(capsys, value):
+    assert main(["optimize", "--tol", value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --tol" in captured.err
 
 
 def test_optimize_degenerate_grid_rejected(capsys):

@@ -18,7 +18,7 @@ from lglab import (
     sample_trial,
     sequential_correlation_exact,
 )
-from lglab.hidden_vars import deterministic_strategy_values, random_table_model, table_lhs_exact
+from lglab.hidden_vars import _mixture_lhs, deterministic_strategy_values, random_table_model, table_lhs_exact
 from lglab.rng import derive_states
 
 T1, T2, T3 = TimeSlot.T1, TimeSlot.T2, TimeSlot.T3
@@ -251,6 +251,17 @@ def test_uniform_mixture_lhs_is_zero():
 def test_mixture_bound_check_respects_bound():
     max_lhs = mixture_bound_check(10_000, SeededGenerator(2024))
     assert max_lhs <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 2024, 7])
+def test_mixture_rows_equal_the_per_model_oracle(seed):
+    # one matrix product gives each mixture the LHS that building its TableModel gives
+    fast, slow = SeededGenerator(seed), SeededGenerator(seed)
+    rows = _mixture_lhs(10_000, fast)
+    expected = [table_lhs_exact(random_table_model(slow)) for _ in range(10_000)]
+    assert rows.tolist() == expected
+    assert fast.state == slow.state
+    assert mixture_bound_check(10_000, SeededGenerator(seed)) == max(expected)
 
 
 def test_mixture_bound_check_rejects_zero_trials():
