@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,6 +107,8 @@ def _parse_angles(obj: dict) -> tuple[Direction, Direction, Direction]:
         _require_keys(obj, "angles", ("theta_ab", "theta_bc"))
         theta_ab = _number(obj, "angles", "theta_ab")
         theta_bc = _number(obj, "angles", "theta_bc")
+        if not math.isfinite(theta_ab + theta_bc):
+            raise ConfigError(f"angles: theta_ab + theta_bc must be finite, got {theta_ab + theta_bc}")
         # coplanar convention: a at 0, c beyond b, so theta_ac = theta_ab + theta_bc
         return Direction(0.0), Direction(theta_ab), Direction(theta_ab + theta_bc)
     _require_keys(obj, "angles", ("a", "b", "c"))
@@ -304,6 +307,11 @@ def cmd_run(config_path, report_path, trials_path) -> int:
 
 
 def cmd_exact(theta_ab: float, theta_bc: float) -> int:
+    for flag, value in (("--theta-ab", theta_ab), ("--theta-bc", theta_bc)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag}: expected a finite angle, got {value}")
+    if not math.isfinite(theta_ab + theta_bc):
+        raise ConfigError(f"--theta-ab + --theta-bc: the sum theta_ac must be finite, got {theta_ab + theta_bc}")
     a, b, c = Direction(0.0), Direction(theta_ab), Direction(theta_ab + theta_bc)
     out = {
         "schema": SCHEMA_VERSION,
@@ -391,6 +399,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 for negative numbers, so "-1e-3" or
+        # "-inf" would read as an unknown option rather than a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
     # argparse exits with code 2 on usage errors; 2 is reserved for the
     # freedom-of-choice refusal, so route usage errors to exit 1 instead
     def error(self, message):

@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .hidden_vars import SLOT_PAIRS, ConspiracyModel, ResponseModel, TimeSlot, signs
+from .hidden_vars import PAIR_ORDER, ConspiracyModel, PairChoice, ResponseModel, signs
 from .quantum import Direction, PolarizationState, reduce_direction_angle, run_quantum_trial
 from .rng import (
     SeededGenerator,
@@ -55,29 +54,6 @@ __all__ = [
 SELECT_PAIR_MAX_ATTEMPTS = 128
 
 
-class PairChoice(Enum):
-    """Which two of the three measurement times a trial uses (earlier first)."""
-
-    P12 = "12"
-    P13 = "13"
-    P23 = "23"
-
-    @property
-    def slots(self) -> tuple[TimeSlot, TimeSlot]:
-        return _PAIR_SLOTS[self]
-
-    @property
-    def direction_indexes(self) -> tuple[int, int]:
-        s = _PAIR_SLOTS[self]
-        return s[0].value, s[1].value
-
-
-# pair codes index both tuples: code 0 is P12, 1 is P13, 2 is P23
-_PAIR_BY_CODE = (PairChoice.P12, PairChoice.P13, PairChoice.P23)
-_PAIR_SLOTS: dict[PairChoice, tuple[TimeSlot, TimeSlot]] = dict(zip(_PAIR_BY_CODE, SLOT_PAIRS))
-PAIR_ORDER = _PAIR_BY_CODE
-
-
 @dataclass(frozen=True)
 class SlotBinding:
     """The fixed correspondence between measurement times and directions.
@@ -104,8 +80,8 @@ class SlotBinding:
         return (self.a, self.b, self.c)
 
     def directions_for(self, pair: PairChoice) -> tuple[Direction, Direction]:
-        i, j = pair.direction_indexes
-        return self.directions[i], self.directions[j]
+        first, second = pair.slots
+        return self.directions[first.value], self.directions[second.value]
 
 
 @dataclass(frozen=True)
@@ -175,7 +151,7 @@ class QuantumWorld:
         table indexed by pair code, so each lane reads exactly the values the
         scalar path computes for its pair.
         """
-        directions = [binding.directions_for(pair) for pair in _PAIR_BY_CODE]
+        directions = [binding.directions_for(pair) for pair in PAIR_ORDER]
         # p2[2*code + o1]: the second measurement's threshold after the
         # first outcome collapsed the photon onto its axis (o1) or across it
         p2 = []
@@ -208,7 +184,7 @@ def select_pair(gen: SeededGenerator) -> PairChoice:
     for _ in range(SELECT_PAIR_MAX_ATTEMPTS):
         bits = gen.top_two_bits()
         if bits != 3:
-            return _PAIR_BY_CODE[bits]
+            return PAIR_ORDER[bits]
     raise RuntimeError(f"pair selection failed {SELECT_PAIR_MAX_ATTEMPTS} rejections in a row")
 
 
@@ -254,7 +230,7 @@ class TrialLog:
             lambda_ids = np.array([r.lambda_id for r in recs])
         tags = {r.model_tag for r in recs}
         return cls(
-            np.array([_PAIR_BY_CODE.index(r.pair) for r in recs], dtype=np.uint8),
+            np.array([r.pair.code for r in recs], dtype=np.uint8),
             np.array([r.s_first for r in recs], dtype=np.int8),
             np.array([r.s_second for r in recs], dtype=np.int8),
             lambda_ids,
@@ -278,7 +254,7 @@ class TrialLog:
             lam = float(lam) if isinstance(lam, (float, np.floating)) else int(lam)
         return TrialRecord(
             index=int(index),
-            pair=_PAIR_BY_CODE[int(self.pair_codes[index])],
+            pair=PAIR_ORDER[int(self.pair_codes[index])],
             s_first=int(self.s_first[index]),
             s_second=int(self.s_second[index]),
             lambda_id=lam,
@@ -416,8 +392,6 @@ def run_trial_scalar(
     Spelled out with the public single-draw operations so the vectorized
     engine has an independent oracle.
     """
-    from .hidden_vars import sample_trial
-
     gen = derive_trial_generator(master_seed, trial_index)
     pair = select_pair(gen)
     lam: Optional[Union[int, float]] = None
@@ -429,7 +403,7 @@ def run_trial_scalar(
         first, second = binding.directions_for(pair)
         s_first, s_second = run_quantum_trial(initial, first, second, gen)
     else:
-        s_first, s_second, lam = sample_trial(world, pair.slots, gen)
+        s_first, s_second, lam = world.sample_pair(pair, gen)
     return TrialRecord(trial_index, pair, s_first, s_second, lam, world.tag)
 
 
@@ -441,7 +415,7 @@ _HEADER_LINE = (TRIAL_LOG_HEADER + "\n").encode()
 # the ",pair,s_first,s_second," middle of a row, indexed by
 # pair_code*4 + 2*(s_first > 0) + (s_second > 0)
 _ROW_MIDDLES = np.array(
-    [f",{p.value},{s1},{s2}," for p in _PAIR_BY_CODE for s1 in (-1, 1) for s2 in (-1, 1)],
+    [f",{p.value},{s1},{s2}," for p in PAIR_ORDER for s1 in (-1, 1) for s2 in (-1, 1)],
     dtype=object,
 )
 
@@ -623,7 +597,7 @@ def _scan_lines(text: str) -> TrialLog:
         lines.pop()
     if not lines or lines[0] != TRIAL_LOG_HEADER:
         raise TrialLogFormatError(f"line 1: expected header {TRIAL_LOG_HEADER!r}")
-    code_by_pair = {p.value: c for c, p in enumerate(_PAIR_BY_CODE)}
+    code_by_pair = {p.value: p.code for p in PAIR_ORDER}
     n = len(lines) - 1
     pair_codes = np.empty(n, dtype=np.uint8)
     s_first = np.empty(n, dtype=np.int8)

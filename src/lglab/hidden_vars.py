@@ -13,6 +13,7 @@ statistically over random mixtures.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,31 +40,50 @@ class TimeSlot(Enum):
 
 SlotPair = tuple[TimeSlot, TimeSlot]
 
-# The three protocol pairs, earlier slot first. A pair's position here is its
-# pair code, the per-lane value every lane kernel is indexed by.
-SLOT_PAIRS: tuple[SlotPair, ...] = (
-    (TimeSlot.T1, TimeSlot.T2),
-    (TimeSlot.T1, TimeSlot.T3),
-    (TimeSlot.T2, TimeSlot.T3),
-)
+
+class PairChoice(Enum):
+    """Which two of the three measurement times a trial uses (earlier first).
+
+    Members are listed in pair-code order: code is the per-lane value every
+    lane kernel is indexed by, and slots the two time slots the pair reads.
+    """
+
+    P12 = ("12", TimeSlot.T1, TimeSlot.T2)
+    P13 = ("13", TimeSlot.T1, TimeSlot.T3)
+    P23 = ("23", TimeSlot.T2, TimeSlot.T3)
+
+    def __new__(cls, value: str, first: TimeSlot, second: TimeSlot):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.code = len(cls.__members__)
+        member.slots = (first, second)
+        return member
+
+    @classmethod
+    def of(cls, pair: Union["PairChoice", SlotPair]) -> "PairChoice":
+        """The member for a member or a (TimeSlot, TimeSlot) tuple; ValueError for any other pair."""
+        if isinstance(pair, cls):
+            return pair
+        for member in cls:
+            if member.slots == pair:
+                return member
+        if isinstance(pair, tuple) and all(isinstance(s, TimeSlot) for s in pair):
+            pair = "(" + ", ".join(s.name for s in pair) + ")"
+        raise ValueError(f"{pair} is not one of the protocol pairs (T1, T2), (T1, T3), (T2, T3)")
+
+
+PAIR_ORDER: tuple[PairChoice, ...] = tuple(PairChoice)
 
 # Slot numbers by pair code: which response each outcome reads, and the slot
 # the pair leaves out. They are also the bit positions of a strategy mask.
-_FIRST_SLOT = np.array([a.value for a, _ in SLOT_PAIRS], dtype=np.int64)
-_SECOND_SLOT = np.array([b.value for _, b in SLOT_PAIRS], dtype=np.int64)
+_FIRST_SLOT = np.array([p.slots[0].value for p in PAIR_ORDER], dtype=np.int64)
+_SECOND_SLOT = np.array([p.slots[1].value for p in PAIR_ORDER], dtype=np.int64)
 _OTHER_SLOT = 3 - _FIRST_SLOT - _SECOND_SLOT
 
 
-def _check_pair(pair: SlotPair) -> SlotPair:
-    if pair[0] == pair[1]:
-        raise ValueError(f"a protocol pair needs two distinct time slots, got ({pair[0]}, {pair[1]})")
-    return pair
-
-
-def _pair_code(pair: SlotPair) -> int:
-    if pair not in SLOT_PAIRS:
-        raise ValueError(f"({pair[0]}, {pair[1]}) is not one of the three protocol pairs")
-    return SLOT_PAIRS.index(pair)
+def _is_real(value) -> bool:
+    """True for int, float and numpy real scalars; False for booleans and non-numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def signs(positive: np.ndarray) -> np.ndarray:
@@ -77,9 +97,10 @@ class ResponseModel(ABC):
     respond must be a pure function of (lambda, slot): the standing initial
     conditions fix all three slot responses at once.
 
-    The engine samples a model through sample_lanes. The default kernel runs
-    sample_lambda and respond lane by lane, so a subclass that implements
-    only those two methods already runs; overriding sample_lanes with array
+    sample_pair is one trial: one lambda, read on both slots of the pair.
+    The engine samples a model through sample_lanes, whose default kernel
+    runs sample_pair lane by lane, so a subclass that implements only the
+    two abstract methods already runs; overriding sample_lanes with array
     code is an optimization that must give the same outcomes and lambdas.
     """
 
@@ -91,33 +112,34 @@ class ResponseModel(ABC):
     @abstractmethod
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int: ...
 
+    def sample_pair(
+        self, pair: Union[PairChoice, SlotPair], rand: UnitUniformSource
+    ) -> tuple[int, int, HiddenVariable]:
+        """Draw one trial for the given pair: (s_first, s_second, lambda)."""
+        first, second = PairChoice.of(pair).slots
+        lam = self.sample_lambda(rand)
+        return self.respond(lam, first), self.respond(lam, second), lam
+
     def sample_lanes(self, binding, codes, states: np.ndarray):
         """One trial per lane: (s_first, s_second, lambda_ids) as arrays.
 
-        codes holds each lane's pair code (an index into SLOT_PAIRS), or one
+        codes holds each lane's pair code (an index into PAIR_ORDER), or one
         code for every lane; states holds each lane's generator state and is
         advanced in place by the draws the lane consumes. binding is the
         run's SlotBinding, which response models do not need: they carry
         their own directions. The lambda array's dtype is the column's dtype
         in the trial log.
         """
-        codes = np.broadcast_to(codes, states.shape)
-        s_first = np.empty(len(states), dtype=np.int8)
-        s_second = np.empty(len(states), dtype=np.int8)
-        lams = []
-        for k, code in enumerate(codes.tolist()):
-            gen = SeededGenerator(int(states[k]))
-            first, second = SLOT_PAIRS[code]
-            lam = self.sample_lambda(gen)
-            s_first[k] = self.respond(lam, first)
-            s_second[k] = self.respond(lam, second)
-            lams.append(lam)
-            states[k] = gen.state
-        return s_first, s_second, np.array(lams)
+        gens = [SeededGenerator(state) for state in states.tolist()]
+        codes = np.broadcast_to(codes, states.shape).tolist()
+        trials = [self.sample_pair(PAIR_ORDER[code], gen) for code, gen in zip(codes, gens)]
+        states[:] = [gen.state for gen in gens]
+        s_first, s_second, lams = zip(*trials) if trials else ((), (), ())
+        return np.array(s_first, dtype=np.int8), np.array(s_second, dtype=np.int8), np.array(lams)
 
-    def sample_pair_batch(self, pair: SlotPair, states: np.ndarray):
+    def sample_pair_batch(self, pair: Union[PairChoice, SlotPair], states: np.ndarray):
         """sample_lanes with every lane on the same pair."""
-        return self.sample_lanes(None, _pair_code(pair), states)
+        return self.sample_lanes(None, PairChoice.of(pair).code, states)
 
 
 class TableModel(ResponseModel):
@@ -135,9 +157,9 @@ class TableModel(ResponseModel):
         weights = []
         triples = []
         for k, (w, triple) in enumerate(rows):
-            if not (w > 0.0 and math.isfinite(w)):
-                raise ValueError(f"row {k}: weight must be finite and > 0, got {w}")
-            if len(triple) != 3 or any(s not in (-1, 1) for s in triple):
+            if not (_is_real(w) and w > 0.0 and math.isfinite(w)):
+                raise ValueError(f"row {k}: weight must be a finite number > 0, got {w!r}")
+            if len(triple) != 3 or not all(_is_real(s) and s in (-1, 1) for s in triple):
                 raise ValueError(f"row {k}: responses must be a triple of -1/+1, got {triple}")
             weights.append(float(w))
             triples.append(tuple(int(s) for s in triple))
@@ -216,18 +238,16 @@ class ConspiracyModel:
     tag: str = field(default="conspiracy", init=False)
 
     def __post_init__(self) -> None:
-        if set(self.target_means) != set(SLOT_PAIRS):
+        if set(self.target_means) != {p.slots for p in PAIR_ORDER}:
             raise ValueError("conspiracy model needs a target mean for each of the three slot pairs")
         for pair, m in self.target_means.items():
             if not (-1.0 <= m <= 1.0):
                 raise ValueError(f"target mean for {pair} must lie in [-1, 1], got {m}")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError(f"strength must lie in [0, 1], got {self.strength}")
-        object.__setattr__(
-            self, "_p_same", {pair: (1.0 + m) / 2.0 for pair, m in self.target_means.items()}
-        )
-        # the same probabilities by pair code, for the lane kernel
-        object.__setattr__(self, "_p_same_by_code", np.array([self._p_same[pair] for pair in SLOT_PAIRS]))
+        # the lane kernel's match probabilities, by pair code
+        p_same = [(1.0 + self.target_means[p.slots]) / 2.0 for p in PAIR_ORDER]
+        object.__setattr__(self, "_p_same_by_code", np.array(p_same))
 
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int:
         lam = int(lam)
@@ -236,25 +256,24 @@ class ConspiracyModel:
         return 1 if (lam >> slot.value) & 1 else -1
 
     def sample_pair(
-        self, pair: SlotPair, rand: UnitUniformSource
+        self, pair: Union[PairChoice, SlotPair], rand: UnitUniformSource
     ) -> tuple[int, int, int]:
         """Draw one trial for the given pair: (s_first, s_second, lambda).
 
         Consumes exactly four uniforms: mode, first sign, second sign/match,
         unused-slot sign.
         """
-        _check_pair(pair)
+        first, second = PairChoice.of(pair).slots
         conditioned = rand.next_uniform() < self.strength
         s_first = 1 if rand.next_uniform() < 0.5 else -1
         u2 = rand.next_uniform()
         if conditioned:
-            s_second = s_first if u2 < self._p_same[pair] else -s_first
+            s_second = s_first if u2 < (1.0 + self.target_means[(first, second)]) / 2.0 else -s_first
         else:
             s_second = 1 if u2 < 0.5 else -1
         s_other = 1 if rand.next_uniform() < 0.5 else -1
-        other_slot = next(s for s in TimeSlot if s not in pair)
-        by_slot = {pair[0]: s_first, pair[1]: s_second, other_slot: s_other}
-        lam = sum((1 << slot.value) for slot in TimeSlot if by_slot[slot] > 0)
+        other = TimeSlot(3 - first.value - second.value)
+        lam = sum(1 << slot.value for slot, s in ((first, s_first), (second, s_second), (other, s_other)) if s > 0)
         return s_first, s_second, lam
 
     def sample_lanes(self, binding, codes, states: np.ndarray):
@@ -270,18 +289,15 @@ class ConspiracyModel:
         lam |= other_plus.astype(np.int64) << _OTHER_SLOT[codes]
         return signs(first_plus), signs(second_plus), lam
 
-    def sample_pair_batch(self, pair: SlotPair, states: np.ndarray):
+    def sample_pair_batch(self, pair: Union[PairChoice, SlotPair], states: np.ndarray):
         """sample_lanes with every lane on the same pair."""
-        return self.sample_lanes(None, _pair_code(pair), states)
-
-
-WorldModel = Union[ResponseModel, ConspiracyModel]
+        return self.sample_lanes(None, PairChoice.of(pair).code, states)
 
 
 def expectation_exact(model: TableModel, slot_a: TimeSlot, slot_b: TimeSlot) -> float:
     """Exact pair expectation of a discrete model: sum of weight * S_a * S_b."""
-    _check_pair((slot_a, slot_b))
-    products = model._responses[:, slot_a.value].astype(np.float64) * model._responses[:, slot_b.value]
+    first, second = PairChoice.of((slot_a, slot_b)).slots
+    products = model._responses[:, first.value].astype(np.float64) * model._responses[:, second.value]
     return float(np.dot(model._weights, products))
 
 
@@ -294,18 +310,14 @@ def table_lhs_exact(model: TableModel) -> float:
 
 
 def sample_trial(
-    model: WorldModel, pair: SlotPair, rand: UnitUniformSource
+    model: Union[ResponseModel, ConspiracyModel], pair: Union[PairChoice, SlotPair], rand: UnitUniformSource
 ) -> tuple[int, int, HiddenVariable]:
     """One trial under a hidden-variable model: (s_first, s_second, lambda).
 
-    For response models both outcomes are read from a single freshly drawn
-    lambda; conspiracy models use their pair-conditioned sampler instead.
+    Response models read both outcomes from a single freshly drawn lambda;
+    conspiracy models draw from their pair-conditioned distribution.
     """
-    _check_pair(pair)
-    if isinstance(model, ConspiracyModel):
-        return model.sample_pair(pair, rand)
-    lam = model.sample_lambda(rand)
-    return model.respond(lam, pair[0]), model.respond(lam, pair[1]), lam
+    return model.sample_pair(pair, rand)
 
 
 def conspiracy_from_quantum(a, b, c, strength: float = 1.0) -> ConspiracyModel:
@@ -317,14 +329,12 @@ def conspiracy_from_quantum(a, b, c, strength: float = 1.0) -> ConspiracyModel:
     """
     from .quantum import sequential_correlation_exact
 
-    return ConspiracyModel(
-        target_means={
-            (TimeSlot.T1, TimeSlot.T2): sequential_correlation_exact(a, b),
-            (TimeSlot.T1, TimeSlot.T3): sequential_correlation_exact(a, c),
-            (TimeSlot.T2, TimeSlot.T3): sequential_correlation_exact(b, c),
-        },
-        strength=strength,
-    )
+    directions = (a, b, c)
+    means = {
+        (x, y): sequential_correlation_exact(directions[x.value], directions[y.value])
+        for x, y in (p.slots for p in PAIR_ORDER)
+    }
+    return ConspiracyModel(target_means=means, strength=strength)
 
 
 def deterministic_strategy_values() -> list[tuple[tuple[int, int, int], float]]:

@@ -330,3 +330,65 @@ def test_usage_errors_exit_1_not_2(capsys):
     assert main(["run", "--config"]) == EXIT_CONFIG
     capsys.readouterr()
     assert main(["exact", "--theta-ab", "0.5"]) == EXIT_CONFIG
+
+
+# -- option values, table rows and angles that must be refused or accepted -----
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ([["half", 1, 1, 1], [0.5, 1, 1, 1]], "weight"),
+        ([[True, 1, 1, 1]], "weight"),
+        ([[None, 1, 1, 1]], "weight"),
+        ([[1, True, 1, 1]], "responses"),
+        ([[1, 1, "1", 1]], "responses"),
+    ],
+)
+def test_table_rows_with_non_numbers_or_booleans_exit_1(tmp_path, capsys, rows, named):
+    path = write_config(tmp_path, world={"kind": "table", "rows": rows})
+    code, _, trials_path = run_cli(tmp_path, path)
+    assert code == EXIT_CONFIG
+    assert f"error: world.rows: row 0: {named}" in capsys.readouterr().err
+    assert not trials_path.exists()
+
+
+@pytest.mark.parametrize("token, value", [("-1e-3", -0.001), ("-2E+1", -20.0), ("-.5", -0.5)])
+def test_negative_exponent_form_is_an_option_value(capsys, token, value):
+    assert main(["exact", "--theta-ab", token, "--theta-bc", "0.5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["theta_ab"] == value
+    assert f'"theta_ab": {value!r}' in out
+    assert main(["exact", "--theta-ab", "0.5", "--theta-bc", token]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["theta_bc"] == value
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+def test_optimize_negative_exponent_tolerance_names_tol(capsys, value):
+    assert main(["optimize", "--tol", value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --tol" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--theta-ab", "nan", "--theta-bc", "0.5"], "--theta-ab"),
+        (["--theta-ab", "0.5", "--theta-bc", "inf"], "--theta-bc"),
+        (["--theta-ab", "0.5", "--theta-bc", "-inf"], "--theta-bc"),
+        (["--theta-ab", "1e308", "--theta-bc", "1e308"], "--theta-ab + --theta-bc"),
+    ],
+)
+def test_exact_non_finite_angles_name_the_flag(capsys, args, named):
+    assert main(["exact"] + args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}")
+
+
+def test_config_angle_sum_overflow_names_angles(tmp_path, capsys):
+    path = write_config(tmp_path, angles={"theta_ab": 1e308, "theta_bc": 1e308})
+    code, _, _ = run_cli(tmp_path, path)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: angles: theta_ab + theta_bc")

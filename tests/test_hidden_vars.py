@@ -285,3 +285,31 @@ def test_conspiracy_lhs_reproduces_quantum_value(magic_binding):
         model.target_means[(T1, T2)] - model.target_means[(T1, T3)]
     ) + model.target_means[(T2, T3)]
     assert lhs == pytest.approx(1.5, abs=1e-12)
+
+
+# -- TableModel refuses non-numbers and booleans --------------------------------
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("half", (1, 1, 1)), (0.5, (1, 1, 1))],
+        [(True, (1, 1, 1))],
+        [(np.True_, (1, 1, 1))],
+        [(None, (1, 1, 1))],
+        [(1.0, (True, 1, 1))],
+        [(1.0, (1, np.True_, 1))],
+        [(1.0, (1, 1, "1"))],
+    ],
+)
+def test_table_model_rejects_non_numbers_and_booleans(rows):
+    with pytest.raises(ValueError, match="row 0"):
+        TableModel(rows)
+
+
+def test_table_model_accepts_numpy_scalars():
+    model = TableModel(
+        [(np.float64(0.25), (np.int64(1), np.int8(-1), np.float32(1.0))), (np.float32(0.75), (1, 1.0, -1))]
+    )
+    assert model.rows == [(0.25, (1, -1, 1)), (0.75, (1, 1, -1))]
+    assert all(type(w) is float and all(type(s) is int for s in t) for w, t in model.rows)
