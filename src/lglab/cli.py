@@ -307,11 +307,16 @@ def cmd_run(config_path, report_path, trials_path) -> int:
 
 
 def cmd_exact(theta_ab: float, theta_bc: float) -> int:
-    for flag, value in (("--theta-ab", theta_ab), ("--theta-bc", theta_bc)):
+    angles = (("--theta-ab", theta_ab), ("--theta-bc", theta_bc))
+    for flag, value in angles:
         if not math.isfinite(value):
             raise ConfigError(f"{flag}: expected a finite angle, got {value}")
     if not math.isfinite(theta_ab + theta_bc):
         raise ConfigError(f"--theta-ab + --theta-bc: the sum theta_ac must be finite, got {theta_ab + theta_bc}")
+    # the closed-form LHS takes cos(2 * angle) of both angles and of their sum
+    for flag, value in angles + (("--theta-ab + --theta-bc", theta_ab + theta_bc),):
+        if not math.isfinite(2.0 * value):
+            raise ConfigError(f"{flag}: twice the angle must be finite, got {value}")
     a, b, c = Direction(0.0), Direction(theta_ab), Direction(theta_ab + theta_bc)
     out = {
         "schema": SCHEMA_VERSION,

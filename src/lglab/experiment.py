@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -412,15 +411,40 @@ def run_trial_scalar(
 TRIAL_LOG_HEADER = "index,pair,s_first,s_second,lambda_id,model_tag"
 _HEADER_LINE = (TRIAL_LOG_HEADER + "\n").encode()
 
+# Rows are assembled as fixed-width uint8 cells, one per row, in which a field
+# shorter than its column is padded with NUL; deleting every NUL from the
+# joined cells leaves the rows. A model tag may therefore hold no NUL, nor the
+# ',' and newlines that would split its row.
+_TAG_FORBIDDEN = frozenset(",\n\r\0")
+
 # the ",pair,s_first,s_second," middle of a row, indexed by
 # pair_code*4 + 2*(s_first > 0) + (s_second > 0)
 _ROW_MIDDLES = np.array(
-    [f",{p.value},{s1},{s2}," for p in PAIR_ORDER for s1 in (-1, 1) for s2 in (-1, 1)],
-    dtype=object,
+    [f",{p.value},{s1},{s2}," for p in PAIR_ORDER for s1 in (-1, 1) for s2 in (-1, 1)], dtype="S10"
 )
+
+
+def _digit_group_table() -> np.ndarray:
+    """The four ASCII digits of 0..9999 as uint32 cells.
+
+    Entry v drops the leading zeros of v (NUL in their place, so 0 is all
+    NUL); entry 10^4 + v keeps them, for groups with digits above them.
+    """
+    values = np.arange(10_000, dtype=np.uint16)[:, None]
+    powers = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (values // powers % 10).astype(np.uint8) + np.uint8(ord("0"))
+    stripped = np.where(values < powers, np.uint8(0), padded)
+    return np.concatenate([stripped, padded]).view(np.uint32).ravel()
+
+
+_DIGIT_GROUPS = _digit_group_table()
+_ZERO_GROUP = np.frombuffer(b"\0\0\0" b"0", dtype=np.uint32)[0]  # three NULs, then "0"
 
 # the longest canonical lambda_id: str of an int64 or repr of a float64
 _LAMBDA_MAX_WIDTH = len(repr(-2.2250738585072014e-308))
+
+# the reader looks for newlines in blocks of this many bytes (1 MiB)
+_SCAN_BLOCK = 1 << 20
 
 
 def _format_lambda(value) -> str:
@@ -431,7 +455,40 @@ def _format_lambda(value) -> str:
     return str(int(value))
 
 
-def _encode_rows(log: TrialLog, lo: int, hi: int) -> str:
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """Each integer as a NUL-padded uint8 row: a sign byte, then 4-digit groups.
+
+    Deleting the NULs of row k gives str(int(values[k])), for any signed or
+    unsigned integer dtype of up to 64 bits.
+    """
+    negative = values < 0
+    magnitudes = values.astype(np.uint64)
+    np.negative(magnitudes, out=magnitudes, where=negative)  # exact for -2**63 too
+    n_groups = (len(str(int(magnitudes.max()))) + 3) // 4
+    cells = np.empty((len(values), 1 + 4 * n_groups), dtype=np.uint8)
+    cells[:, 0] = negative * ord("-")
+    groups = cells[:, 1:].view(np.uint32)
+    rest = magnitudes
+    for g in range(n_groups - 1, -1, -1):
+        above = rest // np.uint64(10_000)
+        key = rest - above * np.uint64(10_000)
+        # a group with digits above it keeps its leading zeros
+        key += (above != 0) * np.uint64(10_000)
+        groups[:, g] = _DIGIT_GROUPS[key]
+        rest = above
+    groups[magnitudes == 0, -1] = _ZERO_GROUP
+    return cells
+
+
+def _lambda_cells(lambdas: np.ndarray) -> np.ndarray:
+    if lambdas.dtype.kind in "iu":
+        return _int_cells(lambdas)
+    # the one per-row Python format left: repr of each float
+    text = list(map(repr if lambdas.dtype.kind == "f" else str, lambdas.tolist()))
+    return np.array(text, dtype="S").view(np.uint8).reshape(len(text), -1)
+
+
+def _encode_rows(log: TrialLog, lo: int, hi: int) -> bytes:
     """Rows lo..hi-1 of the CSV trial log, each ending in a newline.
 
     The one definition of the row format: the writer emits it, and the reader
@@ -440,14 +497,20 @@ def _encode_rows(log: TrialLog, lo: int, hi: int) -> str:
     keys = log.pair_codes[lo:hi].astype(np.intp) * 4
     keys += 2 * (log.s_first[lo:hi] > 0)
     keys += log.s_second[lo:hi] > 0
-    middles = _ROW_MIDDLES[keys].tolist()
-    lam = log.lambda_ids
-    if lam is None:
-        lams = repeat("")
-    else:
-        lams = map(repr if lam.dtype.kind == "f" else str, lam[lo:hi].tolist())
-    tail = f",{log.model_tag}\n"
-    return "".join([f"{i}{m}{v}{tail}" for i, m, v in zip(range(lo, hi), middles, lams)])
+    fields = [
+        _int_cells(np.arange(lo, hi, dtype=np.uint64)),
+        _ROW_MIDDLES[keys].view(np.uint8).reshape(hi - lo, -1),
+    ]
+    if log.lambda_ids is not None:
+        fields.append(_lambda_cells(log.lambda_ids[lo:hi]))
+    tail = np.frombuffer(f",{log.model_tag}\n".encode("utf-8"), dtype=np.uint8)
+    fields.append(np.broadcast_to(tail, (hi - lo, len(tail))))
+    return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
+
+
+def _check_tag(tag: str) -> None:
+    if not _TAG_FORBIDDEN.isdisjoint(tag):
+        raise ValueError(f"model tag {tag!r} holds ',', a line break or NUL, which a trial log cannot carry")
 
 
 def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> None:
@@ -455,19 +518,22 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
 
     Columns: index,pair,s_first,s_second,lambda_id,model_tag with pair encoded
     as 12|13|23 and lambda_id empty for the quantum world. Unix newlines, no
-    trailing whitespace.
+    trailing whitespace. A model tag holding ',', a line break or NUL is
+    refused with ValueError, as no reader could take it back.
     """
     if isinstance(trials, TrialLog):
+        _check_tag(trials.model_tag)
         # the row encoder writes any outcome that is not positive as -1
         if not (np.all(np.abs(trials.s_first) == 1) and np.all(np.abs(trials.s_second) == 1)):
             raise ValueError("outcomes must be 1 or -1")
         with open(path, "wb") as out:
             out.write(_HEADER_LINE)
             for lo in range(0, len(trials), _CHUNK_ROWS):
-                out.write(_encode_rows(trials, lo, min(lo + _CHUNK_ROWS, len(trials))).encode("utf-8"))
+                out.write(_encode_rows(trials, lo, min(lo + _CHUNK_ROWS, len(trials))))
         return
     lines = [TRIAL_LOG_HEADER]
     for rec in trials:
+        _check_tag(rec.model_tag)
         lines.append(
             f"{rec.index},{rec.pair.value},{rec.s_first},{rec.s_second},"
             f"{_format_lambda(rec.lambda_id)},{rec.model_tag}"
@@ -505,7 +571,7 @@ def _parse_canonical(data: bytes) -> Optional[TrialLog]:
     if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))  # ends[0] closes the header
+    ends = _newline_offsets(buf)  # ends[0] closes the header
     n = len(ends) - 1
     if n == 0:
         return None
@@ -550,9 +616,24 @@ def _parse_canonical(data: bytes) -> Optional[TrialLog]:
             if values is None:
                 return None
             lambda_ids[lo:hi] = values
-        if _encode_rows(log, lo, hi).encode("utf-8") != data[start:stop]:
+        if _encode_rows(log, lo, hi) != data[start:stop]:
             return None
     return log
+
+
+def _newline_offsets(buf: np.ndarray) -> np.ndarray:
+    """The offset of every newline in buf, found block by block so that no
+    temporary spans the whole file."""
+    starts = range(0, len(buf), _SCAN_BLOCK)
+    # numpy counts a block about five times faster than bytes.count does
+    count = sum(int(np.count_nonzero(buf[pos : pos + _SCAN_BLOCK] == ord("\n"))) for pos in starts)
+    ends = np.empty(count, dtype=np.int64)
+    filled = 0
+    for pos in starts:
+        found = np.flatnonzero(buf[pos : pos + _SCAN_BLOCK] == ord("\n"))
+        np.add(found, pos, out=ends[filled : filled + len(found)])
+        filled += len(found)
+    return ends
 
 
 def _parse_lambdas(chunk: np.ndarray, starts: np.ndarray, widths: np.ndarray, dtype) -> Optional[np.ndarray]:

@@ -156,10 +156,18 @@ class TableModel(ResponseModel):
             raise ValueError("a table model needs at least one lambda row")
         weights = []
         triples = []
-        for k, (w, triple) in enumerate(rows):
+        for k, row in enumerate(rows):
+            try:
+                w, triple = row
+            except (TypeError, ValueError):
+                raise ValueError(f"row {k}: expected a (weight, responses) pair, got {row!r}") from None
             if not (_is_real(w) and w > 0.0 and math.isfinite(w)):
                 raise ValueError(f"row {k}: weight must be a finite number > 0, got {w!r}")
-            if len(triple) != 3 or not all(_is_real(s) and s in (-1, 1) for s in triple):
+            if (
+                not hasattr(triple, "__len__")
+                or len(triple) != 3
+                or not all(_is_real(s) and s in (-1, 1) for s in triple)
+            ):
                 raise ValueError(f"row {k}: responses must be a triple of -1/+1, got {triple}")
             weights.append(float(w))
             triples.append(tuple(int(s) for s in triple))

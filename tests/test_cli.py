@@ -387,6 +387,22 @@ def test_exact_non_finite_angles_name_the_flag(capsys, args, named):
     assert captured.err.startswith(f"error: {named}")
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--theta-ab", "1e308", "--theta-bc", "0"], "--theta-ab:"),
+        (["--theta-ab", "0", "--theta-bc", "-1e308"], "--theta-bc:"),
+        (["--theta-ab", "6e307", "--theta-bc", "6e307"], "--theta-ab + --theta-bc:"),
+    ],
+)
+def test_exact_angles_whose_double_overflows_name_the_flag(capsys, args, named):
+    # the closed form takes cos(2 * angle), which is not finite for these
+    assert main(["exact"] + args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}")
+
+
 def test_config_angle_sum_overflow_names_angles(tmp_path, capsys):
     path = write_config(tmp_path, angles={"theta_ab": 1e308, "theta_bc": 1e308})
     code, _, _ = run_cli(tmp_path, path)

@@ -313,3 +313,18 @@ def test_table_model_accepts_numpy_scalars():
     )
     assert model.rows == [(0.25, (1, -1, 1)), (0.75, (1, 1, -1))]
     assert all(type(w) is float and all(type(s) is int for s in t) for w, t in model.rows)
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ([(1.0, 5)], "row 0: responses"),
+        ([(1.0, None)], "row 0: responses"),
+        ([5], "row 0: expected a \\(weight, responses\\) pair"),
+        ([(0.5, (1, 1, 1)), (0.5, (1, 1, 1), 3)], "row 1: expected a \\(weight, responses\\) pair"),
+        ([(0.5, (1, 1, 1)), ()], "row 1: expected a \\(weight, responses\\) pair"),
+    ],
+)
+def test_table_model_malformed_rows_raise_value_error_naming_the_row(rows, named):
+    with pytest.raises(ValueError, match=named):
+        TableModel(rows)

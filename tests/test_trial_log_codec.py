@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lglab import (
     Direction,
@@ -21,7 +22,7 @@ from lglab import (
     run_experiment,
     write_trial_log,
 )
-from lglab.experiment import _CHUNK_ROWS, TrialLog, TrialLogFormatError, _parse_canonical
+from lglab.experiment import _CHUNK_ROWS, TrialLog, TrialLogFormatError, _int_cells, _parse_canonical
 from lglab.hidden_vars import RotorModel, conspiracy_from_quantum
 from lglab.rng import MASK64
 
@@ -176,3 +177,85 @@ def test_writer_refuses_outcomes_other_than_plus_minus_one(tmp_path):
     s_first[4] = 0
     with pytest.raises(ValueError, match="outcomes"):
         write_trial_log(TrialLog(log.pair_codes, s_first, log.s_second, None, "quantum"), tmp_path / "x.csv")
+
+
+# -- the byte-cell row encoder ------------------------------------------------
+
+
+def _int_text(values: np.ndarray) -> list:
+    return [row.tobytes().replace(b"\0", b"").decode() for row in _int_cells(values)]
+
+
+INT64_EDGES = (
+    [0, -(2**63), 2**63 - 1]
+    + [sign * (10**k - 1) for k in range(1, 19) for sign in (1, -1)]
+    + [sign * 10**k for k in range(19) for sign in (1, -1)]
+)
+UINT64_EDGES = [0, 2**63, 2**63 + 1, 10**19 - 1, 10**19, 2**64 - 1] + [10**k for k in range(19)]
+
+
+@pytest.mark.parametrize("dtype, values", [(np.int64, INT64_EDGES), (np.uint64, UINT64_EDGES)])
+def test_integer_cells_match_str(dtype, values):
+    assert _int_text(np.array(values, dtype=dtype)) == [str(v) for v in values]
+    # alone, each value sets its own number of digit groups
+    for v in values:
+        assert _int_text(np.array([v], dtype=dtype)) == [str(v)]
+
+
+@st.composite
+def lambda_logs(draw, dtype, elements):
+    n = draw(st.integers(1, 120))
+    return TrialLog(
+        draw(arrays(np.uint8, n, elements=st.integers(0, 2))),
+        draw(arrays(np.int8, n, elements=st.sampled_from([-1, 1]))),
+        draw(arrays(np.int8, n, elements=st.sampled_from([-1, 1]))),
+        draw(arrays(dtype, n, elements=elements)),
+        "synthetic",
+    )
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -2.2250738585072014e-308, 1e16, -1e16, 1e-5, 0.1, -0.0]
+)
+
+
+@settings(max_examples=200)
+@given(log=lambda_logs(np.int64, st.integers(-(2**63), 2**63 - 1)))
+def test_int64_lambda_logs_match_the_record_oracle_and_round_trip(codec_dir, log):
+    _check_codec(codec_dir, log)
+
+
+@settings(max_examples=200)
+@given(log=lambda_logs(np.float64, FINITE_FLOATS))
+def test_float_lambda_logs_match_the_record_oracle_and_round_trip(codec_dir, log):
+    _check_codec(codec_dir, log)
+
+
+@settings(max_examples=50)
+@given(log=lambda_logs(np.uint64, st.integers(2**63, 2**64 - 1)))
+def test_uint64_lambdas_above_int64_match_the_record_oracle(codec_dir, log):
+    path, oracle = codec_dir / "log.csv", codec_dir / "oracle.csv"
+    write_trial_log(log, path)
+    write_trial_log(list(log), oracle)
+    assert path.read_bytes() == oracle.read_bytes()
+
+
+def test_index_widths_change_inside_a_chunk(tmp_path):
+    # 9 999 -> 10 000 falls in the first chunk and 99 999 -> 100 000 in the second
+    _check_codec(tmp_path, _run("table", 5, 100_001))
+
+
+@pytest.mark.parametrize("tag", ["a,b", "a\nb", "a\rb", "a\0b", ","])
+def test_writer_refuses_tags_it_cannot_round_trip(tmp_path, tag):
+    log = _run("quantum", 3, 5)
+    log = TrialLog(log.pair_codes, log.s_first, log.s_second, None, tag)
+    path = tmp_path / "x.csv"
+    for trials in (log, list(log)):
+        with pytest.raises(ValueError, match="model tag"):
+            write_trial_log(trials, path)
+    assert not path.exists()
+
+
+def test_utf8_tag_round_trips(codec_dir):
+    log = _run("table", 9, 300)
+    _check_codec(codec_dir, TrialLog(log.pair_codes, log.s_first, log.s_second, log.lambda_ids, "ξ"))
