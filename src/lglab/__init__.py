@@ -9,9 +9,11 @@ inequality |P(a,b) - P(a,c)| <= 1 - P(b,c): quantum mechanics reaches LHS
 from .analysis import (
     AnalysisError,
     LgReport,
+    LogFold,
     PairEstimate,
     StabilizationReport,
     estimate_pairs,
+    estimates_from_counts,
     evaluate_lg,
     maximize_violation,
     quantum_lhs,
@@ -27,7 +29,9 @@ from .experiment import (
     TrialLog,
     TrialRecord,
     derive_trial_generator,
+    fold_trial_log,
     read_trial_log,
+    run_chunks,
     run_experiment,
     select_pair,
     spacelike_separated,
@@ -61,6 +65,7 @@ __all__ = [
     "Direction",
     "FreedomOfChoiceError",
     "LgReport",
+    "LogFold",
     "PairChoice",
     "PairEstimate",
     "PolarizationState",
@@ -79,13 +84,16 @@ __all__ = [
     "conspiracy_from_quantum",
     "derive_trial_generator",
     "estimate_pairs",
+    "estimates_from_counts",
     "evaluate_lg",
     "expectation_exact",
+    "fold_trial_log",
     "maximize_violation",
     "measure_polarization",
     "mixture_bound_check",
     "quantum_lhs",
     "read_trial_log",
+    "run_chunks",
     "run_experiment",
     "run_quantum_trial",
     "sample_trial",

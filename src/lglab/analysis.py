@@ -3,7 +3,9 @@
 Estimates the three pair correlations with standard errors, evaluates the
 inequality |P(a,b) - P(a,c)| <= 1 - P(b,c) as a one-sided z-test against the
 classical bound, scans the quantum prediction for the maximal violation, and
-measures how fast the running estimates stabilize with sample size.
+measures how fast the running estimates stabilize with sample size. The
+estimators fold a log one chunk at a time (LogFold), so a command can
+estimate a run that it never holds whole.
 """
 from __future__ import annotations
 
@@ -50,20 +52,15 @@ def _as_log(trials: Union[TrialLog, Iterable[TrialRecord]]) -> TrialLog:
     return trials if isinstance(trials, TrialLog) else TrialLog.from_records(trials)
 
 
-def estimate_pairs(
-    trials: Union[TrialLog, Iterable[TrialRecord]],
-) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
+def estimates_from_counts(counts) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
     """Per-pair product means and standard errors, in (12, 13, 23) order.
 
-    Products are +/-1, so a pair's mean is (n_same - n_diff) / n from integer
-    counts; that equals the mean of the float products exactly, because
-    their sum is an integer below 2^53.
+    counts[code] is (trials whose outcomes differ, trials whose outcomes
+    agree) for the pair with that code, as Python ints. Products are +/-1, so
+    a pair's mean is (n_same - n_diff) / n from integer counts; that equals
+    the mean of the float products exactly, because their sum is an integer
+    below 2^53.
     """
-    log = _as_log(trials)
-    keys = log.pair_codes * 2
-    keys += log.s_first == log.s_second
-    # row = pair code, columns = (outcomes differ, outcomes agree)
-    counts = np.bincount(keys, minlength=6).reshape(3, 2).tolist()
     undersampled = [p.value for p, (n_diff, n_same) in zip(PAIR_ORDER, counts) if n_diff + n_same < 2]
     if undersampled:
         raise AnalysisError(
@@ -76,6 +73,13 @@ def estimate_pairs(
         se = math.sqrt(max(0.0, 1.0 - mean * mean) / n)
         estimates.append(PairEstimate(pair=pair, n=n, mean=mean, std_error=se))
     return tuple(estimates)
+
+
+def estimate_pairs(
+    trials: Union[TrialLog, Iterable[TrialRecord]],
+) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
+    """Per-pair product means and standard errors, in (12, 13, 23) order."""
+    return LogFold.over(_as_log(trials).chunks()).estimates()
 
 
 @dataclass(frozen=True)
@@ -283,6 +287,113 @@ class StabilizationReport:
         }
 
 
+_NO_COUNTS, _NO_MEANS = np.zeros(0, np.int64), np.zeros(0)
+
+
+class LogFold:
+    """The estimators' state, folded one chunk of trials at a time.
+
+    counts[code] is (trials whose outcomes differ, trials whose outcomes
+    agree) for each pair so far. With a checkpoint stride the fold also
+    records, as each chunk passes them, the running mean of a pair at each of
+    its stride-th trials, from exact integer counts. Chunks must arrive in
+    trial order; folding a log as one chunk gives the same numbers as
+    folding its chunks.
+    """
+
+    def __init__(self, checkpoint_stride: Optional[int] = None):
+        if checkpoint_stride is not None and checkpoint_stride < 1:
+            raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_stride}")
+        self.checkpoint_stride = checkpoint_stride
+        self.counts = [[0, 0], [0, 0], [0, 0]]
+        # per pair: the checkpoints' trial counts and running means, each
+        # starting empty and growing by one array per chunk
+        self._marks = [([_NO_COUNTS], [_NO_MEANS]) for _ in range(3)]
+
+    @classmethod
+    def over(cls, chunks: Iterable[TrialLog], checkpoint_stride: Optional[int] = None) -> "LogFold":
+        """The fold of a stream of chunks."""
+        fold = cls(checkpoint_stride)
+        for chunk in chunks:
+            fold.add(chunk)
+        return fold
+
+    def add(self, chunk: TrialLog) -> "LogFold":
+        if self.checkpoint_stride is None:
+            keys = chunk.pair_codes * 2
+            keys += chunk.s_first == chunk.s_second
+            added = np.bincount(keys, minlength=6).reshape(3, 2).tolist()
+        else:
+            same = chunk.s_first == chunk.s_second
+            # several times faster than same[mask]
+            added = [self._checkpoint(code, np.compress(chunk.pair_codes == code, same)) for code in range(3)]
+        for counts, (n_diff, n_same) in zip(self.counts, added):
+            counts[0] += n_diff
+            counts[1] += n_same
+        return self
+
+    def _checkpoint(self, code: int, pair_same: np.ndarray) -> tuple[int, int]:
+        """Record the checkpoints that fall among pair_same, the pair's
+        outcomes-agree flags in this chunk; returns its (n_diff, n_same)."""
+        stride = self.checkpoint_stride
+        n_before, agree_before = sum(self.counts[code]), self.counts[code][1]
+        running = np.cumsum(pair_same, dtype=np.int64)
+        # where the pair's stride multiples fall in this chunk
+        at = np.arange(stride - 1 - n_before % stride, len(running), stride)
+        if len(at):
+            counts, means = self._marks[code]
+            counts.append(at + (n_before + 1))
+            # the running product sum after k samples is 2 * (agreements so far) - k,
+            # an exact integer, so the division matches a float cumsum's bit for bit
+            means.append((2 * (running[at] + agree_before) - counts[-1]) / counts[-1])
+        n_same = int(running[-1]) if len(running) else 0
+        return len(running) - n_same, n_same
+
+    def estimates(self) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
+        return estimates_from_counts(self.counts)
+
+    def stabilization(self, epsilon: float = DEFAULT_EPSILON) -> StabilizationReport:
+        """The settling report of stabilization() for the trials folded so far."""
+        _check_epsilon(epsilon)
+        if self.checkpoint_stride is None:
+            raise ValueError("stabilization needs a fold with a checkpoint stride")
+        reports = []
+        for pair, (n_diff, n_same), (counts, means) in zip(PAIR_ORDER, self.counts, self._marks):
+            n = n_diff + n_same
+            if n == 0:
+                reports.append(
+                    PairStabilization(pair=pair, n=0, final_mean=None, n_star=None, stabilized=False, checkpoints=())
+                )
+                continue
+            counts, means = np.concatenate(counts), np.concatenate(means)
+            # the final sample is a checkpoint too; (n_same - n_diff) / n is the
+            # same float as a mean at a stride multiple, and deviates by 0
+            final_mean = (n_same - n_diff) / n
+            checkpoints = list(zip(counts.tolist(), means.tolist()))
+            if not checkpoints or checkpoints[-1][0] != n:
+                checkpoints.append((n, final_mean))
+            # suffix max: checkpoint k qualifies iff nothing at or after k deviates
+            settled = np.maximum.accumulate(np.abs(means - final_mean)[::-1])[::-1] <= epsilon
+            qualifying = np.flatnonzero(settled)
+            n_star = int(counts[qualifying[0]]) if len(qualifying) else n
+            reports.append(
+                PairStabilization(
+                    pair=pair,
+                    n=n,
+                    final_mean=final_mean,
+                    n_star=n_star,
+                    stabilized=True,
+                    checkpoints=tuple(checkpoints),
+                )
+            )
+        return StabilizationReport(epsilon=epsilon, checkpoint_stride=self.checkpoint_stride, pairs=tuple(reports))
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def stabilization(
     trials: Union[TrialLog, Iterable[TrialRecord]],
     epsilon: float = DEFAULT_EPSILON,
@@ -295,41 +406,5 @@ def stabilization(
     which every later checkpoint stays within epsilon of the final mean. An
     empty pair is flagged not-stabilized with no n_star.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    if checkpoint_stride < 1:
-        raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_stride}")
-    log = _as_log(trials)
-    same = log.s_first == log.s_second
-    reports = []
-    for code, pair in enumerate(PAIR_ORDER):
-        pair_same = np.compress(log.pair_codes == code, same)  # several times faster than same[mask]
-        n = len(pair_same)
-        if n == 0:
-            reports.append(
-                PairStabilization(pair=pair, n=0, final_mean=None, n_star=None, stabilized=False, checkpoints=())
-            )
-            continue
-        counts = np.arange(checkpoint_stride, n + 1, checkpoint_stride)
-        if len(counts) == 0 or counts[-1] != n:
-            counts = np.append(counts, n)
-        # the running product sum after k samples is 2 * (agreements so far) - k,
-        # an exact integer, so the division matches a float cumsum's bit for bit
-        running = (2 * np.cumsum(pair_same, dtype=np.int64)[counts - 1] - counts) / counts
-        final_mean = float(running[-1])
-        deviations = np.abs(running - final_mean)
-        # suffix max: checkpoint k qualifies iff nothing at or after k deviates
-        settled = np.maximum.accumulate(deviations[::-1])[::-1] <= epsilon
-        qualifying = np.nonzero(settled)[0]
-        n_star = int(counts[qualifying[0]])  # final checkpoint always qualifies
-        reports.append(
-            PairStabilization(
-                pair=pair,
-                n=n,
-                final_mean=final_mean,
-                n_star=n_star,
-                stabilized=True,
-                checkpoints=tuple((int(c), float(m)) for c, m in zip(counts, running)),
-            )
-        )
-    return StabilizationReport(epsilon=epsilon, checkpoint_stride=checkpoint_stride, pairs=tuple(reports))
+    _check_epsilon(epsilon)
+    return LogFold.over(_as_log(trials).chunks(), checkpoint_stride).stabilization(epsilon)

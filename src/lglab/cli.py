@@ -28,11 +28,10 @@ from .analysis import (
     DEFAULT_EPSILON,
     DEFAULT_SIGNIFICANCE,
     AnalysisError,
-    estimate_pairs,
+    LogFold,
     evaluate_lg,
     maximize_violation,
     quantum_lhs,
-    stabilization,
 )
 from .experiment import (
     FreedomOfChoiceError,
@@ -41,8 +40,8 @@ from .experiment import (
     SpacetimeEvent,
     TrialLogFormatError,
     World,
-    read_trial_log,
-    run_experiment,
+    fold_trial_log,
+    run_chunks,
     spacelike_separated,
     write_trial_log,
 )
@@ -263,16 +262,15 @@ def load_run_config(path) -> RunConfig:
     )
 
 
-def _analysis_sections(trials, significance: float, epsilon: float, stride: int) -> dict:
-    estimates = estimate_pairs(trials)
-    lg = evaluate_lg(estimates, significance)
-    stab = stabilization(trials, epsilon, stride)
+def _analysis_sections(fold: LogFold, significance: float, epsilon: float) -> dict:
+    lg = evaluate_lg(fold.estimates(), significance)
+    stab = fold.stabilization(epsilon)
     return {"lg_report": lg.to_json_dict(), "stabilization_report": stab.to_json_dict()}
 
 
 def cmd_run(config_path, report_path, trials_path) -> int:
     config = load_run_config(config_path)
-    trials = run_experiment(
+    chunks = run_chunks(
         config.binding,
         config.world,
         config.n_trials,
@@ -280,8 +278,13 @@ def cmd_run(config_path, report_path, trials_path) -> int:
         config.geometry,
         override_foc=config.override_foc,
     )
+    # sample -> fold -> encode -> write, one chunk at a time
+    fold = LogFold(config.checkpoint_stride)
     try:
-        write_trial_log(trials, trials_path)
+        with open(trials_path, "wb") as out:
+            for chunk in chunks:
+                fold.add(chunk)
+                write_trial_log(chunk, out)
     except OSError as exc:
         raise ConfigError(f"cannot write --trials file: {exc}") from None
     report = {
@@ -292,9 +295,7 @@ def cmd_run(config_path, report_path, trials_path) -> int:
             "override": config.override_foc,
         },
     }
-    report.update(
-        _analysis_sections(trials, config.significance, config.epsilon, config.checkpoint_stride)
-    )
+    report.update(_analysis_sections(fold, config.significance, config.epsilon))
     try:
         Path(report_path).write_text(dumps_stable(report), encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -385,14 +386,14 @@ def cmd_analyze(trials_path, significance: float, epsilon: float) -> int:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"--epsilon: expected a finite number > 0, got {epsilon}")
     try:
-        trials = read_trial_log(trials_path)
+        fold = fold_trial_log(trials_path, lambda chunks: LogFold.over(chunks, DEFAULT_CHECKPOINT_STRIDE))
     except OSError as exc:
         raise ConfigError(f"cannot read trial log: {exc}") from None
     except TrialLogFormatError as exc:
         raise ConfigError(str(exc)) from None
     out = {"schema": SCHEMA_VERSION}
     try:
-        out.update(_analysis_sections(trials, significance, epsilon, DEFAULT_CHECKPOINT_STRIDE))
+        out.update(_analysis_sections(fold, significance, epsilon))
     except AnalysisError as exc:
         raise ConfigError(str(exc)) from None
     sys.stdout.write(dumps_stable(out))
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, AnalysisError, ValueError) as exc:
+    except (ConfigError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FreedomOfChoiceError as exc:

@@ -11,14 +11,17 @@ Trials derive independent generator streams from (master_seed, index), so a
 run can be sharded across workers and still produce a byte-identical log.
 The engine works through the index range in fixed chunks: each chunk selects
 one pair per lane and hands every lane to the world's lane kernel at once.
+The chunks form one stream (run_chunks) that `lglab run` samples, folds into
+the estimators and writes one chunk at a time; run_experiment collects it.
 """
 from __future__ import annotations
 
+import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -44,8 +47,10 @@ __all__ = [
     "derive_trial_generator",
     "select_pair",
     "spacelike_separated",
+    "run_chunks",
     "run_experiment",
     "write_trial_log",
+    "fold_trial_log",
     "read_trial_log",
     "TRIAL_LOG_HEADER",
 ]
@@ -188,11 +193,13 @@ def select_pair(gen: SeededGenerator) -> PairChoice:
 
 
 class TrialLog:
-    """A completed run's trial records, stored column-wise.
+    """A run's trial records, stored column-wise.
 
     Behaves as a read-only sequence of TrialRecord; the column arrays are what
     the estimators consume, so a million-trial log never has to materialize a
-    million record objects.
+    million record objects. A log holds consecutive trials from first_index
+    on: a whole run starts at 0, and a chunk of a run starts where the chunk
+    does.
     """
 
     def __init__(
@@ -202,6 +209,7 @@ class TrialLog:
         s_second: np.ndarray,
         lambda_ids: Optional[np.ndarray],
         model_tag: str,
+        first_index: int = 0,
     ):
         n = len(pair_codes)
         if len(s_first) != n or len(s_second) != n:
@@ -213,6 +221,7 @@ class TrialLog:
         self.s_second = s_second
         self.lambda_ids = lambda_ids
         self.model_tag = model_tag
+        self.first_index = first_index
 
     @classmethod
     def from_records(cls, records: Iterable[TrialRecord]) -> "TrialLog":
@@ -252,7 +261,7 @@ class TrialLog:
             lam = self.lambda_ids[index]
             lam = float(lam) if isinstance(lam, (float, np.floating)) else int(lam)
         return TrialRecord(
-            index=int(index),
+            index=self.first_index + int(index),
             pair=PAIR_ORDER[int(self.pair_codes[index])],
             s_first=int(self.s_first[index]),
             s_second=int(self.s_second[index]),
@@ -264,10 +273,17 @@ class TrialLog:
         for i in range(len(self)):
             yield self[i]
 
+    def chunks(self) -> Iterator["TrialLog"]:
+        """The log as a chunk stream: views of at most 2^16 rows, in order,
+        so that no step over a whole log needs a temporary per trial."""
+        if len(self) <= _CHUNK_ROWS:
+            return iter((self,))
+        return (_rows(self, lo, min(lo + _CHUNK_ROWS, len(self))) for lo in range(0, len(self), _CHUNK_ROWS))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrialLog):
             return NotImplemented
-        if self.model_tag != other.model_tag or len(self) != len(other):
+        if (self.model_tag, self.first_index, len(self)) != (other.model_tag, other.first_index, len(other)):
             return False
         if (self.lambda_ids is None) != (other.lambda_ids is None):
             return False
@@ -283,7 +299,7 @@ class TrialLog:
 
 # -- vectorized engine -------------------------------------------------------
 
-# The engine samples, and the trial-log codec encodes, writes and checks, in
+# The engine samples, the estimators fold and the trial-log writer encodes in
 # chunks of this many trials, so no step holds a temporary per trial for the
 # whole run.
 _CHUNK_ROWS = 1 << 16
@@ -309,21 +325,57 @@ def _select_pairs_batch(states: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"pair selection failed {SELECT_PAIR_MAX_ATTEMPTS} rejections in a row")
 
 
-def _sample_chunk(binding: SlotBinding, world: World, master_seed: int, lo: int, hi: int):
-    """Trials lo..hi-1: (pair_codes, s_first, s_second, lambda_ids or None)."""
-    states = derive_states(master_seed, np.arange(lo, hi, dtype=np.uint64))
-    codes = _select_pairs_batch(states)
-    return (codes, *world.sample_lanes(binding, codes, states))
+def run_chunks(
+    binding: SlotBinding,
+    world: World,
+    n_trials: int,
+    master_seed: int,
+    geometry: tuple[SpacetimeEvent, SpacetimeEvent],
+    *,
+    override_foc: bool = False,
+    n_shards: int = 1,
+) -> Iterator[TrialLog]:
+    """The run of run_experiment as a stream of chunks.
+
+    Chunks are TrialLogs of at most 2^16 trials, in index order; the
+    arguments are checked, and a geometry refused, before the first chunk is
+    drawn. n_shards splits the index range into that many parts, each worked
+    through chunk by chunk; it moves chunk boundaries, never trials. Every
+    chunk's lambda column takes the dtype of the first chunk's lambdas.
+    """
+    if n_trials < 1:
+        raise ValueError(f"need at least one trial, got {n_trials}")
+    prep, choice = geometry
+    if not spacelike_separated(prep, choice) and not override_foc:
+        raise FreedomOfChoiceError(
+            "preparation and pair-choice events are not space-like separated; "
+            "freedom of choice is not guaranteed (set the override to run anyway)"
+        )
+    if n_shards < 1:
+        raise ValueError(f"need at least one shard, got {n_shards}")
+    return _chunk_stream(binding, world, n_trials, master_seed, n_shards)
 
 
-def _store_chunk(log: TrialLog, lo: int, chunk) -> None:
-    codes, s_first, s_second, lambda_ids = chunk
-    hi = lo + len(codes)
-    log.pair_codes[lo:hi] = codes
-    log.s_first[lo:hi] = s_first
-    log.s_second[lo:hi] = s_second
-    if log.lambda_ids is not None:
-        log.lambda_ids[lo:hi] = lambda_ids
+def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed: int, n_shards: int):
+    bounds = np.linspace(0, n_trials, min(n_shards, n_trials) + 1, dtype=int).tolist()
+    lambda_dtype = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for start in range(lo, hi, _CHUNK_ROWS):
+            states = derive_states(master_seed, np.arange(start, min(start + _CHUNK_ROWS, hi), dtype=np.uint64))
+            codes = _select_pairs_batch(states)
+            s_first, s_second, lambda_ids = world.sample_lanes(binding, codes, states)
+            if lambda_ids is not None:
+                if lambda_dtype is None:
+                    lambda_dtype = lambda_ids.dtype
+                lambda_ids = lambda_ids.astype(lambda_dtype, copy=False)
+            yield TrialLog(
+                codes,
+                s_first.astype(np.int8, copy=False),
+                s_second.astype(np.int8, copy=False),
+                lambda_ids,
+                world.tag,
+                first_index=start,
+            )
 
 
 def run_experiment(
@@ -341,45 +393,29 @@ def run_experiment(
     geometry is (preparation event, pair-choice event); the run refuses
     non-space-like geometries unless override_foc is set, which is how
     loophole studies acknowledge giving up freedom of choice. Identical
-    arguments produce identical logs regardless of n_shards.
+    arguments produce identical logs regardless of n_shards. The log holds
+    the chunks of run_chunks, which a caller that needs no columns can
+    consume one at a time instead.
     """
-    if n_trials < 1:
-        raise ValueError(f"need at least one trial, got {n_trials}")
-    prep, choice = geometry
-    if not spacelike_separated(prep, choice) and not override_foc:
-        raise FreedomOfChoiceError(
-            "preparation and pair-choice events are not space-like separated; "
-            "freedom of choice is not guaranteed (set the override to run anyway)"
-        )
-    if n_shards < 1:
-        raise ValueError(f"need at least one shard, got {n_shards}")
-
-    # The first chunk runs alone: the lambda column takes the dtype of the
-    # lambdas the world returns, so the columns exist before any shard starts.
-    head = min(_CHUNK_ROWS, n_trials)
-    chunk = _sample_chunk(binding, world, master_seed, 0, head)
-    lambda_ids = None if chunk[3] is None else np.empty(n_trials, dtype=chunk[3].dtype)
-    log = TrialLog(
-        np.empty(n_trials, dtype=np.uint8),
-        np.empty(n_trials, dtype=np.int8),
-        np.empty(n_trials, dtype=np.int8),
-        lambda_ids,
-        world.tag,
-    )
-    _store_chunk(log, 0, chunk)
-
-    def run_range(lo: int, hi: int) -> None:
-        for start in range(lo, hi, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, hi)
-            _store_chunk(log, start, _sample_chunk(binding, world, master_seed, start, stop))
-
-    bounds = np.linspace(head, n_trials, min(n_shards, n_trials - head) + 1, dtype=int)
-    ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(ranges) == 1:
-        run_range(*ranges[0])
-    elif ranges:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            list(pool.map(lambda r: run_range(*r), ranges))
+    log: Optional[TrialLog] = None
+    for chunk in run_chunks(
+        binding, world, n_trials, master_seed, geometry, override_foc=override_foc, n_shards=n_shards
+    ):
+        if log is None:
+            lambdas = chunk.lambda_ids
+            log = TrialLog(
+                np.empty(n_trials, dtype=np.uint8),
+                np.empty(n_trials, dtype=np.int8),
+                np.empty(n_trials, dtype=np.int8),
+                None if lambdas is None else np.empty(n_trials, dtype=lambdas.dtype),
+                world.tag,
+            )
+        start, stop = chunk.first_index, chunk.first_index + len(chunk)
+        log.pair_codes[start:stop] = chunk.pair_codes
+        log.s_first[start:stop] = chunk.s_first
+        log.s_second[start:stop] = chunk.s_second
+        if log.lambda_ids is not None:
+            log.lambda_ids[start:stop] = chunk.lambda_ids
     return log
 
 
@@ -443,8 +479,8 @@ _ZERO_GROUP = np.frombuffer(b"\0\0\0" b"0", dtype=np.uint32)[0]  # three NULs, t
 # the longest canonical lambda_id: str of an int64 or repr of a float64
 _LAMBDA_MAX_WIDTH = len(repr(-2.2250738585072014e-308))
 
-# the reader looks for newlines in blocks of this many bytes (1 MiB)
-_SCAN_BLOCK = 1 << 20
+# the reader reads a file in blocks of this many bytes (1 MiB)
+_READ_BLOCK = 1 << 20
 
 
 def _format_lambda(value) -> str:
@@ -459,7 +495,7 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
     """Each integer as a NUL-padded uint8 row: a sign byte, then 4-digit groups.
 
     Deleting the NULs of row k gives str(int(values[k])), for any signed or
-    unsigned integer dtype of up to 64 bits.
+    unsigned integer dtype of up to 64 bits, and for booleans (1 and 0).
     """
     negative = values < 0
     magnitudes = values.astype(np.uint64)
@@ -481,31 +517,46 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _lambda_cells(lambdas: np.ndarray) -> np.ndarray:
-    if lambdas.dtype.kind in "iu":
+    # booleans are written as 1/0, as the record branch's int() writes them
+    if lambdas.dtype.kind in "biu":
         return _int_cells(lambdas)
     # the one per-row Python format left: repr of each float
     text = list(map(repr if lambdas.dtype.kind == "f" else str, lambdas.tolist()))
     return np.array(text, dtype="S").view(np.uint8).reshape(len(text), -1)
 
 
-def _encode_rows(log: TrialLog, lo: int, hi: int) -> bytes:
-    """Rows lo..hi-1 of the CSV trial log, each ending in a newline.
+def _encode_rows(chunk: TrialLog) -> bytes:
+    """The rows of chunk, numbered from its first index, each ending in a newline.
 
     The one definition of the row format: the writer emits it, and the reader
     accepts its fast parse only when this reproduces the file bytes.
     """
-    keys = log.pair_codes[lo:hi].astype(np.intp) * 4
-    keys += 2 * (log.s_first[lo:hi] > 0)
-    keys += log.s_second[lo:hi] > 0
+    n = len(chunk)
+    keys = chunk.pair_codes.astype(np.intp) * 4
+    keys += 2 * (chunk.s_first > 0)
+    keys += chunk.s_second > 0
     fields = [
-        _int_cells(np.arange(lo, hi, dtype=np.uint64)),
-        _ROW_MIDDLES[keys].view(np.uint8).reshape(hi - lo, -1),
+        _int_cells(np.arange(chunk.first_index, chunk.first_index + n, dtype=np.uint64)),
+        _ROW_MIDDLES[keys].view(np.uint8).reshape(n, -1),
     ]
-    if log.lambda_ids is not None:
-        fields.append(_lambda_cells(log.lambda_ids[lo:hi]))
-    tail = np.frombuffer(f",{log.model_tag}\n".encode("utf-8"), dtype=np.uint8)
-    fields.append(np.broadcast_to(tail, (hi - lo, len(tail))))
+    if chunk.lambda_ids is not None:
+        fields.append(_lambda_cells(chunk.lambda_ids))
+    tail = np.frombuffer(f",{chunk.model_tag}\n".encode("utf-8"), dtype=np.uint8)
+    fields.append(np.broadcast_to(tail, (n, len(tail))))
     return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
+
+
+def _rows(log: TrialLog, lo: int, hi: int) -> TrialLog:
+    """Rows lo..hi-1 of log, as views of its columns."""
+    lambdas = None if log.lambda_ids is None else log.lambda_ids[lo:hi]
+    return TrialLog(
+        log.pair_codes[lo:hi],
+        log.s_first[lo:hi],
+        log.s_second[lo:hi],
+        lambdas,
+        log.model_tag,
+        first_index=log.first_index + lo,
+    )
 
 
 def _check_tag(tag: str) -> None:
@@ -520,16 +571,22 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
     as 12|13|23 and lambda_id empty for the quantum world. Unix newlines, no
     trailing whitespace. A model tag holding ',', a line break or NUL is
     refused with ValueError, as no reader could take it back.
+
+    A TrialLog may also go to a binary file open for writing. Rows are
+    numbered from its first index, and the header comes only with row 0, so
+    the chunks of run_chunks written in order into one file give the bytes of
+    the whole log.
     """
     if isinstance(trials, TrialLog):
         _check_tag(trials.model_tag)
         # the row encoder writes any outcome that is not positive as -1
         if not (np.all(np.abs(trials.s_first) == 1) and np.all(np.abs(trials.s_second) == 1)):
             raise ValueError("outcomes must be 1 or -1")
-        with open(path, "wb") as out:
-            out.write(_HEADER_LINE)
-            for lo in range(0, len(trials), _CHUNK_ROWS):
-                out.write(_encode_rows(trials, lo, min(lo + _CHUNK_ROWS, len(trials))))
+        if isinstance(path, (str, os.PathLike)):
+            with open(path, "wb") as out:
+                _write_rows(trials, out)
+        else:
+            _write_rows(trials, path)
         return
     lines = [TRIAL_LOG_HEADER]
     for rec in trials:
@@ -542,117 +599,172 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
     Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
 
 
+def _write_rows(log: TrialLog, out) -> None:
+    if log.first_index == 0:
+        out.write(_HEADER_LINE)
+    for chunk in log.chunks():
+        out.write(_encode_rows(chunk))
+
+
 class TrialLogFormatError(ValueError):
     """A trial log file violates the documented schema; names the line."""
 
 
-def read_trial_log(path) -> TrialLog:
-    """Parse a CSV trial log.
+class _NotCanonical(Exception):
+    """The file is not exactly as write_trial_log writes its columns."""
 
-    A log exactly as write_trial_log would write it is parsed column-wise;
-    any other file goes through the line scanner, which validates the schema
-    line by line and names the first bad line.
+
+_T = TypeVar("_T")
+
+
+def fold_trial_log(path, fold: Callable[[Iterator[TrialLog]], _T]) -> _T:
+    """fold(chunks) over the log's chunks, in index order.
+
+    A log exactly as write_trial_log would write it streams in fixed blocks
+    (1 MiB), each parsed column-wise into one chunk, so the file is never
+    held whole. If some block turns out not to be canonical, that call
+    of fold is abandoned and fold runs again on the whole file as one chunk,
+    parsed by the line scanner, which validates the schema line by line and
+    names the first bad line. fold must not catch the exception that
+    abandons it. A pipe can be read only once, so it is held whole.
     """
-    data = Path(path).read_bytes()
-    log = _parse_canonical(data)
-    if log is None:
-        log = _scan_lines(_decode_text(data))
-    return log
+    with open(path, "rb") as f:
+        source = f if f.seekable() else io.BytesIO(f.read())
+        try:
+            return fold(_canonical_chunks(source))
+        except _NotCanonical:
+            source.seek(0)
+            data = source.read()
+    return fold(iter([_scan_lines(_decode_text(data))]))
 
 
-def _parse_canonical(data: bytes) -> Optional[TrialLog]:
-    """The columns of a log that _encode_rows reproduces byte for byte, else None.
+def read_trial_log(path) -> TrialLog:
+    """Parse a CSV trial log (see fold_trial_log for how)."""
+    return fold_trial_log(path, _concatenate)
+
+
+def _concatenate(chunks: Iterator[TrialLog]) -> TrialLog:
+    parts = list(chunks)
+    if len(parts) == 1:
+        return parts[0]
+    lambdas = None if parts[0].lambda_ids is None else np.concatenate([p.lambda_ids for p in parts])
+    return TrialLog(
+        np.concatenate([p.pair_codes for p in parts]),
+        np.concatenate([p.s_first for p in parts]),
+        np.concatenate([p.s_second for p in parts]),
+        lambdas,
+        parts[0].model_tag,
+    )
+
+
+def _canonical_chunks(f) -> Iterator[TrialLog]:
+    """One chunk for each block of complete lines read from f.
+
+    A block ends at its last newline; the partial line after it moves to the
+    front of the buffer and the next read appends to it. Raises _NotCanonical
+    as soon as the file is found not to be canonical.
+    """
+    if f.read(len(_HEADER_LINE)) != _HEADER_LINE:
+        raise _NotCanonical
+    buf = bytearray(_READ_BLOCK)
+    kept = first = 0
+    layout = None
+    while True:
+        with memoryview(buf) as view:
+            got = f.readinto(view[kept:])
+        if not got:
+            # a file without its final newline, or without rows
+            if kept or not first:
+                raise _NotCanonical
+            return
+        filled = kept + got
+        end = buf.rfind(b"\n", 0, filled) + 1
+        if not end:
+            if filled == len(buf):  # a line longer than a block
+                raise _NotCanonical
+            kept = filled
+            continue
+        if layout is None:
+            layout = _row_layout(bytes(buf[: buf.index(b"\n")]))
+        chunk = _parse_block(buf, end, first, *layout)
+        yield chunk
+        first += len(chunk)
+        kept = filled - end
+        buf[:kept] = buf[end:filled]
+
+
+def _row_layout(row: bytes) -> tuple[str, Optional[np.dtype]]:
+    """The model tag and lambda dtype of a canonical log, from its first row."""
+    fields = row.split(b",")
+    if len(fields) != 6:
+        raise _NotCanonical
+    try:
+        model_tag = fields[5].decode("utf-8")
+    except UnicodeDecodeError:
+        raise _NotCanonical from None
+    # a tag the writer refuses, such as one ending in the \r of a CRLF line
+    if not _TAG_FORBIDDEN.isdisjoint(model_tag):
+        raise _NotCanonical
+    lam_s = fields[4]
+    if not lam_s:
+        return model_tag, None
+    # the scanner's rule: floats iff some value has a '.' or an 'e'
+    return model_tag, np.dtype(np.float64 if b"." in lam_s or b"e" in lam_s else np.int64)
+
+
+def _parse_block(buf: bytearray, end: int, first: int, model_tag: str, lambda_dtype) -> TrialLog:
+    """The rows in buf[:end], numbered from first, if _encode_rows reproduces them.
 
     The parse itself is loose (it reads only field widths and a few bytes);
-    the re-encoding check is what makes every accepted file parse exactly as
+    the re-encoding check is what makes every accepted block parse exactly as
     the line scanner would parse it.
     """
-    # the scanner reads text with universal newlines, so any \r goes to it
-    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data:
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = _newline_offsets(buf)  # ends[0] closes the header
-    n = len(ends) - 1
-    if n == 0:
-        return None
-    first = data[ends[0] + 1 : ends[1]].split(b",")
-    if len(first) != 6:
-        return None
-    try:
-        model_tag = first[5].decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    lam_s = first[4]
-    lambda_ids: Optional[np.ndarray] = None
-    if lam_s:
-        # the scanner's rule: floats iff some value has a '.' or an 'e'
-        float_lambdas = b"." in lam_s or b"e" in lam_s
-        lambda_ids = np.empty(n, dtype=np.float64 if float_lambdas else np.int64)
-    log = TrialLog(
-        np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8), lambda_ids, model_tag
+    block = np.frombuffer(buf, dtype=np.uint8, count=end)
+    ends = np.flatnonzero(block == ord("\n"))
+    commas = np.flatnonzero(block == ord(","))
+    if len(commas) != 5 * len(ends):
+        raise _NotCanonical
+    commas = commas.reshape(-1, 5)
+    # with as many commas as rows * 5, this puts exactly five in each row
+    if np.any(commas[1:, 0] < ends[:-1]) or np.any(commas[:, 4] > ends):
+        raise _NotCanonical
+    c0, c1, c2, c3, c4 = commas.T
+    # "12", "13", "23" -> 0, 1, 2 from the sum of the two digits
+    codes = block[c0 + 1].astype(np.int16) + block[c0 + 2] - (ord("1") + ord("2"))
+    if np.any((codes < 0) | (codes > 2)):
+        raise _NotCanonical
+    # "1" is one byte wide, "-1" two
+    one, minus_one = np.int8(1), np.int8(-1)
+    chunk = TrialLog(
+        codes.astype(np.uint8),
+        np.where(c2 - c1 == 2, one, minus_one),
+        np.where(c3 - c2 == 2, one, minus_one),
+        None if lambda_dtype is None else _parse_lambdas(block, c3 + 1, c4 - c3 - 1, lambda_dtype),
+        model_tag,
+        first_index=first,
     )
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        start, stop = int(ends[lo]) + 1, int(ends[hi]) + 1
-        chunk = buf[start:stop]
-        commas = np.flatnonzero(chunk == ord(","))
-        if len(commas) != 5 * (hi - lo):
-            return None
-        commas = commas.reshape(-1, 5)
-        # with as many commas as rows * 5, this puts exactly five in each row
-        if np.any(commas[:, 0] < ends[lo:hi] + 1 - start) or np.any(commas[:, 4] > ends[lo + 1 : hi + 1] - start):
-            return None
-        c0, c1, c2, c3, c4 = commas.T
-        # "12", "13", "23" -> 0, 1, 2 from the sum of the two digits
-        codes = chunk[c0 + 1].astype(np.int16) + chunk[c0 + 2] - (ord("1") + ord("2"))
-        if np.any((codes < 0) | (codes > 2)):
-            return None
-        log.pair_codes[lo:hi] = codes
-        # "1" is one byte wide, "-1" two
-        log.s_first[lo:hi] = np.where(c2 - c1 == 2, 1, -1)
-        log.s_second[lo:hi] = np.where(c3 - c2 == 2, 1, -1)
-        if lambda_ids is not None:
-            values = _parse_lambdas(chunk, c3 + 1, c4 - c3 - 1, lambda_ids.dtype)
-            if values is None:
-                return None
-            lambda_ids[lo:hi] = values
-        if _encode_rows(log, lo, hi) != data[start:stop]:
-            return None
-    return log
+    if _encode_rows(chunk) != buf[:end]:
+        raise _NotCanonical
+    return chunk
 
 
-def _newline_offsets(buf: np.ndarray) -> np.ndarray:
-    """The offset of every newline in buf, found block by block so that no
-    temporary spans the whole file."""
-    starts = range(0, len(buf), _SCAN_BLOCK)
-    # numpy counts a block about five times faster than bytes.count does
-    count = sum(int(np.count_nonzero(buf[pos : pos + _SCAN_BLOCK] == ord("\n"))) for pos in starts)
-    ends = np.empty(count, dtype=np.int64)
-    filled = 0
-    for pos in starts:
-        found = np.flatnonzero(buf[pos : pos + _SCAN_BLOCK] == ord("\n"))
-        np.add(found, pos, out=ends[filled : filled + len(found)])
-        filled += len(found)
-    return ends
-
-
-def _parse_lambdas(chunk: np.ndarray, starts: np.ndarray, widths: np.ndarray, dtype) -> Optional[np.ndarray]:
-    """The lambda_id fields at starts/widths of chunk as dtype, or None."""
+def _parse_lambdas(block: np.ndarray, starts: np.ndarray, widths: np.ndarray, dtype) -> np.ndarray:
+    """The lambda_id fields at starts/widths of block as dtype."""
     width = int(widths.max())
     if widths.min() < 1 or width > _LAMBDA_MAX_WIDTH:
-        return None
+        raise _NotCanonical
     # one fixed-width, NUL-padded byte string per row
     cells = np.zeros((len(starts), width), dtype=np.uint8)
-    last = len(chunk) - 1
+    last = len(block) - 1
     for j in range(width):
-        cells[:, j] = np.where(widths > j, chunk[np.minimum(starts + j, last)], 0)
+        cells[:, j] = np.where(widths > j, block[np.minimum(starts + j, last)], 0)
     try:
         values = cells.view(f"S{width}").ravel().astype(dtype)
     except (ValueError, OverflowError):
-        return None
+        raise _NotCanonical from None
     # the scanner rejects "inf" and "nan", which repr writes for non-finite floats
     if dtype.kind == "f" and not np.all(np.isfinite(values)):
-        return None
+        raise _NotCanonical
     return values
 
 

@@ -1,8 +1,11 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lglab import (
     AnalysisError,
@@ -319,6 +322,20 @@ def test_json_round_trips_floats_exactly():
     values = [0.1, 1 / 3, math.pi, 1e-300, 6.5e120, -0.4999999999999998]
     text = dumps_stable({"values": values})
     assert json.loads(text)["values"] == values
+
+
+@given(values=st.lists(st.floats(), min_size=1, max_size=20))
+def test_json_gives_back_every_float(values):
+    # finite floats bit for bit (-0.0 too); inf and nan as Infinity and NaN
+    text = dumps_stable({"values": values, "nested": [{"x": v} for v in values]})
+    parsed = json.loads(text)
+    for got in (parsed["values"], [d["x"] for d in parsed["nested"]]):
+        for v, g in zip(values, got, strict=True):
+            assert isinstance(g, float)
+            if math.isnan(v):
+                assert math.isnan(g)
+            else:
+                assert struct.pack("<d", g) == struct.pack("<d", v)
 
 
 def test_json_field_order_is_stable():

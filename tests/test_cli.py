@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lglab import cli
 from lglab.cli import EXIT_CONFIG, EXIT_FOC, EXIT_OK, load_run_config, main
 from lglab.experiment import TRIAL_LOG_HEADER
 from lglab.jsonutil import dumps_stable
@@ -180,6 +181,16 @@ def test_analyze_reproduces_run_report_sections(tmp_path, capsys):
     assert dumps_stable(analyzed["stabilization_report"]) == dumps_stable(
         run_report["stabilization_report"]
     )
+
+
+def test_unexpected_value_error_is_not_reported_as_a_config_error(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["analyze", "--trials", str(tmp_path / "trials.csv")])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_analyze_handwritten_log(tmp_path, capsys):

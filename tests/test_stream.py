@@ -1,0 +1,277 @@
+"""The chunk stream through `lglab run` and `lglab analyze`.
+
+`lglab run` samples, folds, encodes and writes one chunk at a time, and
+`lglab analyze` reads fixed blocks into the same fold. The materialized
+path (run_experiment, write_trial_log, estimate_pairs, stabilization) is the
+oracle for the bytes; tracemalloc shows that neither command holds a column
+or the file whole.
+"""
+import json
+import math
+import os
+import threading
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lglab import experiment
+from lglab.analysis import AnalysisError, LogFold, estimate_pairs, evaluate_lg, stabilization
+from lglab.cli import EXIT_CONFIG, EXIT_OK, SCHEMA_VERSION, load_run_config, main
+from lglab.experiment import (
+    _CHUNK_ROWS,
+    TrialLog,
+    TrialLogFormatError,
+    read_trial_log,
+    run_chunks,
+    run_experiment,
+    spacelike_separated,
+    write_trial_log,
+)
+from lglab.jsonutil import dumps_stable
+from lglab.rng import MASK64
+
+MAGIC = 0.5235987755982988  # pi/6
+WORLDS = {
+    "quantum": {"kind": "quantum"},
+    "table": {"kind": "table", "rows": [[0.5, 1, 1, 1], [0.25, -1, 1, -1], [0.25, 1, -1, -1]]},
+    "rotor": {"kind": "rotor"},
+    "conspiracy": {"kind": "conspiracy"},
+}
+SIZES = [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7]
+
+
+def _config(tmp_path, world: str, n_trials: int, seed: int, stride: int = 1000):
+    path = tmp_path / f"{world}-{n_trials}.json"
+    cfg = {
+        "angles": {"theta_ab": MAGIC, "theta_bc": MAGIC},
+        "world": WORLDS[world],
+        "n_trials": n_trials,
+        "master_seed": seed,
+        "checkpoint_stride": stride,
+    }
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def _run(tmp_path, config_path):
+    report, trials = tmp_path / "report.json", tmp_path / "trials.csv"
+    code = main(["run", "--config", str(config_path), "--report", str(report), "--trials", str(trials)])
+    return code, report, trials
+
+
+def _materialized(tmp_path, config_path):
+    """The CSV bytes of the whole-log API, and the log."""
+    config = load_run_config(config_path)
+    log = run_experiment(config.binding, config.world, config.n_trials, config.master_seed, config.geometry)
+    csv = tmp_path / "oracle.csv"
+    write_trial_log(log, csv)
+    return csv.read_bytes(), log
+
+
+def _materialized_report(config_path, log) -> bytes:
+    config = load_run_config(config_path)
+    report = {
+        "schema": SCHEMA_VERSION,
+        "config": config.echo,
+        "freedom_of_choice": {"spacelike": spacelike_separated(*config.geometry), "override": False},
+        "lg_report": evaluate_lg(estimate_pairs(log), config.significance).to_json_dict(),
+        "stabilization_report": stabilization(log, config.epsilon, config.checkpoint_stride).to_json_dict(),
+    }
+    return dumps_stable(report).encode()
+
+
+@pytest.mark.parametrize("n_trials", SIZES)
+@pytest.mark.parametrize("world", sorted(WORLDS))
+@settings(max_examples=1)
+@given(seed=st.integers(0, MASK64))
+def test_streamed_run_writes_the_bytes_of_the_materialized_run(tmp_path_factory, world, n_trials, seed):
+    tmp_path = tmp_path_factory.mktemp("stream")
+    # a stride that divides no chunk, so checkpoints straddle chunk edges
+    config_path = _config(tmp_path, world, n_trials, seed, stride=997)
+    code, report, trials = _run(tmp_path, config_path)
+    csv_bytes, log = _materialized(tmp_path, config_path)
+    assert trials.read_bytes() == csv_bytes
+    if n_trials == 1:
+        # two pairs are empty, which the estimators refuse on both paths
+        assert code == EXIT_CONFIG
+        with pytest.raises(AnalysisError):
+            _materialized_report(config_path, log)
+        return
+    assert code == EXIT_OK
+    assert report.read_bytes() == _materialized_report(config_path, log)
+
+
+def _split(log: TrialLog, cuts):
+    bounds = [0, *sorted(set(cuts)), len(log)]
+    return [experiment._rows(log, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+@settings(max_examples=100)
+@given(
+    world=st.sampled_from(sorted(WORLDS)),
+    seed=st.integers(0, MASK64),
+    n_trials=st.integers(6, 400),
+    stride=st.integers(1, 40),
+    cuts=st.lists(st.integers(1, 399), max_size=8),
+)
+def test_folding_chunk_by_chunk_equals_folding_the_whole_log(tmp_path_factory, world, seed, n_trials, stride, cuts):
+    config = load_run_config(_config(tmp_path_factory.mktemp("fold"), world, n_trials, seed))
+    log = run_experiment(config.binding, config.world, n_trials, seed, config.geometry)
+    whole = LogFold(stride).add(log)
+    parts = LogFold.over(_split(log, [c for c in cuts if c < n_trials]), stride)
+    assert np.array_equal(parts.counts, whole.counts)
+    assert parts.stabilization(0.05) == whole.stabilization(0.05)
+
+
+def test_run_chunks_are_the_run_in_index_order(magic_binding, spacelike_geometry):
+    world = experiment.QuantumWorld()
+    n = 2 * _CHUNK_ROWS + 3
+    chunks = list(run_chunks(magic_binding, world, n, 9, spacelike_geometry, n_shards=3))
+    assert [c.first_index for c in chunks] == np.cumsum([0] + [len(c) for c in chunks[:-1]]).tolist()
+    assert all(len(c) <= _CHUNK_ROWS for c in chunks)
+    whole = run_experiment(magic_binding, world, n, 9, spacelike_geometry)
+    assert experiment._concatenate(iter(chunks)) == whole
+    assert chunks[-1][len(chunks[-1]) - 1] == whole[n - 1]  # records carry their run index
+
+
+# -- the block reader -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def table_run(tmp_path_factory):
+    """A two-chunk table run of 70 500 trials: its CSV and its log."""
+    tmp_path = tmp_path_factory.mktemp("blocks")
+    code, _, trials = _run(tmp_path, _config(tmp_path, "table", 70_500, 11))
+    assert code == EXIT_OK
+    return trials, read_trial_log(trials)
+
+
+def _analyze(capsys, path) -> str:
+    code = main(["analyze", "--trials", str(path)])
+    assert code == EXIT_OK
+    return capsys.readouterr().out
+
+
+def test_analyze_output_does_not_depend_on_the_block_size(tmp_path, capsys):
+    code, _, trials = _run(tmp_path, _config(tmp_path, "table", 5_000, 12, stride=100))
+    assert code == EXIT_OK
+    capsys.readouterr()
+    log = read_trial_log(trials)
+    expected = _analyze(capsys, trials)
+    # 300-byte blocks split lines; every block must still stream
+    with mock.patch.object(experiment, "_READ_BLOCK", 300), mock.patch.object(
+        experiment, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
+    ):
+        assert _analyze(capsys, trials) == expected
+        assert read_trial_log(trials) == log
+
+
+MUTATIONS = {
+    "pad_index": lambda line: "00" + line,
+    "other_tag": lambda line: line + "2",
+    "crlf": lambda line: line + "\r",
+}
+
+
+@settings(max_examples=60)
+@given(
+    block=st.integers(20, 400),
+    n_trials=st.integers(2, 80),
+    row=st.integers(0, 79),
+    mutation=st.sampled_from(sorted(MUTATIONS) + ["no_final_newline", "none"]),
+)
+def test_small_blocks_parse_valid_logs_as_the_line_scanner_does(tmp_path_factory, block, n_trials, row, mutation):
+    tmp_path = tmp_path_factory.mktemp("small")
+    config = load_run_config(_config(tmp_path, "rotor", n_trials, row))
+    log = run_experiment(config.binding, config.world, n_trials, row, config.geometry)
+    path = tmp_path / "log.csv"
+    write_trial_log(log, path)
+    text = path.read_text(encoding="utf-8")
+    if mutation == "no_final_newline":
+        text = text[:-1]
+    elif mutation != "none":
+        lines = text.split("\n")
+        lines[row % n_trials + 1] = MUTATIONS[mutation](lines[row % n_trials + 1])
+        text = "\n".join(lines)
+    path.write_bytes(text.encode())
+    with mock.patch.object(experiment, "_READ_BLOCK", block):
+        got = read_trial_log(path)
+    expected = experiment._scan_lines(experiment._decode_text(path.read_bytes()))
+    assert got == expected
+    assert got.lambda_ids.dtype == expected.lambda_ids.dtype
+
+
+def test_bad_row_at_line_70000_is_named_with_small_blocks(table_run, tmp_path, capsys):
+    trials, _ = table_run
+    lines = trials.read_text(encoding="utf-8").split("\n")
+    fields = lines[69_999].split(",")  # line 70 000
+    fields[3] = "0"
+    lines[69_999] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    with mock.patch.object(experiment, "_READ_BLOCK", 4096):
+        with pytest.raises(TrialLogFormatError, match="^line 70000: outcomes"):
+            read_trial_log(bad)
+        assert main(["analyze", "--trials", str(bad)]) == EXIT_CONFIG
+    assert "error: line 70000: outcomes" in capsys.readouterr().err
+
+
+def test_a_partial_fold_is_dropped_when_a_later_block_is_not_canonical(table_run, tmp_path, capsys):
+    trials, log = table_run
+    expected = json.loads(_analyze(capsys, trials))
+    # the last row gets a padded index: valid, but not as the writer writes it
+    data = trials.read_bytes()
+    head, last = data[:-1].rsplit(b"\n", 1)
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(head + b"\n0" + last + b"\n")
+    assert read_trial_log(padded) == log
+    assert json.loads(_analyze(capsys, padded)) == expected
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_a_log_read_from_a_pipe_parses_as_from_a_file(tmp_path, canonical):
+    config = load_run_config(_config(tmp_path, "table", 500, 4))
+    log = run_experiment(config.binding, config.world, 500, 4, config.geometry)
+    path = tmp_path / "log.csv"
+    write_trial_log(log, path)
+    data = path.read_bytes() if canonical else path.read_bytes()[:-1]  # no final newline
+    fifo = tmp_path / "log.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        assert read_trial_log(fifo) == log
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+# -- memory -----------------------------------------------------------------------
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_and_analyze_peaks_do_not_grow_with_n_trials(tmp_path, capsys):
+    peaks = {}
+    for n in (1 << 17, 1 << 20):
+        code = {}
+        config_path = _config(tmp_path, "quantum", n, 3)
+        peaks["run", n] = _peak_mb(lambda: code.setdefault("run", _run(tmp_path, config_path)[0]))
+        trials = tmp_path / "trials.csv"
+        peaks["analyze", n] = _peak_mb(lambda: code.setdefault("analyze", main(["analyze", "--trials", str(trials)])))
+        capsys.readouterr()
+        assert code == {"run": EXIT_OK, "analyze": EXIT_OK}
+    # the 2^20-trial file alone is 22 MB; its columns are 3 MB
+    for command in ("run", "analyze"):
+        assert math.isclose(peaks[command, 1 << 20], peaks[command, 1 << 17], abs_tol=2.0), peaks

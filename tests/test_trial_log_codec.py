@@ -22,7 +22,14 @@ from lglab import (
     run_experiment,
     write_trial_log,
 )
-from lglab.experiment import _CHUNK_ROWS, TrialLog, TrialLogFormatError, _int_cells, _parse_canonical
+from lglab.experiment import (
+    _CHUNK_ROWS,
+    TrialLog,
+    TrialLogFormatError,
+    _canonical_chunks,
+    _int_cells,
+    _NotCanonical,
+)
 from lglab.hidden_vars import RotorModel, conspiracy_from_quantum
 from lglab.rng import MASK64
 
@@ -58,13 +65,24 @@ def _assert_same_log(loaded: TrialLog, expected: TrialLog) -> None:
         assert loaded.lambda_ids.dtype == expected.lambda_ids.dtype
 
 
+def _streams(path) -> bool:
+    """Does the column-wise block reader take the whole file?"""
+    with open(path, "rb") as f:
+        try:
+            for _ in _canonical_chunks(f):
+                pass
+        except _NotCanonical:
+            return False
+    return True
+
+
 def _check_codec(directory, log: TrialLog) -> None:
     path, oracle = directory / "log.csv", directory / "oracle.csv"
     write_trial_log(log, path)
     write_trial_log(list(log), oracle)
     data = path.read_bytes()
     assert data == oracle.read_bytes()
-    assert _parse_canonical(data) is not None  # the column-wise parse accepts it
+    assert _streams(path)  # the column-wise parse accepts it
     _assert_same_log(read_trial_log(path), log)
 
 
@@ -140,7 +158,7 @@ def test_valid_non_canonical_logs_parse_as_the_line_scanner_does(
     assume(data != canonical)
 
     path.write_bytes(data)
-    assert _parse_canonical(data) is None
+    assert not _streams(path)
     expected = TrialLog(log.pair_codes, log.s_first, log.s_second, lambdas, tag)
     _assert_same_log(read_trial_log(path), expected)
 
@@ -238,6 +256,19 @@ def test_uint64_lambdas_above_int64_match_the_record_oracle(codec_dir, log):
     write_trial_log(log, path)
     write_trial_log(list(log), oracle)
     assert path.read_bytes() == oracle.read_bytes()
+
+
+@settings(max_examples=50)
+@given(log=lambda_logs(np.bool_, st.booleans()))
+def test_boolean_lambdas_are_written_as_the_record_branch_writes_them(codec_dir, log):
+    path, oracle = codec_dir / "log.csv", codec_dir / "oracle.csv"
+    write_trial_log(log, path)
+    write_trial_log(list(log), oracle)
+    assert path.read_bytes() == oracle.read_bytes()
+    assert _streams(path)
+    # 1/0 read back as int64 lambdas
+    ints = TrialLog(log.pair_codes, log.s_first, log.s_second, log.lambda_ids.astype(np.int64), log.model_tag)
+    _assert_same_log(read_trial_log(path), ints)
 
 
 def test_index_widths_change_inside_a_chunk(tmp_path):
