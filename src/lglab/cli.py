@@ -39,6 +39,7 @@ from .experiment import (
     SlotBinding,
     SpacetimeEvent,
     TrialLogFormatError,
+    TrialLogWriter,
     World,
     fold_trial_log,
     run_chunks,
@@ -92,11 +93,21 @@ def _require_keys(obj: dict, path: str, required: tuple[str, ...], optional: tup
             raise ConfigError(f"{path}: missing required field {key!r}")
 
 
+def _finite(value, field: str) -> float:
+    """value as a float, if it is a JSON number that a finite float holds."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+
+
 def _number(obj: dict, path: str, key: str, default=None) -> float:
-    value = obj.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
-    return float(value)
+    return _finite(obj.get(key, default), f"{path}.{key}")
 
 
 def _parse_angles(obj: dict) -> tuple[Direction, Direction, Direction]:
@@ -212,18 +223,16 @@ def load_run_config(path) -> RunConfig:
     times = raw.get("times", list(DEFAULT_TIMES))
     if not isinstance(times, list) or len(times) != 3:
         raise ConfigError("times: expected [t1, t2, t3]")
-    for k, v in enumerate(times):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ConfigError(f"times[{k}]: expected a finite number, got {v!r}")
-    t1, t2, t3 = (float(v) for v in times)
+    t1, t2, t3 = (_finite(v, f"times[{k}]") for k, v in enumerate(times))
     try:
         binding = SlotBinding(t1=t1, t2=t2, t3=t3, a=a, b=b, c=c)
     except ValueError as exc:
         raise ConfigError(f"times: {exc}") from None
 
     n_trials = raw["n_trials"]
-    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
-        raise ConfigError(f"n_trials: expected an integer >= 1, got {n_trials!r}")
+    # trial indexes run to n_trials - 1, which must fit in 64 bits
+    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or not 1 <= n_trials <= 1 << 64:
+        raise ConfigError(f"n_trials: expected an integer >= 1 and <= 2^64, got {n_trials!r}")
     master_seed = raw["master_seed"]
     if not isinstance(master_seed, int) or isinstance(master_seed, bool) or not 0 <= master_seed <= MASK64:
         raise ConfigError(f"master_seed: expected a 64-bit unsigned integer, got {master_seed!r}")
@@ -268,6 +277,16 @@ def _analysis_sections(fold: LogFold, significance: float, epsilon: float) -> di
     return {"lg_report": lg.to_json_dict(), "stabilization_report": stab.to_json_dict()}
 
 
+def _fold_and_write(chunks, fold: LogFold, trials_path) -> None:
+    """sample -> fold -> encode -> write, one chunk at a time; the writer's
+    workspace is gone by the time the report is built."""
+    with open(trials_path, "wb") as out:
+        writer = TrialLogWriter(out)
+        for chunk in chunks:
+            fold.add(chunk)
+            write_trial_log(chunk, writer)
+
+
 def cmd_run(config_path, report_path, trials_path) -> int:
     config = load_run_config(config_path)
     chunks = run_chunks(
@@ -278,13 +297,9 @@ def cmd_run(config_path, report_path, trials_path) -> int:
         config.geometry,
         override_foc=config.override_foc,
     )
-    # sample -> fold -> encode -> write, one chunk at a time
     fold = LogFold(config.checkpoint_stride)
     try:
-        with open(trials_path, "wb") as out:
-            for chunk in chunks:
-                fold.add(chunk)
-                write_trial_log(chunk, out)
+        _fold_and_write(chunks, fold, trials_path)
     except OSError as exc:
         raise ConfigError(f"cannot write --trials file: {exc}") from None
     report = {

@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "run_chunks",
     "run_experiment",
     "write_trial_log",
+    "TrialLogWriter",
     "fold_trial_log",
     "read_trial_log",
     "TRIAL_LOG_HEADER",
@@ -345,6 +346,8 @@ def run_chunks(
     """
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
+    if n_trials > 1 << 64:
+        raise ValueError(f"trial indexes must fit in 64 bits, so at most 2^64 trials, got {n_trials}")
     prep, choice = geometry
     if not spacelike_separated(prep, choice) and not override_foc:
         raise FreedomOfChoiceError(
@@ -356,10 +359,16 @@ def run_chunks(
     return _chunk_stream(binding, world, n_trials, master_seed, n_shards)
 
 
+def _shards(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:
+    """The index ranges of min(n_shards, n_trials) near-equal shards, in
+    integers, so exact for any number of trials."""
+    parts = min(n_shards, n_trials)
+    return ((n_trials * k // parts, n_trials * (k + 1) // parts) for k in range(parts))
+
+
 def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed: int, n_shards: int):
-    bounds = np.linspace(0, n_trials, min(n_shards, n_trials) + 1, dtype=int).tolist()
     lambda_dtype = None
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in _shards(n_trials, n_shards):
         for start in range(lo, hi, _CHUNK_ROWS):
             states = derive_states(master_seed, np.arange(start, min(start + _CHUNK_ROWS, hi), dtype=np.uint64))
             codes = _select_pairs_batch(states)
@@ -453,10 +462,22 @@ _HEADER_LINE = (TRIAL_LOG_HEADER + "\n").encode()
 # ',' and newlines that would split its row.
 _TAG_FORBIDDEN = frozenset(",\n\r\0")
 
-# the ",pair,s_first,s_second," middle of a row, indexed by
-# pair_code*4 + 2*(s_first > 0) + (s_second > 0)
-_ROW_MIDDLES = np.array(
-    [f",{p.value},{s1},{s2}," for p in PAIR_ORDER for s1 in (-1, 1) for s2 in (-1, 1)], dtype="S10"
+# the ",pair,s_first,s_second," middle of a row, then the '-' of a negative
+# integer lambda_id (NUL otherwise), indexed by
+# 8*pair_code + 2*s_first + s_second + 3 + (lambda_id < 0)
+_ROW_MIDDLES = (
+    np.array(
+        [
+            f",{p.value},{s1},{s2},{sign}".encode()
+            for p in PAIR_ORDER
+            for s1 in (-1, 1)
+            for s2 in (-1, 1)
+            for sign in ("", "-")
+        ],
+        dtype="S11",
+    )
+    .view(np.uint8)
+    .reshape(24, 11)
 )
 
 
@@ -474,13 +495,20 @@ def _digit_group_table() -> np.ndarray:
 
 
 _DIGIT_GROUPS = _digit_group_table()
-_ZERO_GROUP = np.frombuffer(b"\0\0\0" b"0", dtype=np.uint32)[0]  # three NULs, then "0"
+# the same for a number's lowest group, in which 0 alone is written "0"
+_LOW_GROUPS = _DIGIT_GROUPS.copy()
+_LOW_GROUPS[0] = np.frombuffer(b"\0\0\0" b"0", dtype=np.uint32)[0]
 
 # the longest canonical lambda_id: str of an int64 or repr of a float64
 _LAMBDA_MAX_WIDTH = len(repr(-2.2250738585072014e-308))
+# the most digits of an int64 lambda_id
+_LAMBDA_MAX_DIGITS = len(str(2**63))
 
 # the reader reads a file in blocks of this many bytes (1 MiB)
 _READ_BLOCK = 1 << 20
+# and looks for newlines in slices of this many bytes, so the offsets found
+# at once take less than a column of a full chunk
+_NEWLINE_SLICE = 1 << 15
 
 
 def _format_lambda(value) -> str:
@@ -491,59 +519,320 @@ def _format_lambda(value) -> str:
     return str(int(value))
 
 
-def _int_cells(values: np.ndarray) -> np.ndarray:
-    """Each integer as a NUL-padded uint8 row: a sign byte, then 4-digit groups.
+def _n_groups(value: int) -> int:
+    """How many 4-digit groups str(value) of a value >= 0 takes."""
+    return (len(str(value)) + 3) // 4
 
-    Deleting the NULs of row k gives str(int(values[k])), for any signed or
-    unsigned integer dtype of up to 64 bits, and for booleans (1 and 0).
+
+def _index_groups(groups: np.ndarray, first: int) -> None:
+    """Write first, first + 1, ... into the rows of groups as digit groups.
+
+    groups is uint32, one column per group, the most significant first;
+    deleting the NULs of row k gives str(first + k). Consecutive indexes
+    share their upper groups and step through the lowest one, so each run of
+    up to 10^4 rows takes one slice per group.
     """
-    negative = values < 0
-    magnitudes = values.astype(np.uint64)
-    np.negative(magnitudes, out=magnitudes, where=negative)  # exact for -2**63 too
-    n_groups = (len(str(int(magnitudes.max()))) + 3) // 4
-    cells = np.empty((len(values), 1 + 4 * n_groups), dtype=np.uint8)
-    cells[:, 0] = negative * ord("-")
-    groups = cells[:, 1:].view(np.uint32)
-    rest = magnitudes
-    for g in range(n_groups - 1, -1, -1):
-        above = rest // np.uint64(10_000)
-        key = rest - above * np.uint64(10_000)
-        # a group with digits above it keeps its leading zeros
-        key += (above != 0) * np.uint64(10_000)
-        groups[:, g] = _DIGIT_GROUPS[key]
-        rest = above
-    groups[magnitudes == 0, -1] = _ZERO_GROUP
-    return cells
+    n, n_groups = groups.shape
+    k = 0
+    while k < n:
+        upper, low = divmod(first + k, 10_000)
+        run = min(n - k, 10_000 - low)
+        if upper:
+            low += 10_000  # a group with digits above it keeps its leading zeros
+        groups[k : k + run, -1] = _LOW_GROUPS[low : low + run]
+        for g in range(n_groups - 2, -1, -1):
+            upper, key = divmod(upper, 10_000)
+            groups[k : k + run, g] = _DIGIT_GROUPS[key + 10_000 if upper else key]
+        k += run
 
 
-def _lambda_cells(lambdas: np.ndarray) -> np.ndarray:
-    # booleans are written as 1/0, as the record branch's int() writes them
-    if lambdas.dtype.kind in "biu":
-        return _int_cells(lambdas)
-    # the one per-row Python format left: repr of each float
-    text = list(map(repr if lambdas.dtype.kind == "f" else str, lambdas.tolist()))
-    return np.array(text, dtype="S").view(np.uint8).reshape(len(text), -1)
+class _Layout(NamedTuple):
+    """Where each field's cells sit in a row of the cell matrix."""
+
+    index_groups: int
+    lambda_kind: Optional[str]  # None, "int" (digit groups) or "text" (repr/str)
+    lambda_width: int
+    tail: bytes  # ",model_tag\n"
+
+    @property
+    def middle(self) -> slice:
+        # an integer lambda_id's sign rides at the end of the middle
+        start = 4 * self.index_groups
+        return slice(start, start + (11 if self.lambda_kind == "int" else 10))
+
+    @property
+    def lambda_id(self) -> slice:
+        return slice(self.middle.stop, self.middle.stop + self.lambda_width)
+
+    @property
+    def width(self) -> int:
+        return self.lambda_id.stop + len(self.tail)
 
 
-def _encode_rows(chunk: TrialLog) -> bytes:
-    """The rows of chunk, numbered from its first index, each ending in a newline.
+class _RowCodec:
+    """The row-codec workspace of one stream of trial-log rows.
 
-    The one definition of the row format: the writer emits it, and the reader
-    accepts its fast parse only when this reproduces the file bytes.
+    Every chunk a stream writes, and every block it reads, is encoded and
+    parsed in the same arrays, made for up to `rows` rows when the stream
+    starts. Columns only widen within a stream, and the ",model_tag\\n" cells
+    are filled once per column layout, so after its first chunk a stream
+    allocates no array per row, save the repr of float lambda_ids.
     """
-    n = len(chunk)
-    keys = chunk.pair_codes.astype(np.intp) * 4
-    keys += 2 * (chunk.s_first > 0)
-    keys += chunk.s_second > 0
-    fields = [
-        _int_cells(np.arange(chunk.first_index, chunk.first_index + n, dtype=np.uint64)),
-        _ROW_MIDDLES[keys].view(np.uint8).reshape(n, -1),
-    ]
-    if chunk.lambda_ids is not None:
-        fields.append(_lambda_cells(chunk.lambda_ids))
-    tail = np.frombuffer(f",{chunk.model_tag}\n".encode("utf-8"), dtype=np.uint8)
-    fields.append(np.broadcast_to(tail, (n, len(tail))))
-    return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self._layout: Optional[_Layout] = None
+        # the cell matrix, which numpy views only while a chunk is filled in,
+        # as a bytearray can change size only while no array views it
+        self._cells = bytearray()
+        self._tail_rows = 0  # rows whose tail cells are filled
+        # encoder scratch
+        self._small_keys = np.empty(rows, dtype=np.int8)
+        self._keys = np.empty(rows, dtype=np.intp)
+        self._rest = np.empty(rows, dtype=np.uint64)
+        self._above = np.empty(rows, dtype=np.uint64)
+        self._key = np.empty(rows, dtype=np.uint64)
+        self._group = np.empty(rows, dtype=np.uint32)
+        self._mask = np.empty(rows, dtype=np.bool_)
+        self._mask2 = np.empty(rows, dtype=np.bool_)
+        # the parsed columns, and parser scratch
+        self._pair_codes = np.empty(rows, dtype=np.uint8)
+        self._s_first = np.empty(rows, dtype=np.int8)
+        self._s_second = np.empty(rows, dtype=np.int8)
+        self._lambdas = np.empty(rows, dtype=np.int64)  # or its float64 view
+        self._newline = np.empty(_NEWLINE_SLICE, dtype=np.bool_)
+        self._ends = np.empty(rows, dtype=np.intp)
+        self._pos = np.empty(rows, dtype=np.intp)
+        self._widths = np.empty(rows, dtype=np.intp)
+        self._byte = np.empty(rows, dtype=np.uint8)
+        self._text = np.empty(0, dtype=np.uint8)
+
+    # -- encoding ---------------------------------------------------------------
+
+    def encode(self, chunk: TrialLog) -> bytearray:
+        """The rows of chunk, numbered from its first index, each ending in a newline.
+
+        The one definition of the row format: the writer emits it, and the
+        reader accepts its fast parse only when this reproduces the file bytes.
+        """
+        self._fill(chunk)
+        return self._cells.translate(None, b"\0")
+
+    def _fill(self, chunk: TrialLog) -> None:
+        """Fill the cell matrix with chunk's rows."""
+        n = len(chunk)
+        lambdas = chunk.lambda_ids
+        text = None
+        if lambdas is None:
+            kind, lambda_width = None, 0
+        elif lambdas.dtype.kind in "biu":
+            # booleans are written as 1/0, as the record branch's int() writes them
+            kind = "int"
+            lambda_width = 4 * _n_groups(max(int(lambdas.max()), -int(lambdas.min())))
+        else:
+            # the one per-row Python format left: repr of each float
+            kind = "text"
+            text = np.array(list(map(repr if lambdas.dtype.kind == "f" else str, lambdas.tolist())), dtype="S")
+            lambda_width = text.itemsize
+        tail = f",{chunk.model_tag}\n".encode("utf-8")
+        cells = self._cells_for(n, _n_groups(chunk.first_index + n - 1), kind, lambda_width, tail)
+        layout = self._layout
+
+        _index_groups(cells[:, : layout.middle.start].view(np.uint32), chunk.first_index)
+        # the keys are summed in int8, where no operand needs a cast buffer
+        small_keys = self._small_keys[:n]
+        np.multiply(chunk.pair_codes, 8, out=small_keys, casting="unsafe")
+        for outcome, weight in ((chunk.s_first, 2), (chunk.s_second, 1)):
+            for _ in range(weight):
+                np.add(small_keys, outcome, out=small_keys, casting="unsafe")
+        np.add(small_keys, 3, out=small_keys)
+        if kind == "int":
+            negative = self._mask[:n]
+            np.less(lambdas, 0, out=negative)
+            np.add(small_keys, 1, out=small_keys, where=negative)
+        keys = self._keys[:n]
+        np.copyto(keys, small_keys)
+        np.take(self._middles, keys, out=self._middle[:n], mode="clip")
+        np.copyto(cells.view(self._middle_field)[:, 0]["middle"], self._middle[:n])
+        lambda_cells = cells[:, layout.lambda_id]
+        if kind == "int":
+            magnitudes = self._rest[:n]
+            np.copyto(magnitudes, lambdas, casting="unsafe")
+            np.negative(magnitudes, out=magnitudes, where=negative)  # exact for -2**63 too
+            self._digit_groups(lambda_cells.view(np.uint32))
+        elif kind == "text":
+            lambda_cells[:, : text.itemsize] = text.view(np.uint8).reshape(n, -1)
+            lambda_cells[:, text.itemsize :] = 0
+
+    def _cells_for(self, n: int, index_groups: int, kind, lambda_width: int, tail: bytes) -> np.ndarray:
+        """The cells of n rows, in a layout at least as wide as the last one."""
+        old = self._layout
+        if old is not None and (old.lambda_kind, old.tail) == (kind, tail):
+            index_groups = max(index_groups, old.index_groups)
+            lambda_width = max(lambda_width, old.lambda_width)
+        layout = _Layout(index_groups, kind, lambda_width, tail)
+        width = layout.width
+        if layout != old:
+            self._layout = layout
+            self._cells = bytearray(n * width)
+            self._tail_rows = 0
+            # each middle as one opaque value, taken by key and copied into
+            # its column through a view of each row as a record
+            m = layout.middle
+            middles = np.ascontiguousarray(_ROW_MIDDLES[:, : m.stop - m.start])
+            self._middles = middles.view(f"V{m.stop - m.start}").ravel()
+            self._middle = np.empty(self.rows, dtype=self._middles.dtype)
+            self._middle_field = np.dtype(
+                {"names": ["middle"], "formats": [self._middles.dtype], "offsets": [m.start], "itemsize": width}
+            )
+        # exactly n rows, so that translate sees no row of an earlier chunk
+        size = n * width
+        if size < len(self._cells):
+            del self._cells[size:]
+            self._tail_rows = min(self._tail_rows, n)
+        elif size > len(self._cells):
+            self._cells += bytes(size - len(self._cells))
+        cells = np.frombuffer(self._cells, dtype=np.uint8).reshape(n, width)
+        if self._tail_rows < n:
+            cells[self._tail_rows :, width - len(tail) :] = np.frombuffer(tail, dtype=np.uint8)
+            self._tail_rows = n
+        return cells
+
+    def _digit_groups(self, groups: np.ndarray) -> None:
+        """Write self._rest, magnitudes, into the rows of groups as digit
+        groups, as _index_groups writes indexes; clobbers the magnitudes."""
+        n = len(groups)
+        rest, above, key = self._rest[:n], self._above[:n], self._key[:n]
+        has_above, cell = self._mask[:n], self._group[:n]
+        table = _LOW_GROUPS
+        for g in range(groups.shape[1] - 1, -1, -1):
+            np.divmod(rest, 10_000, out=(above, key))
+            np.not_equal(above, 0, out=has_above)
+            np.add(key, 10_000, out=key, where=has_above)
+            np.take(table, key.view(np.int64), out=cell, mode="clip")
+            np.copyto(groups[:, g], cell)
+            rest, above = above, rest
+            table = _DIGIT_GROUPS
+
+    # -- parsing ----------------------------------------------------------------
+
+    def parse(self, buf: bytearray, end: int, first: int, model_tag: str, lambda_dtype) -> TrialLog:
+        """The rows in buf[:end], numbered from first, if encode reproduces them.
+
+        The parse itself is loose: it finds the newlines, then each field from
+        the width of the row's index, which first + k fixes, and the widths of
+        the outcomes before it. The re-encoding check is what makes every
+        accepted block parse exactly as the line scanner would parse it. The
+        chunk's columns are the workspace's, overwritten by the next parse.
+        """
+        chunk = self._columns(buf, end, first, model_tag, lambda_dtype)
+        out = self.encode(chunk)
+        if len(out) != end or not buf.startswith(out):
+            raise _NotCanonical
+        return chunk
+
+    def _columns(self, buf: bytearray, end: int, first: int, model_tag: str, lambda_dtype) -> TrialLog:
+        block = np.frombuffer(buf, dtype=np.uint8, count=end)
+        n = self._newlines(block)
+        ends, pos, byte, mask = self._ends[:n], self._pos[:n], self._byte[:n], self._mask[:n]
+        # each row's pair starts after its index and a comma
+        pos[0] = 0
+        np.add(ends[:-1], 1, out=pos[1:])
+        digits = len(str(first))
+        np.add(pos, digits + 1, out=pos)
+        power = 10**digits
+        while power < first + n:
+            pos[power - first :] += 1
+            power *= 10
+        # "12", "13", "23" -> 0, 1, 2 from the sum of the two digits
+        pair_codes = self._pair_codes[:n]
+        np.take(block, pos, out=pair_codes, mode="clip")
+        np.add(pos, 1, out=pos)
+        np.take(block, pos, out=byte, mode="clip")
+        np.add(pair_codes, byte, out=pair_codes)
+        np.subtract(pair_codes, ord("1") + ord("2"), out=pair_codes)
+        if pair_codes.max() > 2:
+            raise _NotCanonical
+        # each outcome starts two bytes after the field before it ends; "1" is
+        # one byte wide, "-1" two
+        s_first, s_second = self._s_first[:n], self._s_second[:n]
+        for outcome in (s_first, s_second):
+            np.add(pos, 2, out=pos)
+            np.take(block, pos, out=byte, mode="clip")
+            np.equal(byte, ord("-"), out=mask)
+            outcome.fill(1)
+            np.copyto(outcome, -1, where=mask)
+            np.add(pos, 1, out=pos, where=mask)
+        lambdas = None
+        if lambda_dtype is not None:
+            np.add(pos, 2, out=pos)
+            # lambda_id runs from pos up to the comma of ",model_tag\n"
+            widths = self._widths[:n]
+            np.subtract(ends, len(f",{model_tag}".encode("utf-8")), out=widths)
+            np.subtract(widths, pos, out=widths)
+            if widths.min() < 1 or widths.max() > _LAMBDA_MAX_WIDTH:
+                raise _NotCanonical
+            parse_lambdas = self._parse_floats if lambda_dtype.kind == "f" else self._parse_ints
+            lambdas = parse_lambdas(block, pos, widths)
+        return TrialLog(pair_codes, s_first, s_second, lambdas, model_tag, first_index=first)
+
+    def _newlines(self, block: np.ndarray) -> int:
+        """Put the offsets of the newlines in block into self._ends; return how many."""
+        n = 0
+        for lo in range(0, len(block), _NEWLINE_SLICE):
+            piece = block[lo : lo + _NEWLINE_SLICE]
+            at = np.flatnonzero(np.equal(piece, ord("\n"), out=self._newline[: len(piece)]))
+            if n + len(at) > self.rows:  # rows shorter than a canonical row can be
+                raise _NotCanonical
+            np.add(at, lo, out=self._ends[n : n + len(at)])
+            n += len(at)
+        return n
+
+    def _parse_ints(self, block: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        n = len(starts)
+        byte, negative, is_digit = self._byte[:n], self._mask[:n], self._mask2[:n]
+        np.take(block, starts, out=byte, mode="clip")
+        np.equal(byte, ord("-"), out=negative)
+        # the digits run back from the field's end; widths becomes their count
+        at = starts
+        np.add(at, widths, out=at)  # the field's end
+        np.subtract(widths, 1, out=widths, where=negative)
+        if widths.min() < 1 or widths.max() > _LAMBDA_MAX_DIGITS:
+            raise _NotCanonical
+        values, term = self._lambdas[:n].view(np.uint64), self._key[:n]
+        values.fill(0)
+        for j in range(int(widths.max())):
+            np.subtract(at, 1, out=at)
+            np.take(block, at, out=byte, mode="clip")
+            np.subtract(byte, ord("0"), out=byte)
+            np.copyto(term, byte)
+            np.multiply(term, 10**j, out=term)
+            np.greater(widths, j, out=is_digit)
+            np.add(values, term, out=values, where=is_digit)
+        np.negative(values, out=values, where=negative)
+        return self._lambdas[:n]
+
+    def _parse_floats(self, block: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        n, width = len(starts), int(widths.max())
+        if len(self._text) < self.rows * _LAMBDA_MAX_WIDTH:
+            self._text = np.empty(self.rows * _LAMBDA_MAX_WIDTH, dtype=np.uint8)
+        # one fixed-width, NUL-padded byte string per row
+        text = self._text[: n * width].reshape(n, width)
+        byte, inside = self._byte[:n], self._mask[:n]
+        for j in range(width):
+            np.take(block, starts, out=byte, mode="clip")
+            np.greater(widths, j, out=inside)
+            np.multiply(byte, inside, out=text[:, j])
+            np.add(starts, 1, out=starts)
+        values = self._lambdas[:n].view(np.float64)
+        try:
+            np.copyto(values, text.view(f"S{width}")[:, 0], casting="unsafe")
+        except (ValueError, OverflowError):
+            raise _NotCanonical from None
+        # the scanner rejects "inf" and "nan", which repr writes for non-finite floats
+        if not np.isfinite(values, out=inside).all():
+            raise _NotCanonical
+        return values
 
 
 def _rows(log: TrialLog, lo: int, hi: int) -> TrialLog:
@@ -564,6 +853,38 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"model tag {tag!r} holds ',', a line break or NUL, which a trial log cannot carry")
 
 
+def _plus_minus_one(outcomes: np.ndarray) -> bool:
+    if outcomes.dtype.kind in "iu":
+        # with no temporary per row: within [-1, 1] and never 0
+        return outcomes.min() >= -1 and outcomes.max() <= 1 and np.count_nonzero(outcomes) == len(outcomes)
+    return bool(np.all(np.abs(outcomes) == 1))
+
+
+def _check_columns(log: TrialLog) -> None:
+    _check_tag(log.model_tag)
+    if not len(log):
+        return
+    if log.pair_codes.min() < 0 or log.pair_codes.max() > 2:
+        raise ValueError("pair codes must be 0, 1 or 2")
+    # the row encoder writes any outcome that is not positive as -1
+    if not (_plus_minus_one(log.s_first) and _plus_minus_one(log.s_second)):
+        raise ValueError("outcomes must be 1 or -1")
+
+
+class TrialLogWriter:
+    """A binary file open for writing, with the row-codec workspace that every
+    TrialLog written to it goes through.
+
+    write_trial_log(chunk, writer) for each chunk of a run, in order, writes
+    the bytes of the whole log, and no chunk after the first allocates its
+    own encoding temporaries.
+    """
+
+    def __init__(self, file):
+        self.file = file
+        self.codec = _RowCodec(_CHUNK_ROWS)
+
+
 def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> None:
     """Write the CSV trial log: byte-exact for identical runs.
 
@@ -572,21 +893,20 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
     trailing whitespace. A model tag holding ',', a line break or NUL is
     refused with ValueError, as no reader could take it back.
 
-    A TrialLog may also go to a binary file open for writing. Rows are
-    numbered from its first index, and the header comes only with row 0, so
-    the chunks of run_chunks written in order into one file give the bytes of
-    the whole log.
+    A TrialLog may also go to a binary file open for writing, or to a
+    TrialLogWriter. Rows are numbered from its first index, and the header
+    comes only with row 0, so the chunks of run_chunks written in order into
+    one file give the bytes of the whole log.
     """
     if isinstance(trials, TrialLog):
-        _check_tag(trials.model_tag)
-        # the row encoder writes any outcome that is not positive as -1
-        if not (np.all(np.abs(trials.s_first) == 1) and np.all(np.abs(trials.s_second) == 1)):
-            raise ValueError("outcomes must be 1 or -1")
-        if isinstance(path, (str, os.PathLike)):
+        _check_columns(trials)
+        if isinstance(path, TrialLogWriter):
+            _write_rows(trials, path.file, path.codec)
+        elif isinstance(path, (str, os.PathLike)):
             with open(path, "wb") as out:
-                _write_rows(trials, out)
+                _write_rows(trials, out, _RowCodec(min(len(trials), _CHUNK_ROWS)))
         else:
-            _write_rows(trials, path)
+            _write_rows(trials, path, _RowCodec(min(len(trials), _CHUNK_ROWS)))
         return
     lines = [TRIAL_LOG_HEADER]
     for rec in trials:
@@ -599,11 +919,12 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
     Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
 
 
-def _write_rows(log: TrialLog, out) -> None:
+def _write_rows(log: TrialLog, out, codec: _RowCodec) -> None:
     if log.first_index == 0:
         out.write(_HEADER_LINE)
     for chunk in log.chunks():
-        out.write(_encode_rows(chunk))
+        if len(chunk):
+            out.write(codec.encode(chunk))
 
 
 class TrialLogFormatError(ValueError):
@@ -622,11 +943,13 @@ def fold_trial_log(path, fold: Callable[[Iterator[TrialLog]], _T]) -> _T:
 
     A log exactly as write_trial_log would write it streams in fixed blocks
     (1 MiB), each parsed column-wise into one chunk, so the file is never
-    held whole. If some block turns out not to be canonical, that call
-    of fold is abandoned and fold runs again on the whole file as one chunk,
-    parsed by the line scanner, which validates the schema line by line and
-    names the first bad line. fold must not catch the exception that
-    abandons it. A pipe can be read only once, so it is held whole.
+    held whole. The chunks of a block share the reader's arrays: each holds
+    only until the next one is drawn. If some block turns out not to be
+    canonical, that call of fold is abandoned and fold runs again on the
+    whole file as one chunk, parsed by the line scanner, which validates the
+    schema line by line and names the first bad line. fold must not catch
+    the exception that abandons it. A pipe can be read only once, so it is
+    held whole.
     """
     with open(path, "rb") as f:
         source = f if f.seekable() else io.BytesIO(f.read())
@@ -644,7 +967,19 @@ def read_trial_log(path) -> TrialLog:
 
 
 def _concatenate(chunks: Iterator[TrialLog]) -> TrialLog:
-    parts = list(chunks)
+    """The chunks as one log. Each chunk is copied as it comes, since the
+    block reader parses the next one into the same arrays."""
+    parts = [
+        TrialLog(
+            c.pair_codes.copy(),
+            c.s_first.copy(),
+            c.s_second.copy(),
+            None if c.lambda_ids is None else c.lambda_ids.copy(),
+            c.model_tag,
+            first_index=c.first_index,
+        )
+        for c in chunks
+    ]
     if len(parts) == 1:
         return parts[0]
     lambdas = None if parts[0].lambda_ids is None else np.concatenate([p.lambda_ids for p in parts])
@@ -654,6 +989,7 @@ def _concatenate(chunks: Iterator[TrialLog]) -> TrialLog:
         np.concatenate([p.s_second for p in parts]),
         lambdas,
         parts[0].model_tag,
+        first_index=parts[0].first_index,
     )
 
 
@@ -668,7 +1004,7 @@ def _canonical_chunks(f) -> Iterator[TrialLog]:
         raise _NotCanonical
     buf = bytearray(_READ_BLOCK)
     kept = first = 0
-    layout = None
+    codec = None
     while True:
         with memoryview(buf) as view:
             got = f.readinto(view[kept:])
@@ -684,9 +1020,12 @@ def _canonical_chunks(f) -> Iterator[TrialLog]:
                 raise _NotCanonical
             kept = filled
             continue
-        if layout is None:
-            layout = _row_layout(bytes(buf[: buf.index(b"\n")]))
-        chunk = _parse_block(buf, end, first, *layout)
+        if codec is None:
+            model_tag, lambda_dtype = _row_layout(bytes(buf[: buf.index(b"\n")]))
+            # no canonical row is shorter than "0,12,1,1," + lambda_id + ",model_tag\n"
+            shortest = len(f"0,12,1,1,{'0' if lambda_dtype else ''},{model_tag}\n".encode("utf-8"))
+            codec = _RowCodec(len(buf) // shortest)
+        chunk = codec.parse(buf, end, first, model_tag, lambda_dtype)
         yield chunk
         first += len(chunk)
         kept = filled - end
@@ -710,62 +1049,6 @@ def _row_layout(row: bytes) -> tuple[str, Optional[np.dtype]]:
         return model_tag, None
     # the scanner's rule: floats iff some value has a '.' or an 'e'
     return model_tag, np.dtype(np.float64 if b"." in lam_s or b"e" in lam_s else np.int64)
-
-
-def _parse_block(buf: bytearray, end: int, first: int, model_tag: str, lambda_dtype) -> TrialLog:
-    """The rows in buf[:end], numbered from first, if _encode_rows reproduces them.
-
-    The parse itself is loose (it reads only field widths and a few bytes);
-    the re-encoding check is what makes every accepted block parse exactly as
-    the line scanner would parse it.
-    """
-    block = np.frombuffer(buf, dtype=np.uint8, count=end)
-    ends = np.flatnonzero(block == ord("\n"))
-    commas = np.flatnonzero(block == ord(","))
-    if len(commas) != 5 * len(ends):
-        raise _NotCanonical
-    commas = commas.reshape(-1, 5)
-    # with as many commas as rows * 5, this puts exactly five in each row
-    if np.any(commas[1:, 0] < ends[:-1]) or np.any(commas[:, 4] > ends):
-        raise _NotCanonical
-    c0, c1, c2, c3, c4 = commas.T
-    # "12", "13", "23" -> 0, 1, 2 from the sum of the two digits
-    codes = block[c0 + 1].astype(np.int16) + block[c0 + 2] - (ord("1") + ord("2"))
-    if np.any((codes < 0) | (codes > 2)):
-        raise _NotCanonical
-    # "1" is one byte wide, "-1" two
-    one, minus_one = np.int8(1), np.int8(-1)
-    chunk = TrialLog(
-        codes.astype(np.uint8),
-        np.where(c2 - c1 == 2, one, minus_one),
-        np.where(c3 - c2 == 2, one, minus_one),
-        None if lambda_dtype is None else _parse_lambdas(block, c3 + 1, c4 - c3 - 1, lambda_dtype),
-        model_tag,
-        first_index=first,
-    )
-    if _encode_rows(chunk) != buf[:end]:
-        raise _NotCanonical
-    return chunk
-
-
-def _parse_lambdas(block: np.ndarray, starts: np.ndarray, widths: np.ndarray, dtype) -> np.ndarray:
-    """The lambda_id fields at starts/widths of block as dtype."""
-    width = int(widths.max())
-    if widths.min() < 1 or width > _LAMBDA_MAX_WIDTH:
-        raise _NotCanonical
-    # one fixed-width, NUL-padded byte string per row
-    cells = np.zeros((len(starts), width), dtype=np.uint8)
-    last = len(block) - 1
-    for j in range(width):
-        cells[:, j] = np.where(widths > j, block[np.minimum(starts + j, last)], 0)
-    try:
-        values = cells.view(f"S{width}").ravel().astype(dtype)
-    except (ValueError, OverflowError):
-        raise _NotCanonical from None
-    # the scanner rejects "inf" and "nan", which repr writes for non-finite floats
-    if dtype.kind == "f" and not np.all(np.isfinite(values)):
-        raise _NotCanonical
-    return values
 
 
 def _decode_text(data: bytes) -> str:

@@ -86,6 +86,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, False too for an integer beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def signs(positive: np.ndarray) -> np.ndarray:
     """Outcomes as int8: +1 where positive is True, -1 elsewhere."""
     return positive.view(np.int8) * 2 - 1
@@ -161,7 +169,7 @@ class TableModel(ResponseModel):
                 w, triple = row
             except (TypeError, ValueError):
                 raise ValueError(f"row {k}: expected a (weight, responses) pair, got {row!r}") from None
-            if not (_is_real(w) and w > 0.0 and math.isfinite(w)):
+            if not (_is_real(w) and w > 0.0 and _is_finite(w)):
                 raise ValueError(f"row {k}: weight must be a finite number > 0, got {w!r}")
             if (
                 not hasattr(triple, "__len__")

@@ -419,3 +419,45 @@ def test_config_angle_sum_overflow_names_angles(tmp_path, capsys):
     code, _, _ = run_cli(tmp_path, path)
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: angles: theta_ab + theta_bc")
+
+
+BEYOND_FLOAT = 10**400  # a JSON integer literal no float holds
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"epsilon": BEYOND_FLOAT}, "config.epsilon"),
+        ({"significance": -BEYOND_FLOAT}, "config.significance"),
+        ({"times": [1.0, 2.0, BEYOND_FLOAT]}, "times[2]"),
+        (
+            {
+                "geometry": {
+                    "preparation": {"t": 0, "x": 0, "y": 0, "z": 0},
+                    "choice": {"t": 0, "x": BEYOND_FLOAT, "y": 0, "z": 0},
+                }
+            },
+            "geometry.choice.x",
+        ),
+        ({"angles": {"theta_ab": BEYOND_FLOAT, "theta_bc": MAGIC}}, "angles.theta_ab"),
+        ({"initial_state": {"policy": "fixed", "angle": BEYOND_FLOAT}}, "initial_state.angle"),
+        ({"world": {"kind": "table", "rows": [[BEYOND_FLOAT, 1, 1, 1]]}}, "world.rows: row 0: weight"),
+    ],
+)
+def test_config_numbers_beyond_the_float_range_name_the_field(tmp_path, capsys, overrides, field):
+    path = write_config(tmp_path, **overrides)
+    code, _, trials_path = run_cli(tmp_path, path)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}"), err
+    assert "finite number" in err
+    assert not trials_path.exists()
+
+
+@pytest.mark.parametrize("n_trials", [2**64 + 1, 2**70])
+def test_n_trials_whose_indexes_overflow_64_bits_is_named(tmp_path, capsys, n_trials):
+    path = write_config(tmp_path, n_trials=n_trials)
+    code, _, trials_path = run_cli(tmp_path, path)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: n_trials: expected an integer >= 1 and <= 2^64")
+    assert not trials_path.exists()

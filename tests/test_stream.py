@@ -275,3 +275,66 @@ def test_run_and_analyze_peaks_do_not_grow_with_n_trials(tmp_path, capsys):
     # the 2^20-trial file alone is 22 MB; its columns are 3 MB
     for command in ("run", "analyze"):
         assert math.isclose(peaks[command, 1 << 20], peaks[command, 1 << 17], abs_tol=2.0), peaks
+
+
+def _traced_peaks(monkeypatch, method: str) -> list:
+    """Patch _RowCodec.method to record, for each call, the most memory that
+    its allocations held at once."""
+    peaks = []
+    real = getattr(experiment._RowCodec, method)
+
+    def traced(self, *args):
+        tracemalloc.start()
+        try:
+            result = real(self, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(experiment._RowCodec, method, traced)
+    return peaks
+
+
+# the rotor's float lambda_ids still go through repr, one Python string per row
+@pytest.mark.parametrize("world", ["quantum", "table", "conspiracy"])
+def test_no_chunk_after_the_first_allocates_a_temporary_per_row(tmp_path, capsys, monkeypatch, world):
+    # Every buffer numpy allocates is traced, so a peak below 64 KiB, the size
+    # of an int8 column of a full chunk, bounds each of them. A stream that
+    # allocates its temporaries per chunk faults them in again per chunk.
+    # The first chunk of a stream sizes its workspace, and a shorter last one
+    # may hand back the memory its rows no longer need.
+    fills, columns = _traced_peaks(monkeypatch, "_fill"), _traced_peaks(monkeypatch, "_columns")
+    code, _, trials = _run(tmp_path, _config(tmp_path, world, 5 * _CHUNK_ROWS + 7, 3))
+    assert code == EXIT_OK and len(fills) == 6
+    encoded = fills[1:-1]
+    del fills[:]
+    assert main(["analyze", "--trials", str(trials)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(columns) == len(fills) > 5
+    for peaks in (encoded, fills[1:-1], columns[1:-1]):
+        assert max(peaks) < 64 * 1024, peaks
+
+
+# -- index ranges -----------------------------------------------------------------
+
+
+def test_shards_cover_the_index_range_exactly_at_any_size():
+    assert list(experiment._shards(2**53 + 1, 1)) == [(0, 2**53 + 1)]
+    assert list(experiment._shards(2**53 + 1, 2)) == [(0, 2**52), (2**52, 2**53 + 1)]
+    n = 2**63 + 10
+    assert list(experiment._shards(n, 1)) == [(0, n)]
+    assert list(experiment._shards(n, 3)) == [(0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n)]
+    assert list(experiment._shards(3, 5)) == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("n_trials", [2**63 + 10, 2**64])
+def test_runs_past_2_63_trials_start_like_any_run(magic_binding, spacelike_geometry, n_trials):
+    world = experiment.QuantumWorld()
+    first = next(run_chunks(magic_binding, world, n_trials, 9, spacelike_geometry))
+    assert first == next(run_chunks(magic_binding, world, _CHUNK_ROWS, 9, spacelike_geometry))
+
+
+def test_a_run_whose_indexes_overflow_64_bits_is_refused(magic_binding, spacelike_geometry):
+    with pytest.raises(ValueError, match="64 bits"):
+        run_chunks(magic_binding, experiment.QuantumWorld(), 2**64 + 1, 9, spacelike_geometry)

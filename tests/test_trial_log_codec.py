@@ -4,11 +4,13 @@ The record branch of write_trial_log formats one TrialRecord at a time,
 independently of the chunked column encoder, so it serves as the format
 oracle here.
 """
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,13 +24,16 @@ from lglab import (
     run_experiment,
     write_trial_log,
 )
+from lglab import experiment
 from lglab.experiment import (
     _CHUNK_ROWS,
+    TRIAL_LOG_HEADER,
     TrialLog,
     TrialLogFormatError,
+    TrialLogWriter,
     _canonical_chunks,
-    _int_cells,
     _NotCanonical,
+    _RowCodec,
 )
 from lglab.hidden_vars import RotorModel, conspiracy_from_quantum
 from lglab.rng import MASK64
@@ -201,7 +206,10 @@ def test_writer_refuses_outcomes_other_than_plus_minus_one(tmp_path):
 
 
 def _int_text(values: np.ndarray) -> list:
-    return [row.tobytes().replace(b"\0", b"").decode() for row in _int_cells(values)]
+    """The lambda_id field of each row the workspace encodes for values."""
+    n = len(values)
+    log = TrialLog(np.zeros(n, np.uint8), np.ones(n, np.int8), -np.ones(n, np.int8), values, "t")
+    return [row.split(",")[4] for row in _RowCodec(n).encode(log).decode().splitlines()]
 
 
 INT64_EDGES = (
@@ -290,3 +298,132 @@ def test_writer_refuses_tags_it_cannot_round_trip(tmp_path, tag):
 def test_utf8_tag_round_trips(codec_dir):
     log = _run("table", 9, 300)
     _check_codec(codec_dir, TrialLog(log.pair_codes, log.s_first, log.s_second, log.lambda_ids, "ξ"))
+
+
+INDEX_EDGES = [0, 1, 9_998, 9_999, 99_999_998, 10**12 - 2, 10**16 - 1, 2**63 - 1, 10**19 - 2, 2**64 - 3]
+
+
+@pytest.mark.parametrize("first", INDEX_EDGES)
+def test_index_cells_match_str(first):
+    log = TrialLog(np.zeros(3, np.uint8), np.ones(3, np.int8), np.ones(3, np.int8), None, "t", first_index=first)
+    rows = _RowCodec(3).encode(log).decode().splitlines()
+    assert [row.split(",")[0] for row in rows] == [str(first + k) for k in range(3)]
+
+
+# -- one workspace for a stream of chunks ------------------------------------------
+
+LAMBDA_KINDS = ("none", "int64", "uint64", "float")
+# a stream crosses 9 999 -> 10 000 or 99 999 999 -> 100 000 000, where the
+# index takes one more digit group, or starts anywhere
+STARTS = st.sampled_from([0, 9_990, 99_999_990]) | st.integers(0, 2**40)
+CHUNK_LENGTHS = st.sampled_from([1, 2, 17, _CHUNK_ROWS - 1, _CHUNK_ROWS])
+
+
+def _synthetic_chunk(rng, first: int, n: int, kind: str) -> TrialLog:
+    if kind == "none":
+        lambdas = None
+    elif kind == "int64":
+        # a few edge values among a spread of widths
+        lambdas = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True) >> rng.integers(0, 64, n)
+        lambdas[rng.integers(0, n, 2)] = [-(2**63), 2**63 - 1]
+    elif kind == "uint64":
+        lambdas = rng.integers(2**63, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+    else:
+        lambdas = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return TrialLog(
+        rng.integers(0, 3, n).astype(np.uint8),
+        rng.choice(np.array([-1, 1], np.int8), n),
+        rng.choice(np.array([-1, 1], np.int8), n),
+        lambdas,
+        "synthetic",
+        first_index=first,
+    )
+
+
+@settings(max_examples=20)
+@example(kind="int64", start=9_990, lengths=[1, _CHUNK_ROWS], last=5, seed=1)
+@example(kind="uint64", start=99_999_990, lengths=[_CHUNK_ROWS - 1], last=300, seed=2)
+@example(kind="float", start=0, lengths=[_CHUNK_ROWS], last=1, seed=3)
+@example(kind="none", start=99_999_990, lengths=[2, _CHUNK_ROWS], last=17, seed=4)
+@given(
+    kind=st.sampled_from(LAMBDA_KINDS),
+    start=STARTS,
+    lengths=st.lists(CHUNK_LENGTHS, min_size=1, max_size=2),
+    last=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunks_through_one_workspace_match_the_record_oracle(codec_dir, kind, start, lengths, last, seed):
+    # full or short chunks, then a short last one
+    rng = np.random.default_rng(seed)
+    chunks, first = [], start
+    for n in [*lengths, last]:
+        chunks.append(_synthetic_chunk(rng, first, n, kind))
+        first += n
+    out = io.BytesIO()
+    writer = TrialLogWriter(out)
+    for chunk in chunks:
+        write_trial_log(chunk, writer)
+    oracle = codec_dir / "oracle.csv"
+    write_trial_log([rec for chunk in chunks for rec in chunk], oracle)
+    expected = oracle.read_bytes()
+    assert out.getvalue() == (expected if start == 0 else expected[len(TRIAL_LOG_HEADER) + 1 :])
+
+
+@pytest.mark.parametrize("kind", LAMBDA_KINDS)
+def test_a_workspace_encodes_each_lambda_kind_after_the_others(codec_dir, kind):
+    # the column layout changes with the lambda kind; the rows must not
+    rng = np.random.default_rng(7)
+    codec = _RowCodec(500)
+    oracle = codec_dir / "oracle.csv"
+    for other in [k for k in LAMBDA_KINDS if k != kind] + [kind]:
+        chunk = _synthetic_chunk(rng, 123_456, 500, other)
+        write_trial_log(list(chunk), oracle)
+        assert codec.encode(chunk) == oracle.read_bytes()[len(TRIAL_LOG_HEADER) + 1 :]
+
+
+def _chunk_lengths(path) -> list:
+    """The length of each chunk the block reader parses path into."""
+    lengths = []
+    with open(path, "rb") as f:
+        for chunk in _canonical_chunks(f):
+            lengths.append(len(chunk))
+    return lengths
+
+
+def test_blocks_of_more_than_a_chunk_of_rows_stream(tmp_path):
+    # with an empty tag and positive outcomes a row is 14-15 bytes, so a 1 MiB
+    # block holds about 70 000 rows
+    n = 150_000
+    log = TrialLog(np.zeros(n, np.uint8), np.ones(n, np.int8), np.ones(n, np.int8), None, "")
+    log.pair_codes[::3] = 2
+    _check_codec(tmp_path, log)
+    lengths = _chunk_lengths(tmp_path / "log.csv")
+    assert max(lengths) > _CHUNK_ROWS and sum(lengths) == n
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_blocks_of_a_single_row_stream(tmp_path, world):
+    log = _run(world, 31, 40)
+    path = tmp_path / "log.csv"
+    write_trial_log(log, path)
+    rows = path.read_bytes().splitlines(keepends=True)[1:]
+    # no block can hold two rows, and any block holds the row it starts with
+    block = max(len(row) for row in rows)
+    assert block < 2 * min(len(row) for row in rows)
+    with mock.patch.object(experiment, "_READ_BLOCK", block):
+        assert _chunk_lengths(path) == [1] * 40
+        _assert_same_log(read_trial_log(path), log)
+
+
+@pytest.mark.parametrize("first", [9_990, 99_999_990, 10**12 - 20])
+@pytest.mark.parametrize("kind", ["none", "int64", "float"])
+def test_a_block_parses_where_the_index_gains_a_digit(codec_dir, first, kind):
+    # a canonical file starts at index 0, so the reader meets 10^8 only after
+    # 10^8 rows; parse such a block directly
+    chunk = _synthetic_chunk(np.random.default_rng(first), first, 40, kind)
+    oracle = codec_dir / "oracle.csv"
+    write_trial_log(list(chunk), oracle)
+    buf = bytearray(oracle.read_bytes()[len(TRIAL_LOG_HEADER) + 1 :])
+    lambda_dtype = None if kind == "none" else chunk.lambda_ids.dtype
+    parsed = _RowCodec(len(buf) // 11).parse(buf, len(buf), first, "synthetic", lambda_dtype)
+    _assert_same_log(parsed, chunk)
