@@ -41,12 +41,12 @@ from .experiment import (
     TrialLogFormatError,
     TrialLogWriter,
     World,
-    fold_trial_log,
+    _fold_blocks,
     run_chunks,
     spacelike_separated,
     write_trial_log,
 )
-from .hidden_vars import RotorModel, TableModel, conspiracy_from_quantum
+from .hidden_vars import RotorModel, TableModel, _is_finite, _is_real, conspiracy_from_quantum
 from .jsonutil import dumps_stable
 from .quantum import Direction, sequential_correlation_exact
 from .rng import MASK64
@@ -95,14 +95,8 @@ def _require_keys(obj: dict, path: str, required: tuple[str, ...], optional: tup
 
 def _finite(value, field: str) -> float:
     """value as a float, if it is a JSON number that a finite float holds."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            pass
-        else:
-            if math.isfinite(number):
-                return number
+    if _is_real(value) and _is_finite(value):
+        return float(value)
     raise ConfigError(f"{field}: expected a finite number, got {value!r}")
 
 
@@ -277,16 +271,6 @@ def _analysis_sections(fold: LogFold, significance: float, epsilon: float) -> di
     return {"lg_report": lg.to_json_dict(), "stabilization_report": stab.to_json_dict()}
 
 
-def _fold_and_write(chunks, fold: LogFold, trials_path) -> None:
-    """sample -> fold -> encode -> write, one chunk at a time; the writer's
-    workspace is gone by the time the report is built."""
-    with open(trials_path, "wb") as out:
-        writer = TrialLogWriter(out)
-        for chunk in chunks:
-            fold.add(chunk)
-            write_trial_log(chunk, writer)
-
-
 def cmd_run(config_path, report_path, trials_path) -> int:
     config = load_run_config(config_path)
     chunks = run_chunks(
@@ -299,7 +283,14 @@ def cmd_run(config_path, report_path, trials_path) -> int:
     )
     fold = LogFold(config.checkpoint_stride)
     try:
-        _fold_and_write(chunks, fold, trials_path)
+        # sample -> fold -> encode -> write, one chunk at a time; del frees
+        # the writer's workspace before the report is built
+        with open(trials_path, "wb") as out:
+            writer = TrialLogWriter(out)
+            for chunk in chunks:
+                fold.add(chunk)
+                write_trial_log(chunk, writer)
+            del writer
     except OSError as exc:
         raise ConfigError(f"cannot write --trials file: {exc}") from None
     report = {
@@ -401,7 +392,7 @@ def cmd_analyze(trials_path, significance: float, epsilon: float) -> int:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"--epsilon: expected a finite number > 0, got {epsilon}")
     try:
-        fold = fold_trial_log(trials_path, lambda chunks: LogFold.over(chunks, DEFAULT_CHECKPOINT_STRIDE))
+        fold = _fold_blocks(trials_path, lambda chunks: LogFold.over(chunks, DEFAULT_CHECKPOINT_STRIDE))
     except OSError as exc:
         raise ConfigError(f"cannot read trial log: {exc}") from None
     except TrialLogFormatError as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
@@ -875,14 +874,23 @@ class TrialLogWriter:
     """A binary file open for writing, with the row-codec workspace that every
     TrialLog written to it goes through.
 
-    write_trial_log(chunk, writer) for each chunk of a run, in order, writes
-    the bytes of the whole log, and no chunk after the first allocates its
-    own encoding temporaries.
+    write(chunk) for each chunk of a run, in order, writes the bytes of the
+    whole log, and no chunk after the first allocates its own encoding
+    temporaries. Rows are numbered from a chunk's first index, and the header
+    comes only with row 0.
     """
 
-    def __init__(self, file):
+    def __init__(self, file, rows: int = _CHUNK_ROWS):
         self.file = file
-        self.codec = _RowCodec(_CHUNK_ROWS)
+        self._codec = _RowCodec(rows)
+
+    def write(self, log: TrialLog) -> None:
+        _check_columns(log)
+        if log.first_index == 0:
+            self.file.write(_HEADER_LINE)
+        for chunk in log.chunks():
+            if len(chunk):
+                self.file.write(self._codec.encode(chunk))
 
 
 def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> None:
@@ -893,20 +901,15 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
     trailing whitespace. A model tag holding ',', a line break or NUL is
     refused with ValueError, as no reader could take it back.
 
-    A TrialLog may also go to a binary file open for writing, or to a
-    TrialLogWriter. Rows are numbered from its first index, and the header
-    comes only with row 0, so the chunks of run_chunks written in order into
-    one file give the bytes of the whole log.
+    A TrialLog may also go to a TrialLogWriter, as TrialLogWriter.write(trials).
     """
     if isinstance(trials, TrialLog):
-        _check_columns(trials)
         if isinstance(path, TrialLogWriter):
-            _write_rows(trials, path.file, path.codec)
-        elif isinstance(path, (str, os.PathLike)):
-            with open(path, "wb") as out:
-                _write_rows(trials, out, _RowCodec(min(len(trials), _CHUNK_ROWS)))
-        else:
-            _write_rows(trials, path, _RowCodec(min(len(trials), _CHUNK_ROWS)))
+            path.write(trials)
+            return
+        _check_columns(trials)  # before the file is made
+        with open(path, "wb") as out:
+            TrialLogWriter(out, min(len(trials), _CHUNK_ROWS)).write(trials)
         return
     lines = [TRIAL_LOG_HEADER]
     for rec in trials:
@@ -917,14 +920,6 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
         )
     lines.append("")  # final newline
     Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
-
-
-def _write_rows(log: TrialLog, out, codec: _RowCodec) -> None:
-    if log.first_index == 0:
-        out.write(_HEADER_LINE)
-    for chunk in log.chunks():
-        if len(chunk):
-            out.write(codec.encode(chunk))
 
 
 class TrialLogFormatError(ValueError):
@@ -939,18 +934,22 @@ _T = TypeVar("_T")
 
 
 def fold_trial_log(path, fold: Callable[[Iterator[TrialLog]], _T]) -> _T:
-    """fold(chunks) over the log's chunks, in index order.
+    """fold(chunks) over the log's chunks, in index order, each with its own arrays.
 
     A log exactly as write_trial_log would write it streams in fixed blocks
     (1 MiB), each parsed column-wise into one chunk, so the file is never
-    held whole. The chunks of a block share the reader's arrays: each holds
-    only until the next one is drawn. If some block turns out not to be
-    canonical, that call of fold is abandoned and fold runs again on the
-    whole file as one chunk, parsed by the line scanner, which validates the
-    schema line by line and names the first bad line. fold must not catch
-    the exception that abandons it. A pipe can be read only once, so it is
-    held whole.
+    held whole. If some block turns out not to be canonical, that call of
+    fold is abandoned and fold runs again on the whole file as one chunk,
+    parsed by the line scanner, which validates the schema line by line and
+    names the first bad line. fold must not catch the exception that
+    abandons it. A pipe can be read only once, so it is held whole.
     """
+    return _fold_blocks(path, lambda chunks: fold(map(_copy, chunks)))
+
+
+def _fold_blocks(path, fold: Callable[[Iterator[TrialLog]], _T]) -> _T:
+    """fold_trial_log, with the chunks of canonical blocks as views of the
+    reader's arrays: each holds only until the next one is drawn."""
     with open(path, "rb") as f:
         source = f if f.seekable() else io.BytesIO(f.read())
         try:
@@ -966,20 +965,20 @@ def read_trial_log(path) -> TrialLog:
     return fold_trial_log(path, _concatenate)
 
 
+def _copy(log: TrialLog) -> TrialLog:
+    return TrialLog(
+        log.pair_codes.copy(),
+        log.s_first.copy(),
+        log.s_second.copy(),
+        None if log.lambda_ids is None else log.lambda_ids.copy(),
+        log.model_tag,
+        first_index=log.first_index,
+    )
+
+
 def _concatenate(chunks: Iterator[TrialLog]) -> TrialLog:
-    """The chunks as one log. Each chunk is copied as it comes, since the
-    block reader parses the next one into the same arrays."""
-    parts = [
-        TrialLog(
-            c.pair_codes.copy(),
-            c.s_first.copy(),
-            c.s_second.copy(),
-            None if c.lambda_ids is None else c.lambda_ids.copy(),
-            c.model_tag,
-            first_index=c.first_index,
-        )
-        for c in chunks
-    ]
+    """The chunks as one log."""
+    parts = list(chunks)
     if len(parts) == 1:
         return parts[0]
     lambdas = None if parts[0].lambda_ids is None else np.concatenate([p.lambda_ids for p in parts])

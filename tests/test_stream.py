@@ -25,6 +25,7 @@ from lglab.experiment import (
     _CHUNK_ROWS,
     TrialLog,
     TrialLogFormatError,
+    fold_trial_log,
     read_trial_log,
     run_chunks,
     run_experiment,
@@ -168,6 +169,23 @@ def test_analyze_output_does_not_depend_on_the_block_size(tmp_path, capsys):
     ):
         assert _analyze(capsys, trials) == expected
         assert read_trial_log(trials) == log
+
+
+@pytest.mark.parametrize("block", [4096, experiment._READ_BLOCK])
+def test_chunks_that_a_fold_keeps_stay_as_read(table_run, block):
+    # the block reader parses every block into the same arrays; a chunk that
+    # fold_trial_log hands out must not change when the next one is parsed
+    trials, log = table_run
+    with mock.patch.object(experiment, "_READ_BLOCK", block), mock.patch.object(
+        experiment, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
+    ):
+        chunks = fold_trial_log(trials, list)
+    assert len(chunks) > 1
+    first = 0
+    for chunk in chunks:
+        assert chunk == experiment._rows(log, first, first + len(chunk))
+        first += len(chunk)
+    assert first == len(log)
 
 
 MUTATIONS = {

@@ -362,7 +362,7 @@ def test_chunks_through_one_workspace_match_the_record_oracle(codec_dir, kind, s
     out = io.BytesIO()
     writer = TrialLogWriter(out)
     for chunk in chunks:
-        write_trial_log(chunk, writer)
+        writer.write(chunk)
     oracle = codec_dir / "oracle.csv"
     write_trial_log([rec for chunk in chunks for rec in chunk], oracle)
     expected = oracle.read_bytes()
