@@ -280,7 +280,9 @@ class StabilizationReport:
                     "final_mean": p.final_mean,
                     "n_star": p.n_star,
                     "stabilized": p.stabilized,
-                    "checkpoints": [[int(n), m] for n, m in p.checkpoints],
+                    # the (count, mean) tuples themselves: JSON writes a tuple
+                    # as an array, and a long run has many checkpoints
+                    "checkpoints": p.checkpoints,
                 }
                 for p in self.pairs
             },
@@ -337,17 +339,21 @@ class LogFold:
         outcomes-agree flags in this chunk; returns its (n_diff, n_same)."""
         stride = self.checkpoint_stride
         n_before, agree_before = sum(self.counts[code]), self.counts[code][1]
-        running = np.cumsum(pair_same, dtype=np.int64)
+        n_same = int(np.count_nonzero(pair_same))
         # where the pair's stride multiples fall in this chunk
-        at = np.arange(stride - 1 - n_before % stride, len(running), stride)
+        at = np.arange(stride - 1 - n_before % stride, len(pair_same), stride)
         if len(at):
+            # agreements up to each checkpoint: the sums of the segments that
+            # end at the checkpoints, then a cumsum over one sum per checkpoint
+            starts = at - (stride - 1)
+            starts[0] = 0
+            running = np.add.reduceat(pair_same[: at[-1] + 1], starts, dtype=np.int64).cumsum()
             counts, means = self._marks[code]
             counts.append(at + (n_before + 1))
             # the running product sum after k samples is 2 * (agreements so far) - k,
             # an exact integer, so the division matches a float cumsum's bit for bit
-            means.append((2 * (running[at] + agree_before) - counts[-1]) / counts[-1])
-        n_same = int(running[-1]) if len(running) else 0
-        return len(running) - n_same, n_same
+            means.append((2 * (running + agree_before) - counts[-1]) / counts[-1])
+        return len(pair_same) - n_same, n_same
 
     def estimates(self) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
         return estimates_from_counts(self.counts)

@@ -47,7 +47,7 @@ from .experiment import (
     write_trial_log,
 )
 from .hidden_vars import RotorModel, TableModel, _is_finite, _is_real, conspiracy_from_quantum
-from .jsonutil import dumps_stable
+from .jsonutil import dump_stable, dumps_stable
 from .quantum import Direction, sequential_correlation_exact
 from .rng import MASK64
 
@@ -303,7 +303,8 @@ def cmd_run(config_path, report_path, trials_path) -> int:
     }
     report.update(_analysis_sections(fold, config.significance, config.epsilon))
     try:
-        Path(report_path).write_text(dumps_stable(report), encoding="utf-8", newline="\n")
+        with open(report_path, "w", encoding="utf-8", newline="\n") as out:
+            dump_stable(report, out)
     except OSError as exc:
         raise ConfigError(f"cannot write --report file: {exc}") from None
     lhs = report["lg_report"]["lhs"]
@@ -386,13 +387,17 @@ def cmd_optimize(grid_step: float, tolerance: float) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(trials_path, significance: float, epsilon: float) -> int:
+def cmd_analyze(
+    trials_path, significance: float, epsilon: float, checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE
+) -> int:
     if not math.isfinite(significance):
         raise ConfigError(f"--significance: expected a finite number, got {significance}")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"--epsilon: expected a finite number > 0, got {epsilon}")
+    if checkpoint_stride < 1:
+        raise ConfigError(f"--checkpoint-stride: expected an integer >= 1, got {checkpoint_stride}")
     try:
-        fold = _fold_blocks(trials_path, lambda chunks: LogFold.over(chunks, DEFAULT_CHECKPOINT_STRIDE))
+        fold = _fold_blocks(trials_path, lambda chunks: LogFold.over(chunks, checkpoint_stride))
     except OSError as exc:
         raise ConfigError(f"cannot read trial log: {exc}") from None
     except TrialLogFormatError as exc:
@@ -402,7 +407,7 @@ def cmd_analyze(trials_path, significance: float, epsilon: float) -> int:
         out.update(_analysis_sections(fold, significance, epsilon))
     except AnalysisError as exc:
         raise ConfigError(str(exc)) from None
-    sys.stdout.write(dumps_stable(out))
+    dump_stable(out, sys.stdout)
     return EXIT_OK
 
 
@@ -446,6 +451,12 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--trials", required=True, help="CSV trial log path")
     p_an.add_argument("--significance", type=float, default=DEFAULT_SIGNIFICANCE, help="z threshold for violation")
     p_an.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="stabilization tolerance")
+    p_an.add_argument(
+        "--checkpoint-stride",
+        type=int,
+        default=DEFAULT_CHECKPOINT_STRIDE,
+        help="stabilization checkpoint every this many trials of a pair (the run config's checkpoint_stride)",
+    )
     return parser
 
 
@@ -462,7 +473,7 @@ def main(argv=None) -> int:
         if args.command == "optimize":
             return cmd_optimize(args.grid_step, args.tol)
         if args.command == "analyze":
-            return cmd_analyze(args.trials, args.significance, args.epsilon)
+            return cmd_analyze(args.trials, args.significance, args.epsilon, args.checkpoint_stride)
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

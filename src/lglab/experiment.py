@@ -16,6 +16,7 @@ the estimators and writes one chunk at a time; run_experiment collects it.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -28,9 +29,11 @@ from .hidden_vars import PAIR_ORDER, ConspiracyModel, PairChoice, ResponseModel,
 from .quantum import Direction, PolarizationState, reduce_direction_angle, run_quantum_trial
 from .rng import (
     SeededGenerator,
-    derive_states,
+    StateBuffer,
     derive_trial_generator,
+    draw_integers,
     step_states,
+    thresholds,
     uniforms,
 )
 
@@ -153,26 +156,55 @@ class QuantumWorld:
 
         The lane-wise form of run_quantum_trial: every per-pair constant is a
         table indexed by pair code, so each lane reads exactly the values the
-        scalar path computes for its pair.
+        scalar path computes for its pair, and a fixed probability p is drawn
+        as the exact integer comparison of its thresholds() value.
         """
-        directions = [binding.directions_for(pair) for pair in PAIR_ORDER]
-        # p2[2*code + o1]: the second measurement's threshold after the
-        # first outcome collapsed the photon onto its axis (o1) or across it
-        p2 = []
-        for first, second in directions:
-            for post in (first.angle + math.pi / 2.0, first.angle):
-                p2.append(float(np.cos(reduce_direction_angle(post) - second.angle)) ** 2)
+        first_angle, p1_limits, p2_limits = _quantum_tables(binding, self.initial_angle)
         if self.policy == "fresh_uniform":
-            initial = uniforms(states) * np.pi
-            # mirror the scalar state reduction at the fp seam
-            initial[initial >= np.pi] = 0.0
-            first_angle = np.array([first.angle for first, _ in directions])
-            p1 = np.cos(initial - first_angle[codes]) ** 2
+            # p1 > u, not u < p1: the initial angle is drawn before u, as in
+            # the scalar path, and no array of the expression outlives it
+            o1 = _fresh_p1(uniforms(states), first_angle.take(codes)) > uniforms(states)
         else:
-            p1 = np.array([float(np.cos(self.initial_angle - first.angle)) ** 2 for first, _ in directions])[codes]
-        o1 = uniforms(states) < p1
-        o2 = uniforms(states) < np.array(p2)[codes * 2 + o1]
+            o1 = draw_integers(states) < p1_limits.take(codes)
+        at = np.multiply(codes, 2, dtype=np.intp)
+        at += o1
+        o2 = draw_integers(states) < p2_limits.take(at)
         return signs(o1), signs(o2), None
+
+
+def _fresh_p1(initial: np.ndarray, first_angle) -> np.ndarray:
+    """cos^2(initial * pi - first_angle) in initial's buffer: the first
+    outcome's probability for the uniforms that draw the initial states."""
+    initial *= np.pi
+    # mirror the scalar state reduction at the fp seam
+    initial[initial >= np.pi] = 0.0
+    initial -= first_angle
+    np.cos(initial, out=initial)
+    initial **= 2
+    return initial
+
+
+@functools.lru_cache(maxsize=16)
+def _quantum_tables(binding: SlotBinding, initial_angle: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A run's quantum lane tables, formed once per binding rather than per chunk.
+
+    (first-slot angle by pair code, threshold of the first outcome from the
+    fixed initial_angle by code, threshold of the second outcome at
+    2 * code + o1): after the first outcome the photon lies along the first
+    direction (o1 = 1) or across it (o1 = 0). The arrays are read-only.
+    """
+    directions = [binding.directions_for(pair) for pair in PAIR_ORDER]
+    first_angle = np.array([first.angle for first, _ in directions])
+    p1 = [float(np.cos(initial_angle - first.angle)) ** 2 for first, _ in directions]
+    p2 = [
+        float(np.cos(reduce_direction_angle(post) - second.angle)) ** 2
+        for first, second in directions
+        for post in (first.angle + math.pi / 2.0, first.angle)
+    ]
+    tables = (first_angle, thresholds(p1), thresholds(p2))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 World = Union[QuantumWorld, ResponseModel, ConspiracyModel]
@@ -367,11 +399,19 @@ def _shards(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:
 
 def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed: int, n_shards: int):
     lambda_dtype = None
+    # the lanes' states and intp pair codes live in buffers the stream
+    # reuses: per-chunk arrays of this size would be faulted in again after
+    # glibc trims the heap between chunks
+    lanes = StateBuffer(master_seed, min(n_trials, _CHUNK_ROWS))
+    lane_codes = np.empty(min(n_trials, _CHUNK_ROWS), dtype=np.intp)
     for lo, hi in _shards(n_trials, n_shards):
         for start in range(lo, hi, _CHUNK_ROWS):
-            states = derive_states(master_seed, np.arange(start, min(start + _CHUNK_ROWS, hi), dtype=np.uint64))
+            states = lanes.derive(start, min(_CHUNK_ROWS, hi - start))
             codes = _select_pairs_batch(states)
-            s_first, s_second, lambda_ids = world.sample_lanes(binding, codes, states)
+            # the kernels' per-pair lookups are take()s, which cast uint8 codes on every call
+            kernel_codes = lane_codes[: len(codes)]
+            np.copyto(kernel_codes, codes)
+            s_first, s_second, lambda_ids = world.sample_lanes(binding, kernel_codes, states)
             if lambda_ids is not None:
                 if lambda_dtype is None:
                     lambda_dtype = lambda_ids.dtype

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .rng import SeededGenerator, UnitUniformSource, uniforms
+from .rng import SeededGenerator, UnitUniformSource, draw_integers, thresholds, uniforms
 
 # lambda identifiers: a row index for discrete models, an angle for continuous ones
 HiddenVariable = Union[int, float]
@@ -80,6 +80,27 @@ _FIRST_SLOT = np.array([p.slots[0].value for p in PAIR_ORDER], dtype=np.int64)
 _SECOND_SLOT = np.array([p.slots[1].value for p in PAIR_ORDER], dtype=np.int64)
 _OTHER_SLOT = 3 - _FIRST_SLOT - _SECOND_SLOT
 
+# draw_integers threshold of a fair sign: k / 2^53 < 0.5
+_HALF = thresholds(0.5)
+
+# The strategy index a conspiracy trial reports, by pair code and the signs
+# of its first, second and left-out slot: bit i of lambda is slot Ti's sign.
+_STRATEGY = np.array(
+    [
+        (f << _FIRST_SLOT[c]) | (s << _SECOND_SLOT[c]) | (o << _OTHER_SLOT[c])
+        for c in range(3)
+        for f in (0, 1)
+        for s in (0, 1)
+        for o in (0, 1)
+    ],
+    dtype=np.int64,
+)
+
+# Up to this many row bounds, a table's lane kernel counts the bounds below
+# each draw by comparisons (about 1.5 ms per 4e6 lanes each); beyond it, by
+# searchsorted (about 45 ms per 4e6 lanes for one bound, growing slowly).
+_ROW_SCAN_MAX = 24
+
 
 def _is_real(value) -> bool:
     """True for int, float and numpy real scalars; False for booleans and non-numbers."""
@@ -133,7 +154,9 @@ class ResponseModel(ABC):
 
         codes holds each lane's pair code (an index into PAIR_ORDER), or one
         code for every lane; states holds each lane's generator state and is
-        advanced in place by the draws the lane consumes. binding is the
+        advanced in place by the draws the lane consumes. The engine passes
+        both in buffers it reuses for the next chunk, so the returned arrays
+        must not be views of them. binding is the
         run's SlotBinding, which response models do not need: they carry
         their own directions. The lambda array's dtype is the column's dtype
         in the trial log.
@@ -185,8 +208,13 @@ class TableModel(ResponseModel):
         self.rows = list(zip(weights, triples))
         self._weights = np.array(weights, dtype=np.float64)
         self._responses = np.array(triples, dtype=np.int8)
-        self._flat_responses = self._responses.ravel()
         self._cum = np.cumsum(self._weights)
+        # the lane kernel's row bounds: k reaches row j + 1 once u >= cum[j];
+        # the last bound is left out, which is the clip of sample_lambda
+        self._row_limits = thresholds(self._cum[:-1])
+        # each row's first and second outcome by pair code, at 3 * row + code
+        self._first_by_row = self._responses[:, _FIRST_SLOT].ravel()
+        self._second_by_row = self._responses[:, _SECOND_SLOT].ravel()
 
     def sample_lambda(self, rand: UnitUniformSource) -> int:
         u = rand.next_uniform()
@@ -197,12 +225,19 @@ class TableModel(ResponseModel):
         return int(self._responses[int(lam), slot.value])
 
     def sample_lanes(self, binding, codes, states: np.ndarray):
-        u = uniforms(states)
-        lam = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.rows) - 1)
-        row = lam * 3
-        s_first = self._flat_responses[row + _FIRST_SLOT[codes]]
-        s_second = self._flat_responses[row + _SECOND_SLOT[codes]]
-        return s_first, s_second, lam.astype(np.int64, copy=False)
+        # cum[j] <= u exactly when row_limits[j] <= k, so lam counts the rows
+        # searchsorted counts in sample_lambda; comparing with each bound is
+        # the quicker count while the bounds are few
+        k = draw_integers(states)
+        if len(self._row_limits) > _ROW_SCAN_MAX:
+            lam = np.searchsorted(self._row_limits, k, side="right").astype(np.int64, copy=False)
+        else:
+            lam = np.zeros_like(k, dtype=np.int64)
+            for limit in self._row_limits:
+                lam += k >= limit
+        at = lam * 3
+        at += codes
+        return self._first_by_row.take(at), self._second_by_row.take(at), lam
 
 
 class RotorModel(ResponseModel):
@@ -231,9 +266,40 @@ class RotorModel(ResponseModel):
 
     def sample_lanes(self, binding, codes, states: np.ndarray):
         lam = uniforms(states) * np.pi
-        s_first = signs(np.cos(2.0 * (lam - self._first_angle[codes])) >= 0.0)
-        s_second = signs(np.cos(2.0 * (lam - self._second_angle[codes])) >= 0.0)
+        s_first = signs(_cos_nonnegative(lam, self._first_angle.take(codes)))
+        s_second = signs(_cos_nonnegative(lam, self._second_angle.take(codes)))
         return s_first, s_second, lam
+
+
+def _cos_edge(y: float, outward: float) -> float:
+    """The float nearest the zero of cos beside y, toward outward, at which
+    np.cos is still >= 0; cos must turn negative going outward from there."""
+    inward = -outward
+    while np.cos(y) < 0.0:
+        y = float(np.nextafter(y, inward))
+    while np.cos(np.nextafter(y, outward)) >= 0.0:
+        y = float(np.nextafter(y, outward))
+    return y
+
+
+# On (-2pi, 2pi], np.cos(y) >= 0 exactly on [-pi/2, pi/2] and outside
+# (-3pi/2, 3pi/2), with the float edges np.cos itself draws: stepping from
+# the nearest floats finds them, so the test below agrees with
+# RotorModel.respond on every float, edges included.
+_COS_INNER = (_cos_edge(-math.pi / 2, -math.inf), _cos_edge(math.pi / 2, math.inf))
+_COS_OUTER = (_cos_edge(-1.5 * math.pi, math.inf), _cos_edge(1.5 * math.pi, -math.inf))
+
+
+def _cos_nonnegative(lam: np.ndarray, theta) -> np.ndarray:
+    """np.cos(2 * (lam - theta)) >= 0 for lam in [0, pi] and theta in [0, pi),
+    from the float edges of np.cos's sign, without evaluating a cosine."""
+    y = lam - theta
+    y *= 2.0
+    inner = y >= _COS_INNER[0]
+    inner &= y <= _COS_INNER[1]
+    inner |= y <= _COS_OUTER[0]
+    inner |= y >= _COS_OUTER[1]
+    return inner
 
 
 @dataclass(frozen=True)
@@ -263,7 +329,8 @@ class ConspiracyModel:
             raise ValueError(f"strength must lie in [0, 1], got {self.strength}")
         # the lane kernel's match probabilities, by pair code
         p_same = [(1.0 + self.target_means[p.slots]) / 2.0 for p in PAIR_ORDER]
-        object.__setattr__(self, "_p_same_by_code", np.array(p_same))
+        object.__setattr__(self, "_same_limits", thresholds(p_same))
+        object.__setattr__(self, "_strength_limit", thresholds(self.strength))
 
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int:
         lam = int(lam)
@@ -294,16 +361,25 @@ class ConspiracyModel:
 
     def sample_lanes(self, binding, codes, states: np.ndarray):
         """sample_pair on every lane at once, lane k on pair code codes[k]."""
-        conditioned = uniforms(states) < self.strength
-        first_plus = uniforms(states) < 0.5
-        u2 = uniforms(states)
+        conditioned = draw_integers(states) < self._strength_limit
+        first_plus = draw_integers(states) < _HALF
+        k2 = draw_integers(states)
+        fair = k2 < _HALF
         # a conditioned second outcome matches the first iff u2 < p_same
-        second_plus = np.where(conditioned, (u2 < self._p_same_by_code[codes]) == first_plus, u2 < 0.5)
-        other_plus = uniforms(states) < 0.5
-        lam = first_plus.astype(np.int64) << _FIRST_SLOT[codes]
-        lam |= second_plus.astype(np.int64) << _SECOND_SLOT[codes]
-        lam |= other_plus.astype(np.int64) << _OTHER_SLOT[codes]
-        return signs(first_plus), signs(second_plus), lam
+        matched = (k2 < self._same_limits.take(codes)) == first_plus
+        # second_plus = np.where(conditioned, matched, fair), done bitwise
+        # because np.where on booleans is some 20 times slower
+        matched ^= fair
+        matched &= conditioned
+        second_plus = fair ^ matched
+        other_plus = draw_integers(states) < _HALF
+        # lam = _STRATEGY[8 * code + 4 * first_plus + 2 * second_plus + other_plus]
+        key = first_plus.view(np.uint8) * np.uint8(4)
+        key += second_plus.view(np.uint8) * np.uint8(2)
+        key += other_plus.view(np.uint8)
+        at = np.multiply(codes, 8, dtype=np.intp)
+        at += key
+        return signs(first_plus), signs(second_plus), _STRATEGY.take(at)
 
     def sample_pair_batch(self, pair: Union[PairChoice, SlotPair], states: np.ndarray):
         """sample_lanes with every lane on the same pair."""

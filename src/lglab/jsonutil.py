@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Callable, Optional, TextIO
 
 import numpy as np
 
@@ -28,12 +28,30 @@ def format_float(x: float) -> str:
 def dumps_stable(obj: Any, indent: int = 2) -> str:
     """Serialize to JSON with pinned float formatting and field order."""
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, indent, 0, None)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
+# dump_stable writes its pending pieces once a list holds this many
+_FLUSH_PIECES = 4096
+
+
+def dump_stable(obj: Any, file: TextIO, indent: int = 2) -> None:
+    """Write dumps_stable(obj) to a text file, a bounded run of pieces at a time,
+    so that a report with many checkpoints is never held whole as text."""
+    out: list[str] = []
+
+    def flush() -> None:
+        file.write("".join(out))
+        out.clear()
+
+    _emit(obj, out, indent, 0, flush)
+    out.append("\n")
+    flush()
+
+
+def _emit(obj: Any, out: list[str], indent: int, level: int, flush: Optional[Callable[[], None]]) -> None:
     pad = " " * (indent * (level + 1))
     close_pad = " " * (indent * level)
     if obj is None:
@@ -55,19 +73,21 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{pad}{json.dumps(key, ensure_ascii=False)}: ")
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, indent, level + 1, flush)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(f"{close_pad}}}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+        if not len(obj):
             out.append("[]")
             return
         out.append("[\n")
-        for k, value in enumerate(seq):
+        last = len(obj) - 1
+        for k, value in enumerate(obj):
             out.append(pad)
-            _emit(value, out, indent, level + 1)
-            out.append(",\n" if k < len(seq) - 1 else "\n")
+            _emit(value, out, indent, level + 1, flush)
+            out.append(",\n" if k < last else "\n")
+            if flush is not None and len(out) >= _FLUSH_PIECES:
+                flush()
         out.append(f"{close_pad}]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")

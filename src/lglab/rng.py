@@ -100,14 +100,40 @@ _U64_MIX2 = np.uint64(MIX_MULT_2)
 
 def derive_states(master_seed: int, indexes: np.ndarray) -> np.ndarray:
     """Vectorized derive_trial_generator: one uint64 state per index."""
-    idx = np.asarray(indexes, dtype=np.uint64)
-    z = np.uint64(master_seed) + idx * _U64_GOLDEN
-    z ^= z >> np.uint64(30)
-    z *= _U64_MIX1
-    z ^= z >> np.uint64(27)
-    z *= _U64_MIX2
-    z ^= z >> np.uint64(31)
+    z = np.asarray(np.uint64(master_seed) + np.asarray(indexes, dtype=np.uint64) * _U64_GOLDEN)
+    return _mix_lanes(z, np.empty_like(z))[()]  # [()]: a scalar for a scalar index
+
+
+def _mix_lanes(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """mix64 on every lane of z, in place; scratch is a same-sized buffer."""
+    for shift, mult in ((30, _U64_MIX1), (27, _U64_MIX2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
     return z
+
+
+class StateBuffer:
+    """derive_states for consecutive index ranges of one run, into one reused buffer.
+
+    The lane offsets i * STREAM_GOLDEN are formed once, so each range costs
+    one add and the in-place finalizer, and no range allocates.
+    """
+
+    def __init__(self, master_seed: int, rows: int):
+        self.master_seed = master_seed
+        self._offsets = np.arange(rows, dtype=np.uint64) * _U64_GOLDEN
+        self._states = np.empty(rows, dtype=np.uint64)
+        self._scratch = np.empty(rows, dtype=np.uint64)
+
+    def derive(self, start: int, n: int) -> np.ndarray:
+        """derive_states(master_seed, range(start, start + n)), n at most the
+        buffer's rows, as a view that the next call overwrites."""
+        base = np.uint64((self.master_seed + start * STREAM_GOLDEN) & MASK64)
+        states = np.add(self._offsets[:n], base, out=self._states[:n])
+        return _mix_lanes(states, self._scratch[:n])
 
 
 def step_states(states: np.ndarray) -> np.ndarray:
@@ -119,5 +145,27 @@ def step_states(states: np.ndarray) -> np.ndarray:
 
 def uniforms(states: np.ndarray) -> np.ndarray:
     """Advance every lane one step and return its unit uniform."""
+    u = draw_integers(states).astype(np.float64)
+    u /= _TWO53
+    return u
+
+
+def draw_integers(states: np.ndarray) -> np.ndarray:
+    """Advance every lane one step and return k, the top 53 bits of its new
+    state: the lane's unit uniform is k / 2^53."""
     step_states(states)
-    return (states >> np.uint64(11)).astype(np.float64) / _TWO53
+    return states >> np.uint64(11)
+
+
+def thresholds(p) -> np.ndarray:
+    """For each probability p, the integer t with k < t exactly when k / 2^53 < p.
+
+    p * 2^53 is exact (a power-of-two scaling, subnormals included), and an
+    integer k is below a real x exactly when it is below ceil(x), so
+    t = ceil(p * 2^53), within [0, 2^53]: 2^53 (p at least 1) admits every
+    k, 0 (p at most 0, or NaN) none. A draw u < p is then the uint64
+    comparison draw_integers(states) < t, with no float work per lane.
+    """
+    # clipping p to [0, 1] first (fmax maps NaN to 0) keeps the product finite
+    p = np.fmin(np.fmax(np.asarray(p, dtype=np.float64), 0.0), 1.0)
+    return np.ceil(p * _TWO53).astype(np.uint64)

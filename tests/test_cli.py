@@ -168,11 +168,16 @@ def test_conspiracy_run_violates(tmp_path):
 # -- analyze ----------------------------------------------------------------------
 
 
-def test_analyze_reproduces_run_report_sections(tmp_path, capsys):
-    path = write_config(tmp_path)
+@pytest.mark.parametrize("stride", [None, 500, 7])
+def test_analyze_reproduces_run_report_sections(tmp_path, capsys, stride):
+    # a run's checkpoint_stride is what analyze's --checkpoint-stride takes
+    overrides, flags = {}, []
+    if stride is not None:
+        overrides, flags = {"checkpoint_stride": stride}, ["--checkpoint-stride", str(stride)]
+    path = write_config(tmp_path, **overrides)
     _, report_path, trials_path = run_cli(tmp_path, path)
     capsys.readouterr()  # drop the run command's summary lines
-    code = main(["analyze", "--trials", str(trials_path)])
+    code = main(["analyze", "--trials", str(trials_path)] + flags)
     assert code == EXIT_OK
     analyzed = json.loads(capsys.readouterr().out)
     run_report = json.loads(report_path.read_text())
@@ -257,6 +262,16 @@ def test_analyze_bad_epsilon_exits_1(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--epsilon" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "2.5", "1e3", "x"])
+def test_analyze_bad_checkpoint_stride_exits_1_naming_the_flag(tmp_path, capsys, value):
+    path = _handwritten_log(tmp_path)
+    code = main(["analyze", "--trials", str(path), "--checkpoint-stride", value])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--checkpoint-stride" in captured.err
 
 
 # -- exact / bound / optimize -------------------------------------------------------
