@@ -16,7 +16,6 @@ the estimators and writes one chunk at a time; run_experiment collects it.
 """
 from __future__ import annotations
 
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -184,14 +183,13 @@ def _fresh_p1(initial: np.ndarray, first_angle) -> np.ndarray:
     return initial
 
 
-@functools.lru_cache(maxsize=16)
 def _quantum_tables(binding: SlotBinding, initial_angle: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A run's quantum lane tables, formed once per binding rather than per chunk.
+    """A run's quantum lane tables.
 
     (first-slot angle by pair code, threshold of the first outcome from the
     fixed initial_angle by code, threshold of the second outcome at
     2 * code + o1): after the first outcome the photon lies along the first
-    direction (o1 = 1) or across it (o1 = 0). The arrays are read-only.
+    direction (o1 = 1) or across it (o1 = 0).
     """
     directions = [binding.directions_for(pair) for pair in PAIR_ORDER]
     first_angle = np.array([first.angle for first, _ in directions])
@@ -201,10 +199,7 @@ def _quantum_tables(binding: SlotBinding, initial_angle: float) -> tuple[np.ndar
         for first, second in directions
         for post in (first.angle + math.pi / 2.0, first.angle)
     ]
-    tables = (first_angle, thresholds(p1), thresholds(p2))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return first_angle, thresholds(p1), thresholds(p2)
 
 
 World = Union[QuantumWorld, ResponseModel, ConspiracyModel]

@@ -96,12 +96,6 @@ _STRATEGY = np.array(
     dtype=np.int64,
 )
 
-# Up to this many row bounds, a table's lane kernel counts the bounds below
-# each draw by comparisons (about 1.5 ms per 4e6 lanes each); beyond it, by
-# searchsorted (about 45 ms per 4e6 lanes for one bound, growing slowly).
-_ROW_SCAN_MAX = 24
-
-
 def _is_real(value) -> bool:
     """True for int, float and numpy real scalars; False for booleans and non-numbers."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -226,15 +220,11 @@ class TableModel(ResponseModel):
 
     def sample_lanes(self, binding, codes, states: np.ndarray):
         # cum[j] <= u exactly when row_limits[j] <= k, so lam counts the rows
-        # searchsorted counts in sample_lambda; comparing with each bound is
-        # the quicker count while the bounds are few
+        # searchsorted counts in sample_lambda, one comparison per row bound
         k = draw_integers(states)
-        if len(self._row_limits) > _ROW_SCAN_MAX:
-            lam = np.searchsorted(self._row_limits, k, side="right").astype(np.int64, copy=False)
-        else:
-            lam = np.zeros_like(k, dtype=np.int64)
-            for limit in self._row_limits:
-                lam += k >= limit
+        lam = np.zeros_like(k, dtype=np.int64)
+        for limit in self._row_limits:
+            lam += k >= limit
         at = lam * 3
         at += codes
         return self._first_by_row.take(at), self._second_by_row.take(at), lam

@@ -7,9 +7,10 @@ which json.loads accepts back.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
-from typing import Any, Callable, Optional, TextIO
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -27,10 +28,9 @@ def format_float(x: float) -> str:
 
 def dumps_stable(obj: Any, indent: int = 2) -> str:
     """Serialize to JSON with pinned float formatting and field order."""
-    out: list[str] = []
-    _emit(obj, out, indent, 0, None)
-    out.append("\n")
-    return "".join(out)
+    buf = io.StringIO()
+    dump_stable(obj, buf, indent)
+    return buf.getvalue()
 
 
 # dump_stable writes its pending pieces once a list holds this many
@@ -38,8 +38,8 @@ _FLUSH_PIECES = 4096
 
 
 def dump_stable(obj: Any, file: TextIO, indent: int = 2) -> None:
-    """Write dumps_stable(obj) to a text file, a bounded run of pieces at a time,
-    so that a report with many checkpoints is never held whole as text."""
+    """Write the JSON text of obj to a text file, a bounded run of pieces at a
+    time, so that a report with many checkpoints is never held whole as text."""
     out: list[str] = []
 
     def flush() -> None:
@@ -51,7 +51,7 @@ def dump_stable(obj: Any, file: TextIO, indent: int = 2) -> None:
     flush()
 
 
-def _emit(obj: Any, out: list[str], indent: int, level: int, flush: Optional[Callable[[], None]]) -> None:
+def _emit(obj: Any, out: list[str], indent: int, level: int, flush: Callable[[], None]) -> None:
     pad = " " * (indent * (level + 1))
     close_pad = " " * (indent * level)
     if obj is None:
@@ -86,7 +86,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int, flush: Optional[Cal
             out.append(pad)
             _emit(value, out, indent, level + 1, flush)
             out.append(",\n" if k < last else "\n")
-            if flush is not None and len(out) >= _FLUSH_PIECES:
+            if len(out) >= _FLUSH_PIECES:
                 flush()
         out.append(f"{close_pad}]")
     else:

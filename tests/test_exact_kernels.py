@@ -20,7 +20,6 @@ from lglab.experiment import PAIR_ORDER, QuantumWorld, SlotBinding, _quantum_tab
 from lglab.hidden_vars import (
     _COS_INNER,
     _COS_OUTER,
-    _ROW_SCAN_MAX,
     ConspiracyModel,
     RotorModel,
     _cos_nonnegative,
@@ -129,8 +128,7 @@ ROUNDING_TABLES = [
 
 @st.composite
 def table_rows(draw):
-    # n - 1 row bounds: the kernel counts up to _ROW_SCAN_MAX of them by comparisons, more by searchsorted
-    n = draw(st.integers(1, _ROW_SCAN_MAX + 8) | st.integers(_ROW_SCAN_MAX, _ROW_SCAN_MAX + 2))
+    n = draw(st.integers(1, 32))
     triples = draw(st.lists(st.sampled_from(ALL_TRIPLES), min_size=n, max_size=n))
     weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
     total = math.fsum(weights)
