@@ -21,24 +21,17 @@ from .analysis import (
 )
 from .experiment import (
     FreedomOfChoiceError,
-    PairChoice,
     QuantumWorld,
-    SeededGenerator,
     SlotBinding,
     SpacetimeEvent,
-    TrialLog,
-    TrialRecord,
-    derive_trial_generator,
-    fold_trial_log,
-    read_trial_log,
     run_chunks,
     run_experiment,
     select_pair,
     spacelike_separated,
-    write_trial_log,
 )
 from .hidden_vars import (
     ConspiracyModel,
+    PairChoice,
     ResponseModel,
     RotorModel,
     TableModel,
@@ -56,6 +49,8 @@ from .quantum import (
     run_quantum_trial,
     sequential_correlation_exact,
 )
+from .rng import SeededGenerator, derive_trial_generator
+from .triallog import TrialLog, TrialRecord, fold_trial_log, read_trial_log, write_trial_log
 
 __version__ = "0.1.0"
 

@@ -15,8 +15,9 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .experiment import PAIR_ORDER, PairChoice, TrialLog, TrialRecord
+from .hidden_vars import PAIR_ORDER, PairChoice
 from .rng import mix64
+from .triallog import TrialLog, TrialRecord
 
 DEFAULT_SIGNIFICANCE = 3.0
 DEFAULT_EPSILON = 0.01

@@ -38,18 +38,15 @@ from .experiment import (
     QuantumWorld,
     SlotBinding,
     SpacetimeEvent,
-    TrialLogFormatError,
-    TrialLogWriter,
     World,
-    _fold_blocks,
     run_chunks,
     spacelike_separated,
-    write_trial_log,
 )
 from .hidden_vars import RotorModel, TableModel, _is_finite, _is_real, conspiracy_from_quantum
 from .jsonutil import dump_stable, dumps_stable
 from .quantum import Direction, sequential_correlation_exact
 from .rng import MASK64
+from .triallog import TrialLogFormatError, TrialLogWriter, _fold_blocks, write_trial_log
 
 SCHEMA_VERSION = 1
 

@@ -31,6 +31,17 @@ def reduce_direction_angle(theta: float) -> float:
     return a
 
 
+def cos_squared(x: float) -> float:
+    """cos^2 x, squared by one correctly rounded product.
+
+    The one squaring of the scalar oracle and the lane kernels: Python's
+    x ** 2 is libm pow, which rounds some squares differently from x * x.
+    np.cos keeps the scalar path bit-identical to the vectorized engine.
+    """
+    c = float(np.cos(x))
+    return c * c
+
+
 @dataclass(frozen=True)
 class Direction:
     """A polarization direction: an angle in [0, pi), reduced on construction."""
@@ -65,8 +76,7 @@ def measure_polarization(
     the photon collapses onto the perpendicular direction. Consumes exactly
     one uniform; the outcome is +1 iff the draw is strictly below cos^2.
     """
-    # np.cos keeps the scalar path bit-identical to the vectorized engine.
-    p_plus = float(np.cos(state.angle - direction.angle)) ** 2
+    p_plus = cos_squared(state.angle - direction.angle)
     if rand.next_uniform() < p_plus:
         return 1, PolarizationState(direction.angle)
     return -1, PolarizationState(direction.angle + HALF_PI)

@@ -6,8 +6,8 @@ import pytest
 
 from lglab import cli
 from lglab.cli import EXIT_CONFIG, EXIT_FOC, EXIT_OK, load_run_config, main
-from lglab.experiment import TRIAL_LOG_HEADER
 from lglab.jsonutil import dumps_stable
+from lglab.triallog import TRIAL_LOG_HEADER
 
 MAGIC = 0.5235987755982988  # pi/6
 

@@ -25,9 +25,10 @@ from lglab import (
     run_experiment,
     stabilization,
 )
-from lglab.experiment import _CHUNK_ROWS, PAIR_ORDER, run_trial_scalar
-from lglab.hidden_vars import RotorModel, conspiracy_from_quantum
+from lglab.experiment import run_trial_scalar
+from lglab.hidden_vars import PAIR_ORDER, RotorModel, conspiracy_from_quantum
 from lglab.rng import MASK64
+from lglab.triallog import _CHUNK_ROWS
 
 GEOMETRY = (SpacetimeEvent(0.0, 0.0, 0.0, 0.0), SpacetimeEvent(0.0, 1.0, 0.0, 0.0))
 SEAM = math.nextafter(math.pi, 0.0)

@@ -11,20 +11,22 @@ a kernel that is off by one threshold step or one ULP fails it.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lglab import TableModel, TimeSlot, TrialLog, stabilization
 from lglab.analysis import LogFold
-from lglab.experiment import PAIR_ORDER, QuantumWorld, SlotBinding, _quantum_tables, run_quantum_trial
+from lglab.experiment import QuantumWorld, SlotBinding, _fresh_p1, _quantum_tables
 from lglab.hidden_vars import (
     _COS_INNER,
     _COS_OUTER,
+    PAIR_ORDER,
     ConspiracyModel,
     RotorModel,
     _cos_nonnegative,
 )
-from lglab.quantum import Direction, PolarizationState
+from lglab.quantum import Direction, PolarizationState, measure_polarization, run_quantum_trial
 from lglab.rng import LCG_INC, LCG_MULT, MASK64, SeededGenerator, draw_integers, thresholds, uniforms
 
 TOP = (1 << 53) - 1
@@ -200,6 +202,41 @@ def test_quantum_fixed_lanes_on_every_threshold_match_the_scalar_trial(a, b, c, 
             first, second = binding.directions_for(pair)
             assert got == run_quantum_trial(PolarizationState(world.initial_angle), first, second, gen)
             assert gen.state == end
+
+
+# -- quantum, fresh uniform initial state ---------------------------------------------
+
+# (initial uniform, first-slot angle) at which libm pow(c, 2), Python's c ** 2,
+# rounds above c * c for the cosine c of the first measurement
+POW_ABOVE_PRODUCT = [
+    (0.8229228620025792, 0.0),
+    (0.2463208735168011, 0.0),
+    (0.7159409359468822, math.pi / 6),
+    (0.5757051603390986, math.pi / 3),
+]
+
+
+class _Draw:
+    """A UnitUniformSource whose every draw is u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def next_uniform(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("initial, first_angle", POW_ABOVE_PRODUCT)
+def test_fresh_uniform_oracle_squares_the_cosine_as_the_kernel_does(initial, first_angle):
+    # one lane's state fixes both its draws, so a stub draws the first outcome
+    # at exactly the kernel's probability, between the two squarings
+    p1 = float(_fresh_p1(np.array([initial]), first_angle)[0])
+    c = float(np.cos(initial * math.pi - first_angle))
+    assert c**2 > p1 == c * c
+    u = p1
+    kernel = 1 if p1 > u else -1
+    oracle, _ = measure_polarization(PolarizationState(initial * math.pi), Direction(first_angle), _Draw(u))
+    assert oracle == kernel
 
 
 # -- rotor -----------------------------------------------------------------------

@@ -20,9 +20,10 @@ from lglab import (
     spacelike_separated,
     write_trial_log,
 )
-from lglab.experiment import TRIAL_LOG_HEADER, TrialLogFormatError, run_trial_scalar
+from lglab.experiment import run_trial_scalar
 from lglab.hidden_vars import RotorModel, conspiracy_from_quantum
 from lglab.rng import MASK64, derive_states, mix64
+from lglab.triallog import TRIAL_LOG_HEADER, TrialLogFormatError
 
 
 # -- pinned generator ----------------------------------------------------------

@@ -18,18 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglab import experiment
+from lglab import experiment, triallog
 from lglab.analysis import AnalysisError, LogFold, estimate_pairs, evaluate_lg, stabilization
 from lglab.cli import EXIT_CONFIG, EXIT_OK, SCHEMA_VERSION, load_run_config, main
-from lglab.experiment import (
+from lglab.experiment import run_chunks, run_experiment, spacelike_separated
+from lglab.triallog import (
     _CHUNK_ROWS,
     TrialLog,
     TrialLogFormatError,
     fold_trial_log,
     read_trial_log,
-    run_chunks,
-    run_experiment,
-    spacelike_separated,
     write_trial_log,
 )
 from lglab.jsonutil import dumps_stable
@@ -108,7 +106,7 @@ def test_streamed_run_writes_the_bytes_of_the_materialized_run(tmp_path_factory,
 
 def _split(log: TrialLog, cuts):
     bounds = [0, *sorted(set(cuts)), len(log)]
-    return [experiment._rows(log, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    return [triallog._rows(log, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 @settings(max_examples=100)
@@ -135,7 +133,7 @@ def test_run_chunks_are_the_run_in_index_order(magic_binding, spacelike_geometry
     assert [c.first_index for c in chunks] == np.cumsum([0] + [len(c) for c in chunks[:-1]]).tolist()
     assert all(len(c) <= _CHUNK_ROWS for c in chunks)
     whole = run_experiment(magic_binding, world, n, 9, spacelike_geometry)
-    assert experiment._concatenate(iter(chunks)) == whole
+    assert triallog._concatenate(iter(chunks)) == whole
     assert chunks[-1][len(chunks[-1]) - 1] == whole[n - 1]  # records carry their run index
 
 
@@ -164,26 +162,26 @@ def test_analyze_output_does_not_depend_on_the_block_size(tmp_path, capsys):
     log = read_trial_log(trials)
     expected = _analyze(capsys, trials)
     # 300-byte blocks split lines; every block must still stream
-    with mock.patch.object(experiment, "_READ_BLOCK", 300), mock.patch.object(
-        experiment, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
+    with mock.patch.object(triallog, "_READ_BLOCK", 300), mock.patch.object(
+        triallog, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
     ):
         assert _analyze(capsys, trials) == expected
         assert read_trial_log(trials) == log
 
 
-@pytest.mark.parametrize("block", [4096, experiment._READ_BLOCK])
+@pytest.mark.parametrize("block", [4096, triallog._READ_BLOCK])
 def test_chunks_that_a_fold_keeps_stay_as_read(table_run, block):
     # the block reader parses every block into the same arrays; a chunk that
     # fold_trial_log hands out must not change when the next one is parsed
     trials, log = table_run
-    with mock.patch.object(experiment, "_READ_BLOCK", block), mock.patch.object(
-        experiment, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
+    with mock.patch.object(triallog, "_READ_BLOCK", block), mock.patch.object(
+        triallog, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
     ):
         chunks = fold_trial_log(trials, list)
     assert len(chunks) > 1
     first = 0
     for chunk in chunks:
-        assert chunk == experiment._rows(log, first, first + len(chunk))
+        assert chunk == triallog._rows(log, first, first + len(chunk))
         first += len(chunk)
     assert first == len(log)
 
@@ -216,9 +214,9 @@ def test_small_blocks_parse_valid_logs_as_the_line_scanner_does(tmp_path_factory
         lines[row % n_trials + 1] = MUTATIONS[mutation](lines[row % n_trials + 1])
         text = "\n".join(lines)
     path.write_bytes(text.encode())
-    with mock.patch.object(experiment, "_READ_BLOCK", block):
+    with mock.patch.object(triallog, "_READ_BLOCK", block):
         got = read_trial_log(path)
-    expected = experiment._scan_lines(experiment._decode_text(path.read_bytes()))
+    expected = triallog._scan_lines(triallog._decode_text(path.read_bytes()))
     assert got == expected
     assert got.lambda_ids.dtype == expected.lambda_ids.dtype
 
@@ -231,7 +229,7 @@ def test_bad_row_at_line_70000_is_named_with_small_blocks(table_run, tmp_path, c
     lines[69_999] = ",".join(fields)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines), encoding="utf-8")
-    with mock.patch.object(experiment, "_READ_BLOCK", 4096):
+    with mock.patch.object(triallog, "_READ_BLOCK", 4096):
         with pytest.raises(TrialLogFormatError, match="^line 70000: outcomes"):
             read_trial_log(bad)
         assert main(["analyze", "--trials", str(bad)]) == EXIT_CONFIG
@@ -299,7 +297,7 @@ def _traced_peaks(monkeypatch, method: str) -> list:
     """Patch _RowCodec.method to record, for each call, the most memory that
     its allocations held at once."""
     peaks = []
-    real = getattr(experiment._RowCodec, method)
+    real = getattr(triallog._RowCodec, method)
 
     def traced(self, *args):
         tracemalloc.start()
@@ -310,7 +308,7 @@ def _traced_peaks(monkeypatch, method: str) -> list:
             tracemalloc.stop()
         return result
 
-    monkeypatch.setattr(experiment._RowCodec, method, traced)
+    monkeypatch.setattr(triallog._RowCodec, method, traced)
     return peaks
 
 

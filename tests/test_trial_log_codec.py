@@ -21,11 +21,14 @@ from lglab import (
     SpacetimeEvent,
     TableModel,
     read_trial_log,
+    run_chunks,
     run_experiment,
     write_trial_log,
 )
-from lglab import experiment
-from lglab.experiment import (
+from lglab import triallog
+from lglab.hidden_vars import RotorModel, conspiracy_from_quantum
+from lglab.rng import MASK64
+from lglab.triallog import (
     _CHUNK_ROWS,
     TRIAL_LOG_HEADER,
     TrialLog,
@@ -35,8 +38,6 @@ from lglab.experiment import (
     _NotCanonical,
     _RowCodec,
 )
-from lglab.hidden_vars import RotorModel, conspiracy_from_quantum
-from lglab.rng import MASK64
 
 BINDING = SlotBinding(
     t1=1.0, t2=2.0, t3=3.0, a=Direction(0.0), b=Direction(math.pi / 6), c=Direction(math.pi / 3)
@@ -183,15 +184,45 @@ def test_bad_row_past_the_first_chunk_is_named(tmp_path):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_float_lambda_is_rejected_as_before(tmp_path, bad):
-    # repr writes "inf" and "nan", which the line scanner does not read as numbers
-    lambdas = np.array([0.5, 1.25, bad, 2.0])
+    # repr writes "inf" and "nan", which the line scanner does not read as numbers;
+    # the writer refuses such a log, so the row gets repr(bad) by hand
+    lambdas = np.array([0.5, 1.25, 1.5, 2.0])
     log = TrialLog(
         np.array([0, 1, 2, 0], dtype=np.uint8), np.ones(4, np.int8), -np.ones(4, np.int8), lambdas, "rotor"
     )
     path = tmp_path / "log.csv"
     write_trial_log(log, path)
+    path.write_text(path.read_text(encoding="utf-8").replace(",1.5,", f",{bad!r},"), encoding="utf-8")
     with pytest.raises(TrialLogFormatError, match="line 4: lambda_id '.*' is not a number"):
         read_trial_log(path)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_writers_refuse_non_finite_float_lambdas(tmp_path, bad):
+    lambdas = np.array([0.5, bad, 2.0])
+    log = TrialLog(np.array([0, 1, 2], dtype=np.uint8), np.ones(3, np.int8), -np.ones(3, np.int8), lambdas, "rotor")
+    path = tmp_path / "x.csv"
+    for trials in (log, list(log)):
+        with pytest.raises(ValueError, match="^trial 1: lambda_id"):
+            write_trial_log(trials, path)
+    assert not path.exists()
+    later = TrialLog(log.pair_codes, log.s_first, log.s_second, lambdas, "rotor", first_index=70_000)
+    with pytest.raises(ValueError, match="^trial 70001: lambda_id"):
+        TrialLogWriter(io.BytesIO()).write(later)
+
+
+def test_a_later_chunk_of_a_run_is_refused_as_a_file_but_a_writer_takes_it(tmp_path):
+    chunks = list(run_chunks(BINDING, WORLDS["table"], 70_000, 5, GEOMETRY))
+    assert chunks[1].first_index == _CHUNK_ROWS
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=f"first_index is {_CHUNK_ROWS}"):
+        write_trial_log(chunks[1], path)
+    assert not path.exists()
+    with open(path, "wb") as out:
+        writer = TrialLogWriter(out)
+        for chunk in chunks:
+            write_trial_log(chunk, writer)
+    _assert_same_log(read_trial_log(path), _run("table", 5, 70_000))
 
 
 def test_writer_refuses_outcomes_other_than_plus_minus_one(tmp_path):
@@ -410,7 +441,7 @@ def test_blocks_of_a_single_row_stream(tmp_path, world):
     # no block can hold two rows, and any block holds the row it starts with
     block = max(len(row) for row in rows)
     assert block < 2 * min(len(row) for row in rows)
-    with mock.patch.object(experiment, "_READ_BLOCK", block):
+    with mock.patch.object(triallog, "_READ_BLOCK", block):
         assert _chunk_lengths(path) == [1] * 40
         _assert_same_log(read_trial_log(path), log)
 
