@@ -140,9 +140,8 @@ class QuantumWorld:
         """
         first_angle, p1_limits, p2_limits = _quantum_tables(binding, self.initial_angle)
         if self.policy == "fresh_uniform":
-            # p1 > u, not u < p1: the initial angle is drawn before u, as in
-            # the scalar path, and no array of the expression outlives it
-            o1 = _fresh_p1(uniforms(states), first_angle.take(codes)) > uniforms(states)
+            # the initial angle is drawn before u, as in the scalar path
+            o1 = _cos_squared_above(_fresh_angle(uniforms(states), first_angle.take(codes)), uniforms(states))
         else:
             o1 = draw_integers(states) < p1_limits.take(codes)
         at = np.multiply(codes, 2, dtype=np.intp)
@@ -151,16 +150,53 @@ class QuantumWorld:
         return signs(o1), signs(o2), None
 
 
+# The screen's cos^2, the float32 cosine of y rounded to float32 and squared
+# in float32, is within 2.4e-7 of cos_squared(y) on (-pi, pi), about 1000
+# times below this margin (tests/test_exact_kernels.py measures it on a dense
+# grid). So a lane whose screened cos^2 lies more than the margin from its
+# uniform u compares with u as cos_squared(y) does.
+_SCREEN_MARGIN = 2.0**-12
+
+
+def _fresh_angle(initial: np.ndarray, first_angle) -> np.ndarray:
+    """initial * pi - first_angle in initial's buffer: the angle between the
+    first direction and the states that the uniforms initial draw.
+
+    A uniform is at most 1 - 2^-53, and fl((1 - 2^-53) * pi) is below pi, so
+    every initial * pi is already in [0, pi), where the scalar path's
+    reduce_direction_angle returns it unchanged.
+    """
+    initial *= np.pi
+    initial -= first_angle
+    return initial
+
+
+def _cos_squared_lanes(y: np.ndarray) -> np.ndarray:
+    """cos_squared on every lane, in y's buffer."""
+    np.cos(y, out=y)
+    return np.multiply(y, y, out=y)  # as cos_squared squares
+
+
 def _fresh_p1(initial: np.ndarray, first_angle) -> np.ndarray:
     """cos^2(initial * pi - first_angle) in initial's buffer: the first
     outcome's probability for the uniforms that draw the initial states."""
-    initial *= np.pi
-    # mirror the scalar state reduction at the fp seam
-    initial[initial >= np.pi] = 0.0
-    initial -= first_angle
-    np.cos(initial, out=initial)
-    np.multiply(initial, initial, out=initial)  # as cos_squared squares
-    return initial
+    return _cos_squared_lanes(_fresh_angle(initial, first_angle))
+
+
+def _cos_squared_above(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cos_squared(y) > u on every lane, exactly, for y in (-pi, pi).
+
+    A float32 cosine screens every lane; only the lanes whose screened cos^2
+    is within _SCREEN_MARGIN of u, about 5e-4 of them, take the float64 one.
+    """
+    c = y.astype(np.float32)
+    np.cos(c, out=c)
+    c *= c
+    d = np.subtract(c, u)
+    above = d > 0.0
+    near = np.flatnonzero(np.abs(d, out=d) <= _SCREEN_MARGIN)
+    above[near] = _cos_squared_lanes(y[near]) > u[near]
+    return above
 
 
 def _quantum_tables(binding: SlotBinding, initial_angle: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

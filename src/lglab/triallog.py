@@ -2,9 +2,10 @@
 
 A TrialLog holds a run's records column-wise, as the estimators consume
 them. The file holds one row per trial and is byte-exact for identical runs.
-The writers refuse a model tag, a lambda_id or a first_index that the reader
-could not read back; the reader streams a canonical file in fixed blocks and
-falls back to a line scanner that names the first line breaking the schema.
+The writers refuse a model tag, a lambda_id or trial indexes out of order,
+which the reader could not read back; the reader streams a canonical file in
+fixed blocks and falls back to a line scanner that names the first line
+breaking the schema.
 """
 from __future__ import annotations
 
@@ -584,18 +585,29 @@ class TrialLogWriter:
 
     write(chunk) for each chunk of a run, in order, writes the bytes of the
     whole log, and no chunk after the first allocates its own encoding
-    temporaries. Rows are numbered from a chunk's first index, and the header
-    comes only with row 0.
+    temporaries. The header comes with the first chunk, which must start at
+    trial 0; every later chunk must start where the one before it ended. A
+    chunk that does not is refused with ValueError before a byte of it is
+    written.
     """
 
     def __init__(self, file, rows: int = _CHUNK_ROWS):
         self.file = file
         self._codec = _RowCodec(rows)
+        self._header_written = False
+        self.next_index = 0  # the index of the file's next row
 
     def write(self, log: TrialLog) -> None:
         _check_columns(log)
-        if log.first_index == 0:
+        if log.first_index != self.next_index:
+            raise ValueError(
+                f"the next row of this trial log is trial {self.next_index}, but the chunk starts at trial "
+                f"{log.first_index}; write the chunks of a run in order, from trial 0"
+            )
+        if not self._header_written:
             self.file.write(_HEADER_LINE)
+            self._header_written = True
+        self.next_index += len(log)
         for chunk in log.chunks():
             if len(chunk):
                 self.file.write(self._codec.encode(chunk))
@@ -608,15 +620,22 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
     as 12|13|23 and lambda_id empty for the quantum world. Unix newlines, no
     trailing whitespace. A log no reader could take back is refused with
     ValueError before the file is made: one whose model tag holds ',', a line
-    break or NUL, one with an infinite or NaN lambda_id, or a TrialLog whose
-    first_index is not 0, as a file holds a whole run.
+    break or NUL, one with an infinite or NaN lambda_id, or one that does not
+    hold trials 0, 1, 2, ... in order (a TrialLog whose first_index is not 0,
+    or records whose indexes are not their positions), as a file holds a
+    whole run.
 
-    A TrialLog may also go to a TrialLogWriter, as TrialLogWriter.write(trials),
-    which takes the later chunks of a run too.
+    A TrialLog may also go to a TrialLogWriter: its rows are then the file's
+    next trials, numbered on from the rows before them, whatever its
+    first_index. TrialLogWriter.write(trials) instead refuses a chunk that
+    does not start where the file stands.
     """
     if isinstance(trials, TrialLog):
         if isinstance(path, TrialLogWriter):
-            path.write(trials)
+            # perfbench's flipping shim passes each chunk of `lglab run` on
+            # rebuilt from its columns alone, so with first_index 0
+            t = trials
+            path.write(TrialLog(t.pair_codes, t.s_first, t.s_second, t.lambda_ids, t.model_tag, path.next_index))
             return
         if trials.first_index != 0:
             raise ValueError(
@@ -628,15 +647,25 @@ def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> Non
             TrialLogWriter(out, min(len(trials), _CHUNK_ROWS)).write(trials)
         return
     lines = [TRIAL_LOG_HEADER]
-    for rec in trials:
-        _check_tag(rec.model_tag)
-        _check_lambda(rec.index, rec.lambda_id)
-        lines.append(
-            f"{rec.index},{rec.pair.value},{rec.s_first},{rec.s_second},"
-            f"{_format_lambda(rec.lambda_id)},{rec.model_tag}"
-        )
+    for k, rec in enumerate(trials):
+        if rec.index != k:
+            raise ValueError(
+                f"record {k} has index {rec.index}; a trial log file holds the trials of a run from 0, in order"
+            )
+        lines.append(_record_row(rec))
     lines.append("")  # final newline
     Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
+
+
+def _record_row(rec: TrialRecord) -> str:
+    """The CSV row of one record, at any index, without its newline: the
+    row format that the column encoder reproduces."""
+    _check_tag(rec.model_tag)
+    _check_lambda(rec.index, rec.lambda_id)
+    return (
+        f"{rec.index},{rec.pair.value},{rec.s_first},{rec.s_second},"
+        f"{_format_lambda(rec.lambda_id)},{rec.model_tag}"
+    )
 
 
 class TrialLogFormatError(ValueError):

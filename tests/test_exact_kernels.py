@@ -6,7 +6,9 @@ y = 2 * (lambda - theta) with the float edges of np.cos's sign instead of
 evaluating the cosine; stabilization sums segments between checkpoints
 instead of a cumsum over every trial. Each property puts lanes exactly on
 the edges (k = t - 1 and k = t, y on an edge and its float neighbours), so
-a kernel that is off by one threshold step or one ULP fails it.
+a kernel that is off by one threshold step or one ULP fails it. The
+fresh-uniform kernel screens cos^2 with a float32 cosine and recomputes the
+float64 one only near u; its properties put u on and beside both values.
 """
 import math
 
@@ -17,7 +19,16 @@ from hypothesis import strategies as st
 
 from lglab import TableModel, TimeSlot, TrialLog, stabilization
 from lglab.analysis import LogFold
-from lglab.experiment import QuantumWorld, SlotBinding, _fresh_p1, _quantum_tables
+from lglab import experiment
+from lglab.experiment import (
+    _SCREEN_MARGIN,
+    QuantumWorld,
+    SlotBinding,
+    _cos_squared_above,
+    _fresh_angle,
+    _fresh_p1,
+    _quantum_tables,
+)
 from lglab.hidden_vars import (
     _COS_INNER,
     _COS_OUTER,
@@ -26,8 +37,24 @@ from lglab.hidden_vars import (
     RotorModel,
     _cos_nonnegative,
 )
-from lglab.quantum import Direction, PolarizationState, measure_polarization, run_quantum_trial
-from lglab.rng import LCG_INC, LCG_MULT, MASK64, SeededGenerator, draw_integers, thresholds, uniforms
+from lglab.quantum import (
+    Direction,
+    PolarizationState,
+    cos_squared,
+    measure_polarization,
+    reduce_direction_angle,
+    run_quantum_trial,
+)
+from lglab.rng import (
+    LCG_INC,
+    LCG_MULT,
+    MASK64,
+    SeededGenerator,
+    derive_states,
+    draw_integers,
+    thresholds,
+    uniforms,
+)
 
 TOP = (1 << 53) - 1
 LCG_MULT_INVERSE = pow(LCG_MULT, -1, 1 << 64)
@@ -237,6 +264,146 @@ def test_fresh_uniform_oracle_squares_the_cosine_as_the_kernel_does(initial, fir
     kernel = 1 if p1 > u else -1
     oracle, _ = measure_polarization(PolarizationState(initial * math.pi), Direction(first_angle), _Draw(u))
     assert oracle == kernel
+
+
+# the float32 screen of cos^2(y) > u: y = initial * pi - first-slot angle
+
+# float32 cosines are off most here: where |cos y| is steepest and near 0 and 1
+SCREEN_ANGLES = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -3 * math.pi / 4, 1e-300]
+SCREEN_ANGLES += [math.nextafter(math.pi, 0.0), -math.nextafter(math.pi, 0.0), (TOP * 2.0**-53) * math.pi]
+screen_angles = st.sampled_from(SCREEN_ANGLES) | st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+
+
+def _screened(y: np.ndarray) -> np.ndarray:
+    """The screen's cos^2: the float32 cosine of y rounded to float32, squared."""
+    c = np.cos(np.asarray(y, dtype=np.float64).astype(np.float32))
+    c *= c
+    return c.astype(np.float64)
+
+
+def _edge_uniforms(y: float) -> list[float]:
+    """u at cos_squared(y) and the screen's value, their float neighbours, and
+    the edges of the margin around the screen's value."""
+    us = []
+    for p in (cos_squared(y), float(_screened(y))):
+        us += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
+        for edge in (p - _SCREEN_MARGIN, p + _SCREEN_MARGIN):
+            us += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    return us
+
+
+def _screen_rows(ys) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """(y, u, cos_squared(y) > u) on every edge uniform of every y."""
+    rows = [(y, u) for y in ys for u in _edge_uniforms(y)]
+    return (
+        np.array([y for y, _ in rows]),
+        np.array([u for _, u in rows]),
+        [cos_squared(y) > u for y, u in rows],
+    )
+
+
+SCREEN_GRID = SCREEN_ANGLES + np.linspace(-math.pi, math.pi, 4097)[1:-1].tolist()
+
+
+def test_the_screen_on_a_grid_matches_cos_squared():
+    y, u, want = _screen_rows(SCREEN_GRID)
+    assert _cos_squared_above(y, u).tolist() == want
+    # the rows straddle the screen: some u lie between the two cos^2
+    exact, screened = np.cos(y), _screened(y)
+    exact *= exact
+    assert ((np.minimum(screened, exact) < u) & (u < np.maximum(screened, exact))).any()
+
+
+@settings(max_examples=300)
+@given(ys=st.lists(screen_angles, min_size=1, max_size=40))
+def test_the_screen_anywhere_matches_cos_squared(ys):
+    y, u, want = _screen_rows(ys)
+    assert _cos_squared_above(y, u).tolist() == want
+
+
+@pytest.mark.parametrize("margin", [0.0, 2.0**-30])
+def test_a_margin_below_the_screen_error_is_caught(monkeypatch, margin):
+    monkeypatch.setattr(experiment, "_SCREEN_MARGIN", margin)
+    y, u, want = _screen_rows(SCREEN_GRID)
+    assert _cos_squared_above(y, u).tolist() != want
+
+
+def test_the_screen_error_is_far_below_the_margin():
+    # a dense grid of (-pi, pi), and reachable angles of the bundled directions
+    grid = np.linspace(-math.pi, math.pi, 2_000_001)[1:-1]
+    ks = np.random.default_rng(12).integers(0, 1 << 53, 1_000_000)
+    initial = ks * 2.0**-53 * np.pi
+    for y in [grid] + [initial - theta for theta in (0.0, math.pi / 6, math.pi / 3, 2.5)]:
+        exact = np.cos(y)
+        exact *= exact
+        assert np.abs(_screened(y) - exact).max() <= _SCREEN_MARGIN / 100
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 33])
+@pytest.mark.parametrize("offset", [0, 1, 3, 8, 61])
+def test_the_cosine_of_a_subset_equals_the_subset_of_the_cosines(length, offset):
+    # the fallback takes np.cos of the near lanes only, which must give the
+    # values the whole array (and the scalar oracle) would
+    y = np.random.default_rng(length * 100 + offset).uniform(-math.pi, math.pi, 128)
+    y[::5] = np.array(SCREEN_ANGLES * 3)[: len(y[::5])]
+    whole = np.cos(y)
+    for idx in (np.arange(offset, offset + length), np.arange(offset, offset + 2 * length, 2)):
+        assert np.array_equal(np.cos(y[idx]), whole[idx])
+        assert np.cos(y[idx]).tolist() == [float(np.cos(v)) for v in y[idx].tolist()]
+
+
+def test_the_fallback_takes_few_lanes_and_the_kernel_stays_exact(monkeypatch):
+    binding = SlotBinding(1.0, 2.0, 3.0, Direction(0.0), Direction(math.pi / 6), Direction(math.pi / 3))
+    world = QuantumWorld(policy="fresh_uniform")
+    first_angle, _, _ = _quantum_tables(binding, world.initial_angle)
+    n, lanes = 1_000_000, 1 << 16
+    states = derive_states(7, np.arange(n, dtype=np.uint64))
+    codes = np.random.default_rng(7).integers(0, 3, n).astype(np.intp)
+    exact_states = states.copy()
+    p1 = _fresh_p1(uniforms(exact_states), first_angle.take(codes))
+    want = np.where(p1 > uniforms(exact_states), 1, -1)
+
+    calls = []
+    real = experiment._cos_squared_lanes
+
+    def counting(y):
+        calls.append(len(y))
+        return real(y)
+
+    monkeypatch.setattr(experiment, "_cos_squared_lanes", counting)
+    for lo in range(0, n, lanes):
+        s_first, _, _ = world.sample_lanes(binding, codes[lo : lo + lanes], states[lo : lo + lanes])
+        assert np.array_equal(s_first, want[lo : lo + lanes])
+    share = sum(calls) / n
+    # about 2 * margin of the lanes have a u within the margin of cos^2
+    assert _SCREEN_MARGIN < share < 1e-3
+
+
+EDGE_KS = [0, 1, 2, (1 << 52) - 1, 1 << 52, (1 << 52) + 1, TOP - 1, TOP]
+
+
+@settings(max_examples=100)
+@given(ks=st.lists(st.sampled_from(EDGE_KS) | st.integers(0, TOP), min_size=1, max_size=8), low=low_bits)
+def test_uniforms_equal_next_uniform(ks, low):
+    states = _pinned_states(ks, 1, [low] * len(ks))
+    gens = [SeededGenerator(s) for s in states.tolist()]
+    got = uniforms(states)
+    assert got.dtype == np.float64
+    assert got.tolist() == [g.next_uniform() for g in gens] == [k / 2.0**53 for k in ks]
+    assert states.tolist() == [g.state for g in gens]
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 3, math.nextafter(math.pi, 0.0)])
+def test_fresh_angles_need_no_reduction_at_the_seam(theta):
+    ks = [0, 1, 1 << 52, TOP]
+    states = _pinned_states(ks, 1, [(1 << 11) - 1] * len(ks))
+    starts = states.tolist()
+    y = _fresh_angle(uniforms(states), np.full(len(ks), theta))
+    prepared = [SeededGenerator(s).next_uniform() * math.pi for s in starts]
+    assert y.tolist() == [reduce_direction_angle(a) - theta for a in prepared]
+    assert prepared == [reduce_direction_angle(a) for a in prepared]
+    # the largest uniform maps below pi, so no lane reaches the seam
+    assert prepared[-1] == 3.1415926535897927 < math.pi
 
 
 # -- rotor -----------------------------------------------------------------------

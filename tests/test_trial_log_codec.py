@@ -82,6 +82,12 @@ def _streams(path) -> bool:
     return True
 
 
+def _oracle_rows(records) -> bytes:
+    """The record branch's rows, without the header, for records numbered from
+    any index (write_trial_log writes only files that start at trial 0)."""
+    return "".join(f"{triallog._record_row(rec)}\n" for rec in records).encode("utf-8")
+
+
 def _check_codec(directory, log: TrialLog) -> None:
     path, oracle = directory / "log.csv", directory / "oracle.csv"
     write_trial_log(log, path)
@@ -222,6 +228,53 @@ def test_a_later_chunk_of_a_run_is_refused_as_a_file_but_a_writer_takes_it(tmp_p
         writer = TrialLogWriter(out)
         for chunk in chunks:
             write_trial_log(chunk, writer)
+    _assert_same_log(read_trial_log(path), _run("table", 5, 70_000))
+
+
+def test_the_records_of_a_later_chunk_are_refused_as_a_file(tmp_path):
+    later = list(run_chunks(BINDING, WORLDS["table"], 70_000, 5, GEOMETRY))[1]
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=f"^record 0 has index {_CHUNK_ROWS};"):
+        write_trial_log(list(later), path)
+    assert not path.exists()
+    records = list(_run("table", 5, 10))
+    del records[4]
+    with pytest.raises(ValueError, match="^record 4 has index 5;"):
+        write_trial_log(records, path)
+    assert not path.exists()
+
+
+def test_a_writer_refuses_a_later_chunk_first(tmp_path):
+    chunks = list(run_chunks(BINDING, WORLDS["table"], 70_000, 5, GEOMETRY))
+    out = io.BytesIO()
+    with pytest.raises(ValueError, match=f"is trial 0, but the chunk starts at trial {_CHUNK_ROWS};"):
+        TrialLogWriter(out).write(chunks[1])
+    assert out.getvalue() == b""
+
+
+def test_a_writer_refuses_a_chunk_written_twice(tmp_path):
+    chunks = list(run_chunks(BINDING, WORLDS["table"], 70_000, 5, GEOMETRY))
+    path = tmp_path / "x.csv"
+    with open(path, "wb") as out:
+        writer = TrialLogWriter(out)
+        writer.write(chunks[0])
+        with pytest.raises(ValueError, match=f"trial {_CHUNK_ROWS}, but the chunk starts at trial 0;"):
+            writer.write(chunks[0])
+        writer.write(chunks[1])
+    # nothing of the refused chunk reached the file
+    _assert_same_log(read_trial_log(path), _run("table", 5, 70_000))
+
+
+def test_write_trial_log_to_a_writer_numbers_the_rows_on(tmp_path):
+    # chunks rebuilt from their columns alone start at 0, as perfbench's
+    # flipping shim passes them to write_trial_log
+    chunks = list(run_chunks(BINDING, WORLDS["table"], 70_000, 5, GEOMETRY))
+    path = tmp_path / "x.csv"
+    with open(path, "wb") as out:
+        writer = TrialLogWriter(out)
+        for chunk in chunks:
+            write_trial_log(TrialLog(chunk.pair_codes, chunk.s_first, chunk.s_second, chunk.lambda_ids, "table"), writer)
+    assert writer.next_index == 70_000
     _assert_same_log(read_trial_log(path), _run("table", 5, 70_000))
 
 
@@ -383,33 +436,33 @@ def _synthetic_chunk(rng, first: int, n: int, kind: str) -> TrialLog:
     last=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chunks_through_one_workspace_match_the_record_oracle(codec_dir, kind, start, lengths, last, seed):
+def test_chunks_through_one_workspace_match_the_record_oracle(kind, start, lengths, last, seed):
     # full or short chunks, then a short last one
     rng = np.random.default_rng(seed)
     chunks, first = [], start
     for n in [*lengths, last]:
         chunks.append(_synthetic_chunk(rng, first, n, kind))
         first += n
-    out = io.BytesIO()
-    writer = TrialLogWriter(out)
-    for chunk in chunks:
-        writer.write(chunk)
-    oracle = codec_dir / "oracle.csv"
-    write_trial_log([rec for chunk in chunks for rec in chunk], oracle)
-    expected = oracle.read_bytes()
-    assert out.getvalue() == (expected if start == 0 else expected[len(TRIAL_LOG_HEADER) + 1 :])
+    codec = _RowCodec(_CHUNK_ROWS)
+    rows = b"".join(codec.encode(chunk) for chunk in chunks)
+    assert rows == _oracle_rows(rec for chunk in chunks for rec in chunk)
+    if start == 0:
+        # a writer is such a workspace behind the header
+        out = io.BytesIO()
+        writer = TrialLogWriter(out)
+        for chunk in chunks:
+            writer.write(chunk)
+        assert out.getvalue() == f"{TRIAL_LOG_HEADER}\n".encode() + rows
 
 
 @pytest.mark.parametrize("kind", LAMBDA_KINDS)
-def test_a_workspace_encodes_each_lambda_kind_after_the_others(codec_dir, kind):
+def test_a_workspace_encodes_each_lambda_kind_after_the_others(kind):
     # the column layout changes with the lambda kind; the rows must not
     rng = np.random.default_rng(7)
     codec = _RowCodec(500)
-    oracle = codec_dir / "oracle.csv"
     for other in [k for k in LAMBDA_KINDS if k != kind] + [kind]:
         chunk = _synthetic_chunk(rng, 123_456, 500, other)
-        write_trial_log(list(chunk), oracle)
-        assert codec.encode(chunk) == oracle.read_bytes()[len(TRIAL_LOG_HEADER) + 1 :]
+        assert codec.encode(chunk) == _oracle_rows(chunk)
 
 
 def _chunk_lengths(path) -> list:
@@ -448,13 +501,11 @@ def test_blocks_of_a_single_row_stream(tmp_path, world):
 
 @pytest.mark.parametrize("first", [9_990, 99_999_990, 10**12 - 20])
 @pytest.mark.parametrize("kind", ["none", "int64", "float"])
-def test_a_block_parses_where_the_index_gains_a_digit(codec_dir, first, kind):
+def test_a_block_parses_where_the_index_gains_a_digit(first, kind):
     # a canonical file starts at index 0, so the reader meets 10^8 only after
     # 10^8 rows; parse such a block directly
     chunk = _synthetic_chunk(np.random.default_rng(first), first, 40, kind)
-    oracle = codec_dir / "oracle.csv"
-    write_trial_log(list(chunk), oracle)
-    buf = bytearray(oracle.read_bytes()[len(TRIAL_LOG_HEADER) + 1 :])
+    buf = bytearray(_oracle_rows(chunk))
     lambda_dtype = None if kind == "none" else chunk.lambda_ids.dtype
     parsed = _RowCodec(len(buf) // 11).parse(buf, len(buf), first, "synthetic", lambda_dtype)
     _assert_same_log(parsed, chunk)
