@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .hidden_vars import PAIR_ORDER, PairChoice
 from .rng import mix64
-from .triallog import TrialLog, TrialRecord
+from .triallog import TrialLog
 
 DEFAULT_SIGNIFICANCE = 3.0
 DEFAULT_EPSILON = 0.01
 DEFAULT_CHECKPOINT_STRIDE = 1000
 BOOTSTRAP_RESAMPLES = 10_000
+# the bootstrap's seed, pinned so that a report never varies between runs
+BOOTSTRAP_SEED = 0
 
 
 class AnalysisError(ValueError):
@@ -49,10 +51,6 @@ class PairEstimate:
             raise ValueError(f"pair {self.pair.value}: |mean| must be <= 1, got {self.mean}")
 
 
-def _as_log(trials: Union[TrialLog, Iterable[TrialRecord]]) -> TrialLog:
-    return trials if isinstance(trials, TrialLog) else TrialLog.from_records(trials)
-
-
 def estimates_from_counts(counts) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
     """Per-pair product means and standard errors, in (12, 13, 23) order.
 
@@ -76,11 +74,9 @@ def estimates_from_counts(counts) -> tuple[PairEstimate, PairEstimate, PairEstim
     return tuple(estimates)
 
 
-def estimate_pairs(
-    trials: Union[TrialLog, Iterable[TrialRecord]],
-) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
+def estimate_pairs(log: TrialLog) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
     """Per-pair product means and standard errors, in (12, 13, 23) order."""
-    return LogFold.over(_as_log(trials).chunks()).estimates()
+    return LogFold.over(log.chunks()).estimates()
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,6 @@ def _bootstrap_lhs_std_error(
 def evaluate_lg(
     estimates: tuple[PairEstimate, PairEstimate, PairEstimate],
     significance: float = DEFAULT_SIGNIFICANCE,
-    *,
-    bootstrap_seed: int = 0,
-    n_resamples: int = BOOTSTRAP_RESAMPLES,
-    config_echo: Optional[dict] = None,
 ) -> LgReport:
     """Evaluate |P12 - P13| + P23 against the classical bound of 1.
 
@@ -168,7 +160,7 @@ def evaluate_lg(
     degenerate = abs(diff) < max(e12.std_error, e13.std_error)
     if degenerate:
         se_method = "bootstrap"
-        lhs_se = _bootstrap_lhs_std_error(ordered, bootstrap_seed, n_resamples)
+        lhs_se = _bootstrap_lhs_std_error(ordered, BOOTSTRAP_SEED, BOOTSTRAP_RESAMPLES)
     else:
         # first-order propagation; d|diff|/ddiff = sign(diff) drops out in quadrature
         se_method = "propagation"
@@ -177,13 +169,6 @@ def evaluate_lg(
         z = (lhs - 1.0) / lhs_se
     else:
         z = math.inf if lhs > 1.0 else (-math.inf if lhs < 1.0 else 0.0)
-    echo = {
-        "significance": significance,
-        "bootstrap_seed": bootstrap_seed,
-        "n_resamples": n_resamples,
-    }
-    if config_echo:
-        echo.update(config_echo)
     return LgReport(
         estimates=ordered,
         lhs=lhs,
@@ -194,7 +179,11 @@ def evaluate_lg(
         significance=significance,
         degenerate=degenerate,
         se_method=se_method,
-        config_echo=echo,
+        config_echo={
+            "significance": significance,
+            "bootstrap_seed": BOOTSTRAP_SEED,
+            "n_resamples": BOOTSTRAP_RESAMPLES,
+        },
     )
 
 
@@ -402,7 +391,7 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def stabilization(
-    trials: Union[TrialLog, Iterable[TrialRecord]],
+    log: TrialLog,
     epsilon: float = DEFAULT_EPSILON,
     checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE,
 ) -> StabilizationReport:
@@ -414,4 +403,4 @@ def stabilization(
     empty pair is flagged not-stabilized with no n_star.
     """
     _check_epsilon(epsilon)
-    return LogFold.over(_as_log(trials).chunks(), checkpoint_stride).stabilization(epsilon)
+    return LogFold.over(log.chunks(), checkpoint_stride).stabilization(epsilon)

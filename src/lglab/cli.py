@@ -54,6 +54,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_FOC = 2
 
+# how many random mixtures `lglab bound` checks against the bound
+BOUND_MIXTURES = 10_000
+
 DEFAULT_TIMES = (1.0, 2.0, 3.0)
 DEFAULT_GEOMETRY = {
     "preparation": {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0},
@@ -339,7 +342,7 @@ def cmd_exact(theta_ab: float, theta_bc: float) -> int:
     return EXIT_OK
 
 
-def cmd_bound(n_mixtures: int = 10_000) -> int:
+def cmd_bound() -> int:
     from .hidden_vars import brute_force_bound, deterministic_strategy_values, mixture_bound_check
     from .rng import SeededGenerator
 
@@ -349,13 +352,13 @@ def cmd_bound(n_mixtures: int = 10_000) -> int:
     ]
     # the mixture check is statistical plumbing; its seed is pinned so the
     # command's output never varies
-    max_lhs = mixture_bound_check(n_mixtures, SeededGenerator(0))
+    max_lhs = mixture_bound_check(BOUND_MIXTURES, SeededGenerator(0))
     out = {
         "schema": SCHEMA_VERSION,
         "bound": brute_force_bound(),
         "strategies": strategies,
         "mixture_check": {
-            "n_mixtures": n_mixtures,
+            "n_mixtures": BOUND_MIXTURES,
             "max_lhs": max_lhs,
             "tolerance": 1e-12,
             "within_bound": bool(max_lhs <= 1.0 + 1e-12),

@@ -17,7 +17,7 @@ the estimators and writes one chunk at a time; run_experiment collects it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -121,7 +121,7 @@ class QuantumWorld:
 
     policy: str = "fixed"
     initial_angle: float = 0.0
-    tag: str = "quantum"
+    tag: str = field(default="quantum", init=False)
 
     def __post_init__(self) -> None:
         if self.policy not in ("fixed", "fresh_uniform"):

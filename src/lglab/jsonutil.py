@@ -26,18 +26,20 @@ def format_float(x: float) -> str:
     return s
 
 
-def dumps_stable(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON with pinned float formatting and field order."""
-    buf = io.StringIO()
-    dump_stable(obj, buf, indent)
-    return buf.getvalue()
-
-
+# every level of nesting is indented by this many spaces
+_INDENT = 2
 # dump_stable writes its pending pieces once a list holds this many
 _FLUSH_PIECES = 4096
 
 
-def dump_stable(obj: Any, file: TextIO, indent: int = 2) -> None:
+def dumps_stable(obj: Any) -> str:
+    """Serialize to JSON with pinned float formatting and field order."""
+    buf = io.StringIO()
+    dump_stable(obj, buf)
+    return buf.getvalue()
+
+
+def dump_stable(obj: Any, file: TextIO) -> None:
     """Write the JSON text of obj to a text file, a bounded run of pieces at a
     time, so that a report with many checkpoints is never held whole as text."""
     out: list[str] = []
@@ -46,14 +48,14 @@ def dump_stable(obj: Any, file: TextIO, indent: int = 2) -> None:
         file.write("".join(out))
         out.clear()
 
-    _emit(obj, out, indent, 0, flush)
+    _emit(obj, out, 0, flush)
     out.append("\n")
     flush()
 
 
-def _emit(obj: Any, out: list[str], indent: int, level: int, flush: Callable[[], None]) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(obj: Any, out: list[str], level: int, flush: Callable[[], None]) -> None:
+    pad = " " * (_INDENT * (level + 1))
+    close_pad = " " * (_INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -73,7 +75,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int, flush: Callable[[],
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{pad}{json.dumps(key, ensure_ascii=False)}: ")
-            _emit(value, out, indent, level + 1, flush)
+            _emit(value, out, level + 1, flush)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(f"{close_pad}}}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -84,7 +86,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int, flush: Callable[[],
         last = len(obj) - 1
         for k, value in enumerate(obj):
             out.append(pad)
-            _emit(value, out, indent, level + 1, flush)
+            _emit(value, out, level + 1, flush)
             out.append(",\n" if k < last else "\n")
             if len(out) >= _FLUSH_PIECES:
                 flush()

@@ -2,17 +2,16 @@
 
 A TrialLog holds a run's records column-wise, as the estimators consume
 them. The file holds one row per trial and is byte-exact for identical runs.
-The writers refuse a model tag, a lambda_id or trial indexes out of order,
-which the reader could not read back; the reader streams a canonical file in
-fixed blocks and falls back to a line scanner that names the first line
-breaking the schema.
+The writers refuse a log the reader could not read back: an empty one, one
+with trial indexes out of order, or a model tag or lambda_id that no row can
+carry. The reader streams a canonical file in fixed blocks and falls back to
+a line scanner that names the first line breaking the schema.
 """
 from __future__ import annotations
 
 import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 import numpy as np
@@ -201,6 +200,7 @@ _LOW_GROUPS[0] = np.frombuffer(b"\0\0\0" b"0", dtype=np.uint32)[0]
 _LAMBDA_MAX_WIDTH = len(repr(-2.2250738585072014e-308))
 # the most digits of an int64 lambda_id
 _LAMBDA_MAX_DIGITS = len(str(2**63))
+_INT64_MAX = 2**63 - 1
 
 # the reader reads a file in blocks of this many bytes (1 MiB)
 _READ_BLOCK = 1 << 20
@@ -248,7 +248,7 @@ class _Layout(NamedTuple):
     """Where each field's cells sit in a row of the cell matrix."""
 
     index_groups: int
-    lambda_kind: Optional[str]  # None, "int" (digit groups) or "text" (repr/str)
+    lambda_kind: Optional[str]  # None, "int" (digit groups) or "text" (repr)
     lambda_width: int
     tail: bytes  # ",model_tag\n"
 
@@ -324,13 +324,13 @@ class _RowCodec:
         if lambdas is None:
             kind, lambda_width = None, 0
         elif lambdas.dtype.kind in "biu":
-            # booleans are written as 1/0, as the record branch's int() writes them
+            # booleans are written as 1/0, as _record_row's int() writes them
             kind = "int"
             lambda_width = 4 * _n_groups(max(int(lambdas.max()), -int(lambdas.min())))
         else:
             # the one per-row Python format left: repr of each float
             kind = "text"
-            text = np.array(list(map(repr if lambdas.dtype.kind == "f" else str, lambdas.tolist())), dtype="S")
+            text = np.array(list(map(repr, lambdas.tolist())), dtype="S")
             lambda_width = text.itemsize
         tail = f",{chunk.model_tag}\n".encode("utf-8")
         cells = self._cells_for(n, _n_groups(chunk.first_index + n - 1), kind, lambda_width, tail)
@@ -547,36 +547,44 @@ def _tag_fits(tag: str) -> bool:
 def _check_tag(tag: str) -> None:
     if not _tag_fits(tag):
         raise ValueError(f"model tag {tag!r} holds ',', a line break or NUL, which a trial log cannot carry")
-
-
-def _check_lambda(index: int, value) -> None:
-    # repr writes a non-finite float as inf or nan, which the reader refuses
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        raise ValueError(f"trial {index}: lambda_id {float(value)} is not finite, which a trial log cannot carry")
+    try:
+        tag.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"model tag {tag!r} is not valid UTF-8 text, which a trial log cannot carry") from None
 
 
 def _plus_minus_one(outcomes: np.ndarray) -> bool:
     if outcomes.dtype.kind in "iu":
         # with no temporary per row: within [-1, 1] and never 0
         return outcomes.min() >= -1 and outcomes.max() <= 1 and np.count_nonzero(outcomes) == len(outcomes)
-    return bool(np.all(np.abs(outcomes) == 1))
+    return outcomes.dtype.kind in "bf" and bool(np.all(np.abs(outcomes) == 1))
 
 
 def _check_columns(log: TrialLog) -> None:
     _check_tag(log.model_tag)
     if not len(log):
-        return
-    if log.pair_codes.min() < 0 or log.pair_codes.max() > 2:
-        raise ValueError("pair codes must be 0, 1 or 2")
+        raise ValueError("the trial log is empty; a trial log file holds at least one trial")
+    if log.pair_codes.dtype.kind not in "biu" or log.pair_codes.min() < 0 or log.pair_codes.max() > 2:
+        raise ValueError("pair codes must be integers 0, 1 or 2")
     # the row encoder writes any outcome that is not positive as -1
     if not (_plus_minus_one(log.s_first) and _plus_minus_one(log.s_second)):
         raise ValueError("outcomes must be 1 or -1")
     lambdas = log.lambda_ids
-    # min and max pass a NaN on, so a finite column costs no temporary per row
-    if lambdas is not None and lambdas.dtype.kind == "f":
-        if not (np.isfinite(lambdas.min()) and np.isfinite(lambdas.max())):
-            k = int(np.flatnonzero(~np.isfinite(lambdas))[0])
-            _check_lambda(log.first_index + k, lambdas[k])
+    if lambdas is None:
+        return
+    if lambdas.dtype.kind not in "biuf":
+        raise ValueError(f"lambda_id must be bool, integer or float, got dtype {lambdas.dtype}")
+    # the reader reads integer lambda_ids as int64
+    if lambdas.dtype.kind == "u" and lambdas.max() > _INT64_MAX:
+        k = int(np.argmax(lambdas > _INT64_MAX))
+        raise ValueError(f"trial {log.first_index + k}: lambda_id {lambdas[k]} does not fit in int64")
+    # repr writes a non-finite float as inf or nan, which the reader refuses; min
+    # and max pass a NaN on, so a finite column costs no temporary per row
+    if lambdas.dtype.kind == "f" and not (np.isfinite(lambdas.min()) and np.isfinite(lambdas.max())):
+        k = int(np.flatnonzero(~np.isfinite(lambdas))[0])
+        raise ValueError(
+            f"trial {log.first_index + k}: lambda_id {lambdas[k]} is not finite, which a trial log cannot carry"
+        )
 
 
 class TrialLogWriter:
@@ -609,59 +617,44 @@ class TrialLogWriter:
             self._header_written = True
         self.next_index += len(log)
         for chunk in log.chunks():
-            if len(chunk):
-                self.file.write(self._codec.encode(chunk))
+            self.file.write(self._codec.encode(chunk))
 
 
-def write_trial_log(trials: Union[TrialLog, Iterable[TrialRecord]], path) -> None:
+def write_trial_log(log: TrialLog, path) -> None:
     """Write the CSV trial log: byte-exact for identical runs.
 
     Columns: index,pair,s_first,s_second,lambda_id,model_tag with pair encoded
     as 12|13|23 and lambda_id empty for the quantum world. Unix newlines, no
     trailing whitespace. A log no reader could take back is refused with
-    ValueError before the file is made: one whose model tag holds ',', a line
-    break or NUL, one with an infinite or NaN lambda_id, or one that does not
-    hold trials 0, 1, 2, ... in order (a TrialLog whose first_index is not 0,
-    or records whose indexes are not their positions), as a file holds a
-    whole run.
+    ValueError before the file is made: an empty one, one whose first_index
+    is not 0 (a file holds a whole run), one whose model tag holds ',', a
+    line break or NUL or is not UTF-8 text, or one whose lambda_ids are not
+    bool, integer or float, or do not fit in int64, or are not finite.
+    Records go to a file as TrialLog.from_records(records).
 
     A TrialLog may also go to a TrialLogWriter: its rows are then the file's
     next trials, numbered on from the rows before them, whatever its
-    first_index. TrialLogWriter.write(trials) instead refuses a chunk that
-    does not start where the file stands.
+    first_index. TrialLogWriter.write(log) instead refuses a chunk that does
+    not start where the file stands.
     """
-    if isinstance(trials, TrialLog):
-        if isinstance(path, TrialLogWriter):
-            # perfbench's flipping shim passes each chunk of `lglab run` on
-            # rebuilt from its columns alone, so with first_index 0
-            t = trials
-            path.write(TrialLog(t.pair_codes, t.s_first, t.s_second, t.lambda_ids, t.model_tag, path.next_index))
-            return
-        if trials.first_index != 0:
-            raise ValueError(
-                f"a trial log file starts at trial 0, but this log's first_index is {trials.first_index}; "
-                "write the chunks of a run in order to one TrialLogWriter"
-            )
-        _check_columns(trials)
-        with open(path, "wb") as out:
-            TrialLogWriter(out, min(len(trials), _CHUNK_ROWS)).write(trials)
+    if isinstance(path, TrialLogWriter):
+        # perfbench's flipping shim passes each chunk of `lglab run` on
+        # rebuilt from its columns alone, so with first_index 0
+        path.write(TrialLog(log.pair_codes, log.s_first, log.s_second, log.lambda_ids, log.model_tag, path.next_index))
         return
-    lines = [TRIAL_LOG_HEADER]
-    for k, rec in enumerate(trials):
-        if rec.index != k:
-            raise ValueError(
-                f"record {k} has index {rec.index}; a trial log file holds the trials of a run from 0, in order"
-            )
-        lines.append(_record_row(rec))
-    lines.append("")  # final newline
-    Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    if log.first_index != 0:
+        raise ValueError(
+            f"a trial log file starts at trial 0, but this log's first_index is {log.first_index}; "
+            "write the chunks of a run in order to one TrialLogWriter"
+        )
+    _check_columns(log)
+    with open(path, "wb") as out:
+        TrialLogWriter(out, min(len(log), _CHUNK_ROWS)).write(log)
 
 
 def _record_row(rec: TrialRecord) -> str:
     """The CSV row of one record, at any index, without its newline: the
-    row format that the column encoder reproduces."""
-    _check_tag(rec.model_tag)
-    _check_lambda(rec.index, rec.lambda_id)
+    one-row oracle of the row format, which the column encoder reproduces."""
     return (
         f"{rec.index},{rec.pair.value},{rec.s_first},{rec.s_second},"
         f"{_format_lambda(rec.lambda_id)},{rec.model_tag}"
@@ -848,9 +841,13 @@ def _scan_lines(text: str) -> TrialLog:
             lambda_vals.append(None)
         else:
             try:
-                lambda_vals.append(int(lam_s) if ("." not in lam_s and "e" not in lam_s) else float(lam_s))
+                value = int(lam_s) if ("." not in lam_s and "e" not in lam_s) else float(lam_s)
             except ValueError:
                 raise TrialLogFormatError(f"line {line_no}: lambda_id {lam_s!r} is not a number") from None
+            # float() reads a number beyond the float range, such as 1e400, as inf
+            if value in (math.inf, -math.inf):
+                raise TrialLogFormatError(f"line {line_no}: lambda_id {lam_s!r} is not finite")
+            lambda_vals.append(value)
         tags.add(tag)
     if n == 0:
         raise TrialLogFormatError("line 2: log contains no trials")
@@ -868,5 +865,10 @@ def _scan_lines(text: str) -> TrialLog:
                 k = next(k for k, v in enumerate(lambda_vals) if not -(2**63) <= v < 2**63)
                 raise TrialLogFormatError(f"line {k + 2}: lambda_id {lambda_vals[k]} does not fit in 64 bits") from None
         else:
-            lambda_ids = np.array([float(v) for v in lambda_vals], dtype=np.float64)
+            lambda_ids = np.empty(n)
+            for k, v in enumerate(lambda_vals):
+                try:
+                    lambda_ids[k] = v
+                except OverflowError:  # an integer beyond the float range
+                    raise TrialLogFormatError(f"line {k + 2}: lambda_id {v} is beyond the float range") from None
     return TrialLog(pair_codes, s_first, s_second, lambda_ids, model_tag)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import struct
@@ -14,6 +15,7 @@ from lglab import (
     QuantumWorld,
     SeededGenerator,
     TableModel,
+    TrialLog,
     TrialRecord,
     estimate_pairs,
     evaluate_lg,
@@ -22,25 +24,26 @@ from lglab import (
     run_experiment,
     stabilization,
 )
-from lglab.analysis import VIOLATION_ARGMAX_ORBIT
+from lglab.analysis import VIOLATION_ARGMAX_ORBIT, _bootstrap_lhs_std_error
 from lglab.hidden_vars import (
     TimeSlot,
     deterministic_strategy_values,
     expectation_exact,
     random_table_model,
 )
-from lglab.jsonutil import dumps_stable, format_float
+from lglab import cli
+from lglab.jsonutil import dump_stable, dumps_stable, format_float
 
 
 def records_from_products(products_by_pair):
-    """Hand-built trial records with prescribed products per pair."""
+    """A log of hand-built trial records with prescribed products per pair."""
     records = []
     i = 0
     for pair, products in products_by_pair.items():
         for p in products:
             records.append(TrialRecord(i, pair, 1, p, None, "test"))
             i += 1
-    return records
+    return TrialLog.from_records(records)
 
 
 # -- estimate_pairs -----------------------------------------------------------
@@ -155,8 +158,19 @@ def test_degenerate_difference_triggers_bootstrap():
     # bootstrap must be deterministic given the seed
     again = evaluate_lg(exact_estimates(0.3, 0.3, 0.2, n=10_000))
     assert again.lhs_std_error == report.lhs_std_error
-    different = evaluate_lg(exact_estimates(0.3, 0.3, 0.2, n=10_000), bootstrap_seed=9)
-    assert different.lhs_std_error != report.lhs_std_error
+    assert report.config_echo == {"significance": 3.0, "bootstrap_seed": 0, "n_resamples": 10_000}
+    seeded = [_bootstrap_lhs_std_error(exact_estimates(0.3, 0.3, 0.2, n=10_000), seed, 10_000) for seed in (0, 9)]
+    assert seeded[0] == report.lhs_std_error
+    assert seeded[1] != report.lhs_std_error
+
+
+def test_pinned_settings_are_constants_not_parameters():
+    # the bootstrap seed and size, the JSON indent and the mixture count each
+    # take one value, which the report and `lglab bound` echo
+    assert list(inspect.signature(evaluate_lg).parameters) == ["estimates", "significance"]
+    assert list(inspect.signature(dumps_stable).parameters) == ["obj"]
+    assert list(inspect.signature(dump_stable).parameters) == ["obj", "file"]
+    assert list(inspect.signature(cli.cmd_bound).parameters) == []
 
 
 def test_bootstrap_error_tracks_propagation_scale():

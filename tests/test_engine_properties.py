@@ -210,25 +210,23 @@ def _reference_products(log):
 
 
 @settings(max_examples=300)
-@given(log=logs(), as_records=st.booleans())
-def test_estimates_equal_float_means(log, as_records):
-    trials = list(log) if as_records else log
+@given(log=logs())
+def test_estimates_equal_float_means(log):
     by_pair = _reference_products(log)
     if min(len(p) for p in by_pair) < 2:
         with pytest.raises(AnalysisError):
-            estimate_pairs(trials)
+            estimate_pairs(log)
         return
-    for est, pair, prods in zip(estimate_pairs(trials), PAIR_ORDER, by_pair):
+    for est, pair, prods in zip(estimate_pairs(log), PAIR_ORDER, by_pair):
         assert est.pair == pair and est.n == len(prods)
         assert est.mean == float(np.mean(prods))
         assert est.std_error == math.sqrt(max(0.0, 1.0 - est.mean**2) / len(prods))
 
 
 @settings(max_examples=300)
-@given(log=logs(), as_records=st.booleans(), stride=st.integers(1, 7))
-def test_stabilization_equals_float_cumsum(log, as_records, stride):
-    trials = list(log) if as_records else log
-    report = stabilization(trials, 0.05, stride)
+@given(log=logs(), stride=st.integers(1, 7))
+def test_stabilization_equals_float_cumsum(log, stride):
+    report = stabilization(log, 0.05, stride)
     for got, prods in zip(report.pairs, _reference_products(log)):
         n = len(prods)
         assert got.n == n

@@ -12,6 +12,7 @@ from lglab import (
     SlotBinding,
     SpacetimeEvent,
     TableModel,
+    TrialLog,
     TrialRecord,
     derive_trial_generator,
     read_trial_log,
@@ -122,6 +123,14 @@ def test_binding_requires_increasing_times():
 # -- run_experiment ---------------------------------------------------------------
 
 
+def test_quantum_world_tag_is_not_a_parameter():
+    assert QuantumWorld("fixed", 0.0).tag == "quantum"
+    with pytest.raises(TypeError):
+        QuantumWorld("fixed", 0.0, "x")
+    with pytest.raises(TypeError):
+        QuantumWorld(tag="x")
+
+
 def test_run_refuses_zero_trials(magic_binding, spacelike_geometry):
     with pytest.raises(ValueError):
         run_experiment(magic_binding, QuantumWorld(), 0, 1, spacelike_geometry)
@@ -219,20 +228,26 @@ def test_magic_angle_run_reproduces_cosine_means(magic_binding, spacelike_geomet
 
 
 def test_trial_log_csv_format_is_byte_exact(tmp_path):
-    records = [
-        TrialRecord(0, PairChoice.P12, 1, -1, None, "quantum"),
-        TrialRecord(1, PairChoice.P23, -1, -1, 3, "table"),
-        TrialRecord(2, PairChoice.P13, 1, 1, 0.5, "rotor"),
-    ]
-    path = tmp_path / "log.csv"
-    write_trial_log(records, path)
-    expected = (
-        "index,pair,s_first,s_second,lambda_id,model_tag\n"
-        "0,12,1,-1,,quantum\n"
-        "1,23,-1,-1,3,table\n"
-        "2,13,1,1,0.5,rotor\n"
-    )
-    assert path.read_bytes() == expected.encode()
+    # one log per lambda kind: a file holds the run of one world
+    for lambdas, tag, fields in (
+        ([None, None, None], "quantum", ["", "", ""]),
+        ([3, -12, 0], "table", ["3", "-12", "0"]),
+        ([0.5, -1.0, 1e-7], "rotor", ["0.5", "-1.0", "1e-07"]),
+    ):
+        records = [
+            TrialRecord(0, PairChoice.P12, 1, -1, lambdas[0], tag),
+            TrialRecord(1, PairChoice.P23, -1, -1, lambdas[1], tag),
+            TrialRecord(2, PairChoice.P13, 1, 1, lambdas[2], tag),
+        ]
+        path = tmp_path / f"{tag}.csv"
+        write_trial_log(TrialLog.from_records(records), path)
+        expected = (
+            "index,pair,s_first,s_second,lambda_id,model_tag\n"
+            f"0,12,1,-1,{fields[0]},{tag}\n"
+            f"1,23,-1,-1,{fields[1]},{tag}\n"
+            f"2,13,1,1,{fields[2]},{tag}\n"
+        )
+        assert path.read_bytes() == expected.encode()
 
 
 def test_write_twice_is_identical(magic_binding, spacelike_geometry, tmp_path):

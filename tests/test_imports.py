@@ -22,7 +22,19 @@ importlib.import_module(sys.argv[2])
 """
 
 
-@pytest.mark.parametrize("module", ["lglab.triallog", "lglab.experiment", "lglab.analysis", "lglab.cli"])
+MODULES = [
+    "lglab.rng",
+    "lglab.quantum",
+    "lglab.hidden_vars",
+    "lglab.jsonutil",
+    "lglab.triallog",
+    "lglab.experiment",
+    "lglab.analysis",
+    "lglab.cli",
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_module_imports_first_without_error(module):
     package_dir = str(Path(lglab.__file__).parent)
     res = subprocess.run(

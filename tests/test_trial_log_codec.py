@@ -1,9 +1,9 @@
 """Properties of the CSV trial-log codec.
 
-The record branch of write_trial_log formats one TrialRecord at a time,
-independently of the chunked column encoder, so it serves as the format
-oracle here.
+triallog._record_row formats one TrialRecord at a time, independently of the
+chunked column encoder, so it serves as the format oracle here.
 """
+import dataclasses
 import io
 import math
 from unittest import mock
@@ -16,10 +16,12 @@ from hypothesis.extra.numpy import arrays
 
 from lglab import (
     Direction,
+    PairChoice,
     QuantumWorld,
     SlotBinding,
     SpacetimeEvent,
     TableModel,
+    TrialRecord,
     read_trial_log,
     run_chunks,
     run_experiment,
@@ -83,17 +85,19 @@ def _streams(path) -> bool:
 
 
 def _oracle_rows(records) -> bytes:
-    """The record branch's rows, without the header, for records numbered from
-    any index (write_trial_log writes only files that start at trial 0)."""
+    """The oracle's rows, without the header, for records numbered from any
+    index (write_trial_log writes only files that start at trial 0)."""
     return "".join(f"{triallog._record_row(rec)}\n" for rec in records).encode("utf-8")
 
 
+def _oracle_file(log: TrialLog) -> bytes:
+    return f"{TRIAL_LOG_HEADER}\n".encode() + _oracle_rows(log)
+
+
 def _check_codec(directory, log: TrialLog) -> None:
-    path, oracle = directory / "log.csv", directory / "oracle.csv"
+    path = directory / "log.csv"
     write_trial_log(log, path)
-    write_trial_log(list(log), oracle)
-    data = path.read_bytes()
-    assert data == oracle.read_bytes()
+    assert path.read_bytes() == _oracle_file(log)
     assert _streams(path)  # the column-wise parse accepts it
     _assert_same_log(read_trial_log(path), log)
 
@@ -203,14 +207,32 @@ def test_non_finite_float_lambda_is_rejected_as_before(tmp_path, bad):
         read_trial_log(path)
 
 
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "1.5e400"])
+def test_the_line_scanner_refuses_a_float_lambda_beyond_the_float_range(tmp_path, text):
+    lambdas = np.array([0.5, 1.25, 1.5, 2.0])
+    log = TrialLog(np.array([0, 1, 2, 0], np.uint8), np.ones(4, np.int8), -np.ones(4, np.int8), lambdas, "rotor")
+    path = tmp_path / "log.csv"
+    write_trial_log(log, path)
+    path.write_text(path.read_text(encoding="utf-8").replace(",1.5,", f",{text},"), encoding="utf-8")
+    with pytest.raises(TrialLogFormatError, match=f"^line 4: lambda_id '{text}' is not finite"):
+        read_trial_log(path)
+
+
+def test_the_line_scanner_refuses_an_integer_beyond_the_float_range_in_a_float_column(tmp_path):
+    huge = 10**400
+    path = tmp_path / "log.csv"
+    path.write_text(f"{TRIAL_LOG_HEADER}\n0,12,1,1,0.5,rotor\n1,13,1,-1,{huge},rotor\n", encoding="utf-8")
+    with pytest.raises(TrialLogFormatError, match=f"^line 3: lambda_id {huge} is beyond the float range"):
+        read_trial_log(path)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_writers_refuse_non_finite_float_lambdas(tmp_path, bad):
     lambdas = np.array([0.5, bad, 2.0])
     log = TrialLog(np.array([0, 1, 2], dtype=np.uint8), np.ones(3, np.int8), -np.ones(3, np.int8), lambdas, "rotor")
     path = tmp_path / "x.csv"
-    for trials in (log, list(log)):
-        with pytest.raises(ValueError, match="^trial 1: lambda_id"):
-            write_trial_log(trials, path)
+    with pytest.raises(ValueError, match="^trial 1: lambda_id"):
+        write_trial_log(log, path)
     assert not path.exists()
     later = TrialLog(log.pair_codes, log.s_first, log.s_second, lambdas, "rotor", first_index=70_000)
     with pytest.raises(ValueError, match="^trial 70001: lambda_id"):
@@ -229,19 +251,6 @@ def test_a_later_chunk_of_a_run_is_refused_as_a_file_but_a_writer_takes_it(tmp_p
         for chunk in chunks:
             write_trial_log(chunk, writer)
     _assert_same_log(read_trial_log(path), _run("table", 5, 70_000))
-
-
-def test_the_records_of_a_later_chunk_are_refused_as_a_file(tmp_path):
-    later = list(run_chunks(BINDING, WORLDS["table"], 70_000, 5, GEOMETRY))[1]
-    path = tmp_path / "x.csv"
-    with pytest.raises(ValueError, match=f"^record 0 has index {_CHUNK_ROWS};"):
-        write_trial_log(list(later), path)
-    assert not path.exists()
-    records = list(_run("table", 5, 10))
-    del records[4]
-    with pytest.raises(ValueError, match="^record 4 has index 5;"):
-        write_trial_log(records, path)
-    assert not path.exists()
 
 
 def test_a_writer_refuses_a_later_chunk_first(tmp_path):
@@ -276,6 +285,110 @@ def test_write_trial_log_to_a_writer_numbers_the_rows_on(tmp_path):
             write_trial_log(TrialLog(chunk.pair_codes, chunk.s_first, chunk.s_second, chunk.lambda_ids, "table"), writer)
     assert writer.next_index == 70_000
     _assert_same_log(read_trial_log(path), _run("table", 5, 70_000))
+
+
+def _refused(log: TrialLog, tmp_path, match: str) -> None:
+    """Both writers refuse log: write_trial_log before the file is made, and
+    TrialLogWriter.write before a byte of the chunk."""
+    path = tmp_path / "refused.csv"
+    with pytest.raises(ValueError, match=match):
+        write_trial_log(log, path)
+    assert not path.exists()
+    out = io.BytesIO()
+    with pytest.raises(ValueError, match=match):
+        TrialLogWriter(out).write(log)
+    assert out.getvalue() == b""
+
+
+@pytest.mark.parametrize(
+    "codes, s_first, match",
+    [
+        (np.array([0.0, 1.5, 2.0]), np.ones(3, np.int8), "pair codes"),
+        (np.zeros(3, np.uint8), np.array([1j, 1, -1]), "outcomes"),
+    ],
+    ids=["float_codes", "complex_outcomes"],
+)
+def test_writers_refuse_columns_that_are_not_integer_codes_or_real_outcomes(tmp_path, codes, s_first, match):
+    # each was written as a row of other values
+    _refused(TrialLog(codes, s_first, np.ones(3, np.int8), None, "quantum"), tmp_path, match)
+
+
+def test_writers_refuse_an_empty_log(tmp_path):
+    empty = np.zeros(0, np.int8)
+    _refused(TrialLog(empty.view(np.uint8), empty, empty, None, "quantum"), tmp_path, "empty")
+
+
+@pytest.mark.parametrize(
+    "lambdas",
+    [np.array([1 + 2j, 0.5, 1.0]), np.array([1, 2, 3], dtype=object), np.array(["1", "2", "3"])],
+    ids=["complex", "object", "str"],
+)
+def test_writers_refuse_lambdas_that_are_not_bool_integer_or_float(tmp_path, lambdas):
+    log = TrialLog(np.zeros(3, np.uint8), np.ones(3, np.int8), -np.ones(3, np.int8), lambdas, "rotor")
+    _refused(log, tmp_path, f"^lambda_id must be bool, integer or float, got dtype {lambdas.dtype}")
+
+
+def test_writers_refuse_a_uint64_lambda_above_int64_naming_its_trial(tmp_path):
+    lambdas = np.array([3, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    log = TrialLog(np.zeros(4, np.uint8), np.ones(4, np.int8), -np.ones(4, np.int8), lambdas, "table")
+    _refused(log, tmp_path, f"^trial 2: lambda_id {2**63} does not fit in int64")
+
+
+@pytest.mark.parametrize("tag", ["a\ud800", "\udfff"])
+def test_writers_refuse_a_tag_that_is_not_utf8_text(tmp_path, tag):
+    log = TrialLog(np.zeros(3, np.uint8), np.ones(3, np.int8), -np.ones(3, np.int8), None, tag)
+    _refused(log, tmp_path, "^model tag .* is not valid UTF-8 text")
+
+
+def test_records_reach_a_file_only_as_a_log_the_reader_can_take_back(tmp_path):
+    ok = TrialRecord(0, PairChoice.P12, 1, -1, 3, "table")
+    with pytest.raises(ValueError, match="mixes empty and non-empty"):
+        TrialLog.from_records([ok, dataclasses.replace(ok, index=1, lambda_id=None)])
+    _refused(TrialLog.from_records([ok, dataclasses.replace(ok, index=1, lambda_id=2**64)]), tmp_path, "lambda_id")
+    _refused(TrialLog.from_records([ok, dataclasses.replace(ok, index=1, s_first=7)]), tmp_path, "outcomes")
+    path = tmp_path / "log.csv"
+    write_trial_log(TrialLog.from_records([ok, dataclasses.replace(ok, index=1, lambda_id=2**63 - 1)]), path)
+    assert path.read_bytes() == f"{TRIAL_LOG_HEADER}\n0,12,1,-1,3,table\n1,12,1,-1,{2**63 - 1},table\n".encode()
+
+
+LAMBDA_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+LAMBDA_DTYPES += [np.float16, np.float32, np.float64, np.complex128]
+# any character, the surrogates too, and those a row cannot carry
+TAGS = st.text(st.characters(exclude_categories=()) | st.sampled_from(",\n\r\0"), max_size=4)
+
+
+@st.composite
+def any_logs(draw):
+    n = draw(st.integers(0, 40))
+    codes = draw(st.sampled_from([np.uint8, np.int64, np.float64]))
+    outcomes = draw(st.sampled_from([np.int8, np.int64, np.float64, np.complex128, np.bool_]))
+    outcome = st.sampled_from({np.complex128: [1, -1, 1j], np.bool_: [True, False]}.get(outcomes, [1, -1]))
+    dtype = draw(st.sampled_from([None] + LAMBDA_DTYPES))
+    return TrialLog(
+        draw(arrays(codes, n, elements=st.sampled_from([0, 1, 2, 1.5] if codes is np.float64 else [0, 1, 2]))),
+        draw(arrays(outcomes, n, elements=outcome)),
+        draw(arrays(outcomes, n, elements=outcome)),
+        None if dtype is None else draw(arrays(dtype, n)),
+        draw(st.just("synthetic") | TAGS),
+        first_index=draw(st.just(0) | st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=500)
+@given(log=any_logs())
+def test_every_log_the_writer_accepts_reads_back_equal(codec_dir, log):
+    path = codec_dir / "any.csv"
+    path.unlink(missing_ok=True)
+    try:
+        write_trial_log(log, path)
+    except ValueError:
+        assert not path.exists()
+        return
+    lambdas = log.lambda_ids
+    if lambdas is not None:
+        # bool and integer columns read back as int64, float ones as float64
+        lambdas = lambdas.astype(np.float64 if lambdas.dtype.kind == "f" else np.int64)
+    _assert_same_log(read_trial_log(path), TrialLog(log.pair_codes, log.s_first, log.s_second, lambdas, log.model_tag))
 
 
 def test_writer_refuses_outcomes_other_than_plus_minus_one(tmp_path):
@@ -343,20 +456,17 @@ def test_float_lambda_logs_match_the_record_oracle_and_round_trip(codec_dir, log
 
 @settings(max_examples=50)
 @given(log=lambda_logs(np.uint64, st.integers(2**63, 2**64 - 1)))
-def test_uint64_lambdas_above_int64_match_the_record_oracle(codec_dir, log):
-    path, oracle = codec_dir / "log.csv", codec_dir / "oracle.csv"
-    write_trial_log(log, path)
-    write_trial_log(list(log), oracle)
-    assert path.read_bytes() == oracle.read_bytes()
+def test_uint64_lambdas_above_int64_are_refused(codec_dir, log):
+    # the reader reads integer lambda_ids as int64
+    _refused(log, codec_dir, f"^trial 0: lambda_id {log.lambda_ids[0]} does not fit in int64")
 
 
 @settings(max_examples=50)
 @given(log=lambda_logs(np.bool_, st.booleans()))
-def test_boolean_lambdas_are_written_as_the_record_branch_writes_them(codec_dir, log):
-    path, oracle = codec_dir / "log.csv", codec_dir / "oracle.csv"
+def test_boolean_lambdas_are_written_as_the_oracle_writes_them(codec_dir, log):
+    path = codec_dir / "log.csv"
     write_trial_log(log, path)
-    write_trial_log(list(log), oracle)
-    assert path.read_bytes() == oracle.read_bytes()
+    assert path.read_bytes() == _oracle_file(log)
     assert _streams(path)
     # 1/0 read back as int64 lambdas
     ints = TrialLog(log.pair_codes, log.s_first, log.s_second, log.lambda_ids.astype(np.int64), log.model_tag)
@@ -373,9 +483,8 @@ def test_writer_refuses_tags_it_cannot_round_trip(tmp_path, tag):
     log = _run("quantum", 3, 5)
     log = TrialLog(log.pair_codes, log.s_first, log.s_second, None, tag)
     path = tmp_path / "x.csv"
-    for trials in (log, list(log)):
-        with pytest.raises(ValueError, match="model tag"):
-            write_trial_log(trials, path)
+    with pytest.raises(ValueError, match="model tag"):
+        write_trial_log(log, path)
     assert not path.exists()
 
 
@@ -446,7 +555,13 @@ def test_chunks_through_one_workspace_match_the_record_oracle(kind, start, lengt
     codec = _RowCodec(_CHUNK_ROWS)
     rows = b"".join(codec.encode(chunk) for chunk in chunks)
     assert rows == _oracle_rows(rec for chunk in chunks for rec in chunk)
-    if start == 0:
+    if start == 0 and kind == "uint64":
+        # lambda_ids above int64, which a writer refuses before a byte
+        out = io.BytesIO()
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            TrialLogWriter(out).write(chunks[0])
+        assert out.getvalue() == b""
+    elif start == 0:
         # a writer is such a workspace behind the header
         out = io.BytesIO()
         writer = TrialLogWriter(out)
