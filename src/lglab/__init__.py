@@ -36,11 +36,11 @@ from .hidden_vars import (
     RotorModel,
     TableModel,
     TimeSlot,
+    World,
     brute_force_bound,
     conspiracy_from_quantum,
     expectation_exact,
     mixture_bound_check,
-    sample_trial,
 )
 from .quantum import (
     Direction,
@@ -75,6 +75,7 @@ __all__ = [
     "TimeSlot",
     "TrialLog",
     "TrialRecord",
+    "World",
     "brute_force_bound",
     "conspiracy_from_quantum",
     "derive_trial_generator",
@@ -91,7 +92,6 @@ __all__ = [
     "run_chunks",
     "run_experiment",
     "run_quantum_trial",
-    "sample_trial",
     "select_pair",
     "sequential_correlation_exact",
     "spacelike_separated",

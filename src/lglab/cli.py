@@ -38,11 +38,10 @@ from .experiment import (
     QuantumWorld,
     SlotBinding,
     SpacetimeEvent,
-    World,
     run_chunks,
     spacelike_separated,
 )
-from .hidden_vars import RotorModel, TableModel, _is_finite, _is_real, conspiracy_from_quantum
+from .hidden_vars import RotorModel, TableModel, World, _is_finite, _is_integer, _is_real, conspiracy_from_quantum
 from .jsonutil import dump_stable, dumps_stable
 from .quantum import Direction, sequential_correlation_exact
 from .rng import MASK64
@@ -225,10 +224,10 @@ def load_run_config(path) -> RunConfig:
 
     n_trials = raw["n_trials"]
     # trial indexes run to n_trials - 1, which must fit in 64 bits
-    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or not 1 <= n_trials <= 1 << 64:
+    if not _is_integer(n_trials) or not 1 <= n_trials <= 1 << 64:
         raise ConfigError(f"n_trials: expected an integer >= 1 and <= 2^64, got {n_trials!r}")
     master_seed = raw["master_seed"]
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool) or not 0 <= master_seed <= MASK64:
+    if not _is_integer(master_seed) or not 0 <= master_seed <= MASK64:
         raise ConfigError(f"master_seed: expected a 64-bit unsigned integer, got {master_seed!r}")
 
     geometry_raw = raw.get("geometry", DEFAULT_GEOMETRY)
@@ -245,7 +244,7 @@ def load_run_config(path) -> RunConfig:
     if epsilon <= 0:
         raise ConfigError(f"epsilon: must be > 0, got {epsilon}")
     stride = raw.get("checkpoint_stride", DEFAULT_CHECKPOINT_STRIDE)
-    if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
+    if not _is_integer(stride) or stride < 1:
         raise ConfigError(f"checkpoint_stride: expected an integer >= 1, got {stride!r}")
     override_foc = raw.get("override_foc", False)
     if not isinstance(override_foc, bool):

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .hidden_vars import PAIR_ORDER, ConspiracyModel, PairChoice, ResponseModel, signs
+from .hidden_vars import PAIR_ORDER, PairChoice, World, _is_finite, _is_integer, signs
 from .quantum import Direction, PolarizationState, cos_squared, reduce_direction_angle, run_quantum_trial
 from .rng import (
+    MASK64,
     SeededGenerator,
     StateBuffer,
     derive_trial_generator,
@@ -111,7 +112,7 @@ class FreedomOfChoiceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QuantumWorld:
+class QuantumWorld(World):
     """Quantum world-model plus the initial-state policy for a run.
 
     policy "fixed" prepares every photon at initial_angle; "fresh_uniform"
@@ -126,7 +127,17 @@ class QuantumWorld:
     def __post_init__(self) -> None:
         if self.policy not in ("fixed", "fresh_uniform"):
             raise ValueError(f"unknown initial-state policy {self.policy!r}")
+        if not _is_finite(self.initial_angle):
+            raise ValueError(f"initial_angle must be finite, got {self.initial_angle!r}")
         object.__setattr__(self, "initial_angle", reduce_direction_angle(self.initial_angle))
+
+    def sample_pair(self, binding: SlotBinding, pair, rand) -> tuple[int, int, None]:
+        """Two consecutive measurements on one photon along the pair's
+        directions; a fresh initial state is drawn before them. No lambda."""
+        first, second = binding.directions_for(PairChoice.of(pair))
+        angle = rand.next_uniform() * math.pi if self.policy == "fresh_uniform" else self.initial_angle
+        s_first, s_second = run_quantum_trial(PolarizationState(angle), first, second, rand)
+        return s_first, s_second, None
 
     def sample_lanes(
         self, binding: SlotBinding, codes, states: np.ndarray
@@ -218,9 +229,6 @@ def _quantum_tables(binding: SlotBinding, initial_angle: float) -> tuple[np.ndar
     return first_angle, thresholds(p1), thresholds(p2)
 
 
-World = Union[QuantumWorld, ResponseModel, ConspiracyModel]
-
-
 def select_pair(gen: SeededGenerator) -> PairChoice:
     """Draw a uniform pair choice from the pinned device.
 
@@ -276,6 +284,10 @@ def run_chunks(
     through chunk by chunk; it moves chunk boundaries, never trials. Every
     chunk's lambda column takes the dtype of the first chunk's lambdas.
     """
+    if not _is_integer(n_trials):
+        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
+    if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
+        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
     if n_trials > 1 << 64:
@@ -373,19 +385,10 @@ def run_trial_scalar(
 ) -> TrialRecord:
     """Reference scalar execution of one trial; run_experiment must agree.
 
-    Spelled out with the public single-draw operations so the vectorized
-    engine has an independent oracle.
+    Spelled out with the public single-draw operations, down to the world's
+    scalar sample_pair, so the vectorized engine has an independent oracle.
     """
     gen = derive_trial_generator(master_seed, trial_index)
     pair = select_pair(gen)
-    lam: Optional[Union[int, float]] = None
-    if isinstance(world, QuantumWorld):
-        if world.policy == "fresh_uniform":
-            initial = PolarizationState(gen.next_uniform() * math.pi)
-        else:
-            initial = PolarizationState(world.initial_angle)
-        first, second = binding.directions_for(pair)
-        s_first, s_second = run_quantum_trial(initial, first, second, gen)
-    else:
-        s_first, s_second, lam = world.sample_pair(pair, gen)
+    s_first, s_second, lam = world.sample_pair(binding, pair, gen)
     return TrialRecord(trial_index, pair, s_first, s_second, lam, world.tag)

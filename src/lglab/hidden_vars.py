@@ -101,6 +101,11 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """True for int and numpy integer scalars; False for booleans and non-integers."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_finite(value) -> bool:
     """math.isfinite, False too for an integer beyond the float range."""
     try:
@@ -114,17 +119,56 @@ def signs(positive: np.ndarray) -> np.ndarray:
     return positive.view(np.int8) * 2 - 1
 
 
-class ResponseModel(ABC):
+class World(ABC):
+    """A world-model: what every trial reads its two outcomes from.
+
+    sample_pair is one trial on one pair, drawn from rand: (s_first,
+    s_second, lambda), with lambda None for a world without hidden variables.
+    It is the scalar oracle. The engine samples a world only through
+    sample_lanes, whose default kernel runs sample_pair lane by lane, so a
+    subclass that implements sample_pair alone already runs; overriding
+    sample_lanes with array code is an optimization that must give the same
+    outcomes and lambdas. binding is the run's SlotBinding, which worlds
+    that carry their own directions ignore.
+    """
+
+    tag: str = "world"
+
+    @abstractmethod
+    def sample_pair(self, binding, pair: Union[PairChoice, SlotPair], rand: UnitUniformSource) -> tuple:
+        """Draw one trial for the given pair: (s_first, s_second, lambda)."""
+
+    def sample_lanes(self, binding, codes, states: np.ndarray):
+        """One trial per lane: (s_first, s_second, lambda_ids) as arrays.
+
+        codes holds each lane's pair code (an index into PAIR_ORDER), or one
+        code for every lane; states holds each lane's generator state and is
+        advanced in place by the draws the lane consumes. The engine passes
+        both in buffers it reuses for the next chunk, so the returned arrays
+        must not be views of them. The lambda array's dtype is the column's
+        dtype in the trial log; lambda_ids is None when every lambda is.
+        """
+        gens = [SeededGenerator(state) for state in states.tolist()]
+        codes = np.broadcast_to(codes, states.shape).tolist()
+        trials = [self.sample_pair(binding, PAIR_ORDER[code], gen) for code, gen in zip(codes, gens)]
+        states[:] = [gen.state for gen in gens]
+        s_first, s_second, lams = zip(*trials) if trials else ((), (), ())
+        lambda_ids = None if lams and all(lam is None for lam in lams) else np.array(lams)
+        return np.array(s_first, dtype=np.int8), np.array(s_second, dtype=np.int8), lambda_ids
+
+    def sample_pair_batch(self, pair: Union[PairChoice, SlotPair], states: np.ndarray):
+        """sample_lanes with every lane on the same pair and no binding, so
+        only for worlds that carry their own directions."""
+        return self.sample_lanes(None, PairChoice.of(pair).code, states)
+
+
+class ResponseModel(World):
     """Deterministic response family S(lambda, slot) with a lambda distribution.
 
     respond must be a pure function of (lambda, slot): the standing initial
-    conditions fix all three slot responses at once.
-
-    sample_pair is one trial: one lambda, read on both slots of the pair.
-    The engine samples a model through sample_lanes, whose default kernel
-    runs sample_pair lane by lane, so a subclass that implements only the
-    two abstract methods already runs; overriding sample_lanes with array
-    code is an optimization that must give the same outcomes and lambdas.
+    conditions fix all three slot responses at once, and sample_pair draws
+    one lambda and reads it on both slots of the pair. A subclass implements
+    only the two abstract methods.
     """
 
     tag: str = "response"
@@ -135,36 +179,10 @@ class ResponseModel(ABC):
     @abstractmethod
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int: ...
 
-    def sample_pair(
-        self, pair: Union[PairChoice, SlotPair], rand: UnitUniformSource
-    ) -> tuple[int, int, HiddenVariable]:
-        """Draw one trial for the given pair: (s_first, s_second, lambda)."""
+    def sample_pair(self, binding, pair, rand: UnitUniformSource) -> tuple[int, int, HiddenVariable]:
         first, second = PairChoice.of(pair).slots
         lam = self.sample_lambda(rand)
         return self.respond(lam, first), self.respond(lam, second), lam
-
-    def sample_lanes(self, binding, codes, states: np.ndarray):
-        """One trial per lane: (s_first, s_second, lambda_ids) as arrays.
-
-        codes holds each lane's pair code (an index into PAIR_ORDER), or one
-        code for every lane; states holds each lane's generator state and is
-        advanced in place by the draws the lane consumes. The engine passes
-        both in buffers it reuses for the next chunk, so the returned arrays
-        must not be views of them. binding is the
-        run's SlotBinding, which response models do not need: they carry
-        their own directions. The lambda array's dtype is the column's dtype
-        in the trial log.
-        """
-        gens = [SeededGenerator(state) for state in states.tolist()]
-        codes = np.broadcast_to(codes, states.shape).tolist()
-        trials = [self.sample_pair(PAIR_ORDER[code], gen) for code, gen in zip(codes, gens)]
-        states[:] = [gen.state for gen in gens]
-        s_first, s_second, lams = zip(*trials) if trials else ((), (), ())
-        return np.array(s_first, dtype=np.int8), np.array(s_second, dtype=np.int8), np.array(lams)
-
-    def sample_pair_batch(self, pair: Union[PairChoice, SlotPair], states: np.ndarray):
-        """sample_lanes with every lane on the same pair."""
-        return self.sample_lanes(None, PairChoice.of(pair).code, states)
 
 
 class TableModel(ResponseModel):
@@ -293,7 +311,7 @@ def _cos_nonnegative(lam: np.ndarray, theta) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConspiracyModel:
+class ConspiracyModel(World):
     """Setting-conditioned lambda sampling: the freedom-of-choice loophole.
 
     The responses themselves stay deterministic per lambda (lambda indexes the
@@ -305,20 +323,20 @@ class ConspiracyModel:
     unconditioned uniform strategy mix (all pair means 0).
     """
 
-    target_means: dict[SlotPair, float]
+    target_means: dict[PairChoice, float]
     strength: float = 1.0
     tag: str = field(default="conspiracy", init=False)
 
     def __post_init__(self) -> None:
-        if set(self.target_means) != {p.slots for p in PAIR_ORDER}:
-            raise ValueError("conspiracy model needs a target mean for each of the three slot pairs")
+        if set(self.target_means) != set(PAIR_ORDER):
+            raise ValueError("conspiracy model needs a target mean keyed by each of the three PairChoice members")
         for pair, m in self.target_means.items():
             if not (-1.0 <= m <= 1.0):
                 raise ValueError(f"target mean for {pair} must lie in [-1, 1], got {m}")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError(f"strength must lie in [0, 1], got {self.strength}")
         # the lane kernel's match probabilities, by pair code
-        p_same = [(1.0 + self.target_means[p.slots]) / 2.0 for p in PAIR_ORDER]
+        p_same = [(1.0 + self.target_means[p]) / 2.0 for p in PAIR_ORDER]
         object.__setattr__(self, "_same_limits", thresholds(p_same))
         object.__setattr__(self, "_strength_limit", thresholds(self.strength))
 
@@ -328,20 +346,19 @@ class ConspiracyModel:
             raise ValueError(f"conspiracy lambda must index one of the 8 strategies, got {lam}")
         return 1 if (lam >> slot.value) & 1 else -1
 
-    def sample_pair(
-        self, pair: Union[PairChoice, SlotPair], rand: UnitUniformSource
-    ) -> tuple[int, int, int]:
+    def sample_pair(self, binding, pair, rand: UnitUniformSource) -> tuple[int, int, int]:
         """Draw one trial for the given pair: (s_first, s_second, lambda).
 
         Consumes exactly four uniforms: mode, first sign, second sign/match,
         unused-slot sign.
         """
-        first, second = PairChoice.of(pair).slots
+        pair = PairChoice.of(pair)
+        first, second = pair.slots
         conditioned = rand.next_uniform() < self.strength
         s_first = 1 if rand.next_uniform() < 0.5 else -1
         u2 = rand.next_uniform()
         if conditioned:
-            s_second = s_first if u2 < (1.0 + self.target_means[(first, second)]) / 2.0 else -s_first
+            s_second = s_first if u2 < (1.0 + self.target_means[pair]) / 2.0 else -s_first
         else:
             s_second = 1 if u2 < 0.5 else -1
         s_other = 1 if rand.next_uniform() < 0.5 else -1
@@ -371,35 +388,18 @@ class ConspiracyModel:
         at += key
         return signs(first_plus), signs(second_plus), _STRATEGY.take(at)
 
-    def sample_pair_batch(self, pair: Union[PairChoice, SlotPair], states: np.ndarray):
-        """sample_lanes with every lane on the same pair."""
-        return self.sample_lanes(None, PairChoice.of(pair).code, states)
 
-
-def expectation_exact(model: TableModel, slot_a: TimeSlot, slot_b: TimeSlot) -> float:
-    """Exact pair expectation of a discrete model: sum of weight * S_a * S_b."""
-    first, second = PairChoice.of((slot_a, slot_b)).slots
+def expectation_exact(model: TableModel, pair: Union[PairChoice, SlotPair]) -> float:
+    """Exact pair expectation of a discrete model: sum of weight * S_first * S_second."""
+    first, second = PairChoice.of(pair).slots
     products = model._responses[:, first.value].astype(np.float64) * model._responses[:, second.value]
     return float(np.dot(model._weights, products))
 
 
 def table_lhs_exact(model: TableModel) -> float:
     """Exact |E(T1,T2) - E(T1,T3)| + E(T2,T3) for a discrete model."""
-    e12 = expectation_exact(model, TimeSlot.T1, TimeSlot.T2)
-    e13 = expectation_exact(model, TimeSlot.T1, TimeSlot.T3)
-    e23 = expectation_exact(model, TimeSlot.T2, TimeSlot.T3)
+    e12, e13, e23 = (expectation_exact(model, pair) for pair in PAIR_ORDER)
     return abs(e12 - e13) + e23
-
-
-def sample_trial(
-    model: Union[ResponseModel, ConspiracyModel], pair: Union[PairChoice, SlotPair], rand: UnitUniformSource
-) -> tuple[int, int, HiddenVariable]:
-    """One trial under a hidden-variable model: (s_first, s_second, lambda).
-
-    Response models read both outcomes from a single freshly drawn lambda;
-    conspiracy models draw from their pair-conditioned distribution.
-    """
-    return model.sample_pair(pair, rand)
 
 
 def conspiracy_from_quantum(a, b, c, strength: float = 1.0) -> ConspiracyModel:
@@ -412,10 +412,7 @@ def conspiracy_from_quantum(a, b, c, strength: float = 1.0) -> ConspiracyModel:
     from .quantum import sequential_correlation_exact
 
     directions = (a, b, c)
-    means = {
-        (x, y): sequential_correlation_exact(directions[x.value], directions[y.value])
-        for x, y in (p.slots for p in PAIR_ORDER)
-    }
+    means = {p: sequential_correlation_exact(*(directions[s.value] for s in p.slots)) for p in PAIR_ORDER}
     return ConspiracyModel(target_means=means, strength=strength)
 
 

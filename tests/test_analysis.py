@@ -26,7 +26,6 @@ from lglab import (
 )
 from lglab.analysis import VIOLATION_ARGMAX_ORBIT, _bootstrap_lhs_std_error
 from lglab.hidden_vars import (
-    TimeSlot,
     deterministic_strategy_values,
     expectation_exact,
     random_table_model,
@@ -98,13 +97,8 @@ def test_estimates_converge_to_exact_table_expectations(spacelike_geometry, magi
     model = TableModel([(0.3, (1, 1, -1)), (0.3, (-1, 1, 1)), (0.4, (1, -1, 1))])
     log = run_experiment(magic_binding, model, 100_000, 31, spacelike_geometry)
     estimates = estimate_pairs(log)
-    slots = {
-        PairChoice.P12: (TimeSlot.T1, TimeSlot.T2),
-        PairChoice.P13: (TimeSlot.T1, TimeSlot.T3),
-        PairChoice.P23: (TimeSlot.T2, TimeSlot.T3),
-    }
     for est in estimates:
-        exact = expectation_exact(model, *slots[est.pair])
+        exact = expectation_exact(model, est.pair)
         assert abs(est.mean - exact) < 5 * math.sqrt((1 - exact**2) / est.n)
 
 

@@ -21,6 +21,7 @@ from lglab import (
     TableModel,
     TimeSlot,
     TrialLog,
+    World,
     estimate_pairs,
     run_experiment,
     stabilization,
@@ -53,13 +54,37 @@ def table_models(draw):
     return TableModel([(w / total, t) for w, t in zip(weights, triples)])
 
 
+class ScalarHandOff(World):
+    """A world that is no QuantumWorld: it hands its scalar trial to one and
+    runs on the default lane kernel."""
+
+    tag = "scalar_hand_off"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sample_pair(self, binding, pair, rand):
+        return self.inner.sample_pair(binding, pair, rand)
+
+
+class HandOff(ScalarHandOff):
+    """A ScalarHandOff that hands its lane kernel to the QuantumWorld too."""
+
+    tag = "hand_off"
+
+    def sample_lanes(self, binding, codes, states):
+        return self.inner.sample_lanes(binding, codes, states)
+
+
 @st.composite
 def worlds(draw, binding):
-    kind = draw(st.sampled_from(["quantum_fixed", "quantum_fresh", "table", "rotor", "conspiracy"]))
+    kind = draw(st.sampled_from(["quantum_fixed", "quantum_fresh", "table", "rotor", "conspiracy", "hand_off"]))
     if kind == "quantum_fixed":
         return QuantumWorld(initial_angle=draw(angles))
     if kind == "quantum_fresh":
         return QuantumWorld(policy="fresh_uniform")
+    if kind == "hand_off":
+        return HandOff(QuantumWorld(draw(st.sampled_from(["fixed", "fresh_uniform"])), draw(angles)))
     if kind == "table":
         return draw(table_models())
     if kind == "rotor":
@@ -119,6 +144,29 @@ def test_shard_layout_does_not_change_the_log(run, n_trials, n_shards):
     assert sharded == serial
     if serial.lambda_ids is not None:
         assert sharded.lambda_ids.dtype == serial.lambda_ids.dtype
+
+
+@pytest.mark.parametrize("policy", ["fixed", "fresh_uniform"])
+@pytest.mark.parametrize("world_type", [HandOff, ScalarHandOff])
+def test_the_engine_and_the_oracle_need_only_the_world_interface(magic_binding, world_type, policy):
+    world = world_type(QuantumWorld(policy, 0.7))
+    n = _CHUNK_ROWS + 2
+    log = run_experiment(magic_binding, world, n, 31, GEOMETRY)
+    assert log.model_tag == world.tag
+    assert log.lambda_ids is None
+    _assert_matches_oracle(log, magic_binding, world, 31, _oracle_indexes(n))
+    # the same trials as the world it hands off to
+    inner = run_experiment(magic_binding, world.inner, n, 31, GEOMETRY)
+    for column in ("pair_codes", "s_first", "s_second"):
+        assert np.array_equal(getattr(log, column), getattr(inner, column))
+
+
+def test_every_built_in_world_is_a_world(magic_binding):
+    directions = magic_binding.directions
+    table = TableModel([(1.0, (1, 1, 1))])
+    for world in (QuantumWorld(), table, RotorModel(directions), conspiracy_from_quantum(*directions)):
+        assert isinstance(world, World)
+        assert type(world).sample_pair_batch is World.sample_pair_batch
 
 
 def test_wrapping_stream_offsets_equal_the_scalar_oracle(magic_binding):

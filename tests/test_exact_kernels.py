@@ -140,7 +140,7 @@ def _assert_lanes_match_the_scalar_trials(model, codes, states):
     s_first, s_second, lams = model.sample_lanes(None, codes, states)
     for code, start, end, got in zip(codes.tolist(), starts, states.tolist(), zip(s_first, s_second, lams)):
         gen = SeededGenerator(start)
-        want = model.sample_pair(PAIR_ORDER[code], gen)
+        want = model.sample_pair(None, PAIR_ORDER[code], gen)
         assert tuple(got) == want, (code, start)
         assert gen.state == end
 
@@ -198,8 +198,7 @@ strengths = st.sampled_from([0.0, 1.0, 0.5, math.nextafter(1.0, 0.0), SUBNORMAL]
 @example(m12=1.0, m13=-1.0, m23=0.0, strength=1.0, draw=3, low=0)
 @example(m12=-1.0, m13=1.0, m23=1.0, strength=0.0, draw=1, low=0)
 def test_conspiracy_lanes_on_every_draw_edge_match_sample_pair(m12, m13, m23, strength, draw, low):
-    slots = [p.slots for p in PAIR_ORDER]
-    model = ConspiracyModel(target_means=dict(zip(slots, (m12, m13, m23))), strength=strength)
+    model = ConspiracyModel(target_means=dict(zip(PAIR_ORDER, (m12, m13, m23))), strength=strength)
     # draw 1 decides conditioning, 2 the first sign, 3 the second, 4 the left-out slot
     limits = {1: [thresholds(strength)], 3: list(thresholds([(1.0 + m) / 2.0 for m in (m12, m13, m23)]))}
     ks = _edge_ks(limits.get(draw, []) + [thresholds(0.5)])

@@ -16,6 +16,7 @@ from lglab import (
     TrialRecord,
     derive_trial_generator,
     read_trial_log,
+    run_chunks,
     run_experiment,
     select_pair,
     spacelike_separated,
@@ -134,6 +135,26 @@ def test_quantum_world_tag_is_not_a_parameter():
 def test_run_refuses_zero_trials(magic_binding, spacelike_geometry):
     with pytest.raises(ValueError):
         run_experiment(magic_binding, QuantumWorld(), 0, 1, spacelike_geometry)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_quantum_world_refuses_a_non_finite_initial_angle(angle):
+    with pytest.raises(ValueError, match="initial_angle"):
+        QuantumWorld(initial_angle=angle)
+
+
+@pytest.mark.parametrize("run", [run_chunks, run_experiment])
+@pytest.mark.parametrize("seed", [2**64, -1, 1.0, True])
+def test_run_refuses_a_seed_that_is_not_a_64_bit_unsigned_integer(magic_binding, spacelike_geometry, run, seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        run(magic_binding, QuantumWorld(), 10, seed, spacelike_geometry)
+
+
+@pytest.mark.parametrize("run", [run_chunks, run_experiment])
+@pytest.mark.parametrize("n_trials", [10.0, True, np.float64(10)])
+def test_run_refuses_a_trial_count_that_is_not_an_integer(magic_binding, spacelike_geometry, run, n_trials):
+    with pytest.raises(ValueError, match="n_trials"):
+        run(magic_binding, QuantumWorld(), n_trials, 1, spacelike_geometry)
 
 
 def test_run_refuses_timelike_geometry_without_override(magic_binding, timelike_geometry):

@@ -7,6 +7,7 @@ import pytest
 from lglab import (
     ConspiracyModel,
     Direction,
+    PairChoice,
     RotorModel,
     SeededGenerator,
     TableModel,
@@ -15,7 +16,6 @@ from lglab import (
     conspiracy_from_quantum,
     expectation_exact,
     mixture_bound_check,
-    sample_trial,
     sequential_correlation_exact,
 )
 from lglab.hidden_vars import _mixture_lhs, deterministic_strategy_values, random_table_model, table_lhs_exact
@@ -46,13 +46,13 @@ def test_table_model_validates_rows():
 
 def test_expectation_exact_constant_responder():
     model = TableModel([(1.0, (1, 1, 1))])
-    assert expectation_exact(model, T1, T2) == 1.0
+    assert expectation_exact(model, (T1, T2)) == 1.0
 
 
 def test_expectation_exact_cancellation():
     model = TableModel([(0.5, (1, 1, 1)), (0.5, (1, -1, 1))])
-    assert expectation_exact(model, T1, T2) == 0.0
-    assert expectation_exact(model, T1, T3) == 1.0
+    assert expectation_exact(model, (T1, T2)) == 0.0
+    assert expectation_exact(model, (T1, T3)) == 1.0
 
 
 def test_expectation_exact_uniform_mixture_vanishes():
@@ -61,13 +61,13 @@ def test_expectation_exact_uniform_mixture_vanishes():
     for a, b in ((T1, T2), (T1, T3), (T2, T3)):
         direct = sum(0.125 * t[a.value] * t[b.value] for t in ALL_TRIPLES)
         assert direct == 0.0
-        assert expectation_exact(model, a, b) == 0.0
+        assert expectation_exact(model, (a, b)) == 0.0
 
 
 def test_expectation_exact_rejects_degenerate_pair():
     model = uniform_mixture()
     with pytest.raises(ValueError):
-        expectation_exact(model, T2, T2)
+        expectation_exact(model, (T2, T2))
 
 
 def test_respond_is_deterministic_for_all_table_lambdas():
@@ -87,9 +87,9 @@ def test_sampled_table_matches_exact_expectation():
         gen_pair = SeededGenerator(gen.step())
         total = 0
         for _ in range(n):
-            s1, s2, _ = sample_trial(model, pair, gen_pair)
+            s1, s2, _ = model.sample_pair(None, pair, gen_pair)
             total += s1 * s2
-        exact = expectation_exact(model, *pair)
+        exact = expectation_exact(model, pair)
         assert abs(total / n - exact) < 5 * math.sqrt((1 - exact**2) / n)
 
 
@@ -97,13 +97,13 @@ def test_single_lambda_model_is_deterministic():
     model = TableModel([(1.0, (1, -1, 1))])
     gen = SeededGenerator(9)
     for _ in range(100):
-        s_first, s_second, lam = sample_trial(model, (T2, T3), gen)
+        s_first, s_second, lam = model.sample_pair(None, (T2, T3), gen)
         assert (s_first, s_second, lam) == (-1, 1, 0)
 
 
 def test_sample_trial_rejects_degenerate_pair():
     with pytest.raises(ValueError):
-        sample_trial(uniform_mixture(), (T1, T1), SeededGenerator(1))
+        uniform_mixture().sample_pair(None, (T1, T1), SeededGenerator(1))
 
 
 # -- RotorModel ----------------------------------------------------------------
@@ -149,10 +149,10 @@ def test_rotor_respond_deterministic_and_total():
 
 def test_conspiracy_requires_all_pairs_and_valid_means():
     with pytest.raises(ValueError):
-        ConspiracyModel(target_means={(T1, T2): 0.5})
+        ConspiracyModel(target_means={PairChoice.P12: 0.5})
     with pytest.raises(ValueError):
         ConspiracyModel(
-            target_means={(T1, T2): 1.5, (T1, T3): 0.0, (T2, T3): 0.0}
+            target_means={PairChoice.P12: 1.5, PairChoice.P13: 0.0, PairChoice.P23: 0.0}
         )
     with pytest.raises(ValueError):
         conspiracy_from_quantum(Direction(0), Direction(1), Direction(2), strength=1.2)
@@ -165,7 +165,7 @@ def test_conspiracy_pair_means_hit_targets(magic_binding):
         states = derive_states(seed, np.arange(n, dtype=np.uint64))
         s1, s2, _ = model.sample_pair_batch(pair, states)
         mean = float(np.mean(s1.astype(np.float64) * s2))
-        target = model.target_means[pair]
+        target = model.target_means[PairChoice.of(pair)]
         assert abs(mean - target) < 5 * math.sqrt((1 - target**2) / n)
 
 
@@ -200,7 +200,7 @@ def test_conspiracy_respond_is_deterministic_per_lambda():
         assert triple == tuple(model.respond(lam, slot) for slot in TimeSlot)
     gen = SeededGenerator(3)
     for _ in range(10_000):
-        s1, s2, lam = model.sample_pair((T1, T3), gen)
+        s1, s2, lam = model.sample_pair(None, (T1, T3), gen)
         # outcomes must be consistent with the reported lambda
         assert s1 == model.respond(lam, T1)
         assert s2 == model.respond(lam, T3)
@@ -280,10 +280,10 @@ def test_conspiracy_lhs_reproduces_quantum_value(magic_binding):
     # which no unconditioned response model can do
     a, b, c = magic_binding.directions
     model = conspiracy_from_quantum(a, b, c)
-    assert model.target_means[(T1, T2)] == sequential_correlation_exact(a, b)
+    assert model.target_means[PairChoice.P12] == sequential_correlation_exact(a, b)
     lhs = abs(
-        model.target_means[(T1, T2)] - model.target_means[(T1, T3)]
-    ) + model.target_means[(T2, T3)]
+        model.target_means[PairChoice.P12] - model.target_means[PairChoice.P13]
+    ) + model.target_means[PairChoice.P23]
     assert lhs == pytest.approx(1.5, abs=1e-12)
 
 

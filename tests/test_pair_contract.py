@@ -15,7 +15,6 @@ from lglab.hidden_vars import (
     TimeSlot,
     conspiracy_from_quantum,
     expectation_exact,
-    sample_trial,
 )
 from lglab.quantum import Direction
 from lglab.rng import SeededGenerator, derive_states
@@ -76,9 +75,7 @@ def test_non_protocol_pairs_are_refused_everywhere(name, pair):
     model = MODELS[name]
     gen = SeededGenerator(7)
     with pytest.raises(ValueError):
-        sample_trial(model, pair, gen)
-    with pytest.raises(ValueError):
-        model.sample_pair(pair, gen)
+        model.sample_pair(None, pair, gen)
     assert gen.state == SeededGenerator(7).state  # refused before any draw
     states = derive_states(7, np.arange(4, dtype=np.uint64))
     before = states.copy()
@@ -90,7 +87,7 @@ def test_non_protocol_pairs_are_refused_everywhere(name, pair):
 @pytest.mark.parametrize("pair", NON_PROTOCOL_PAIRS, ids=str)
 def test_expectation_exact_refuses_non_protocol_pairs(pair):
     with pytest.raises(ValueError):
-        expectation_exact(TABLE, *pair)
+        expectation_exact(TABLE, pair)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -99,9 +96,7 @@ def test_member_and_slot_tuple_give_the_same_trial(name):
     for pair in PairChoice:
         for seed in range(20):
             by_member, by_slots = SeededGenerator(seed), SeededGenerator(seed)
-            assert model.sample_pair(pair, by_member) == model.sample_pair(pair.slots, by_slots)
-            assert by_member.state == by_slots.state
-            assert sample_trial(model, pair, by_member) == sample_trial(model, pair.slots, by_slots)
+            assert model.sample_pair(None, pair, by_member) == model.sample_pair(None, pair.slots, by_slots)
             assert by_member.state == by_slots.state
         member_states = derive_states(11, np.arange(50, dtype=np.uint64))
         slot_states = member_states.copy()
@@ -120,5 +115,5 @@ def test_sample_pair_agrees_with_the_lane_kernel(name):
         lanes = [SeededGenerator(int(s)) for s in states]
         s_first, s_second, lams = model.sample_pair_batch(pair, states)
         for k, gen in enumerate(lanes):
-            assert model.sample_pair(pair, gen) == (s_first[k], s_second[k], lams[k])
+            assert model.sample_pair(None, pair, gen) == (s_first[k], s_second[k], lams[k])
             assert gen.state == int(states[k])
