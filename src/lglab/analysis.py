@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hidden_vars import PAIR_ORDER, PairChoice
+from .hidden_vars import PAIR_ORDER, PairChoice, _is_finite, _is_integer
 from .rng import mix64
 from .triallog import TrialLog
 
@@ -145,8 +145,11 @@ def evaluate_lg(
     The error combines the three pair errors in quadrature; when the |.| term
     sits within one standard error of zero that propagation is unreliable, so
     a binomial bootstrap of the trial products replaces it. The verdict is a
-    one-sided z-test: violated iff (lhs - 1)/se exceeds the significance.
+    one-sided z-test: violated iff (lhs - 1)/se exceeds the significance,
+    which must be finite.
     """
+    if not _is_finite(significance):
+        raise ValueError(f"significance must be finite, got {significance!r}")
     got = {e.pair for e in estimates}
     missing = [p.value for p in PAIR_ORDER if p not in got]
     if missing or len(estimates) != 3:
@@ -294,8 +297,8 @@ class LogFold:
     """
 
     def __init__(self, checkpoint_stride: Optional[int] = None):
-        if checkpoint_stride is not None and checkpoint_stride < 1:
-            raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_stride}")
+        if checkpoint_stride is not None and not (_is_integer(checkpoint_stride) and checkpoint_stride >= 1):
+            raise ValueError(f"checkpoint_stride must be an integer >= 1, got {checkpoint_stride!r}")
         self.checkpoint_stride = checkpoint_stride
         self.counts = [[0, 0], [0, 0], [0, 0]]
         # per pair: the checkpoints' trial counts and running means, each

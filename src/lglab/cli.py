@@ -45,7 +45,7 @@ from .hidden_vars import RotorModel, TableModel, World, _is_finite, _is_integer,
 from .jsonutil import dump_stable, dumps_stable
 from .quantum import Direction, sequential_correlation_exact
 from .rng import MASK64
-from .triallog import TrialLogFormatError, TrialLogWriter, _fold_blocks, write_trial_log
+from .triallog import TrialLogFormatError, TrialLogWriter, fold_trial_log, write_trial_log
 
 SCHEMA_VERSION = 1
 
@@ -396,17 +396,10 @@ def cmd_analyze(
     if checkpoint_stride < 1:
         raise ConfigError(f"--checkpoint-stride: expected an integer >= 1, got {checkpoint_stride}")
     try:
-        fold = _fold_blocks(trials_path, lambda chunks: LogFold.over(chunks, checkpoint_stride))
+        fold = fold_trial_log(trials_path, lambda chunks: LogFold.over(chunks, checkpoint_stride))
     except OSError as exc:
         raise ConfigError(f"cannot read trial log: {exc}") from None
-    except TrialLogFormatError as exc:
-        raise ConfigError(str(exc)) from None
-    out = {"schema": SCHEMA_VERSION}
-    try:
-        out.update(_analysis_sections(fold, significance, epsilon))
-    except AnalysisError as exc:
-        raise ConfigError(str(exc)) from None
-    dump_stable(out, sys.stdout)
+    dump_stable({"schema": SCHEMA_VERSION, **_analysis_sections(fold, significance, epsilon)}, sys.stdout)
     return EXIT_OK
 
 
@@ -477,7 +470,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, AnalysisError) as exc:
+    except (ConfigError, AnalysisError, TrialLogFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FreedomOfChoiceError as exc:

@@ -134,7 +134,7 @@ class QuantumWorld(World):
     def sample_pair(self, binding: SlotBinding, pair, rand) -> tuple[int, int, None]:
         """Two consecutive measurements on one photon along the pair's
         directions; a fresh initial state is drawn before them. No lambda."""
-        first, second = binding.directions_for(PairChoice.of(pair))
+        first, second = _slot_binding(binding).directions_for(PairChoice.of(pair))
         angle = rand.next_uniform() * math.pi if self.policy == "fresh_uniform" else self.initial_angle
         s_first, s_second = run_quantum_trial(PolarizationState(angle), first, second, rand)
         return s_first, s_second, None
@@ -149,7 +149,7 @@ class QuantumWorld(World):
         scalar path computes for its pair, and a fixed probability p is drawn
         as the exact integer comparison of its thresholds() value.
         """
-        first_angle, p1_limits, p2_limits = _quantum_tables(binding, self.initial_angle)
+        first_angle, p1_limits, p2_limits = _quantum_tables(_slot_binding(binding), self.initial_angle)
         if self.policy == "fresh_uniform":
             # the initial angle is drawn before u, as in the scalar path
             o1 = _cos_squared_above(_fresh_angle(uniforms(states), first_angle.take(codes)), uniforms(states))
@@ -159,6 +159,13 @@ class QuantumWorld(World):
         at += o1
         o2 = draw_integers(states) < p2_limits.take(at)
         return signs(o1), signs(o2), None
+
+
+def _slot_binding(binding) -> SlotBinding:
+    """binding, if it is the SlotBinding that a quantum world reads its directions from."""
+    if not isinstance(binding, SlotBinding):
+        raise ValueError(f"the quantum world reads its directions from a SlotBinding, got {binding!r}")
+    return binding
 
 
 # The screen's cos^2, the float32 cosine of y rounded to float32 and squared
@@ -186,12 +193,6 @@ def _cos_squared_lanes(y: np.ndarray) -> np.ndarray:
     """cos_squared on every lane, in y's buffer."""
     np.cos(y, out=y)
     return np.multiply(y, y, out=y)  # as cos_squared squares
-
-
-def _fresh_p1(initial: np.ndarray, first_angle) -> np.ndarray:
-    """cos^2(initial * pi - first_angle) in initial's buffer: the first
-    outcome's probability for the uniforms that draw the initial states."""
-    return _cos_squared_lanes(_fresh_angle(initial, first_angle))
 
 
 def _cos_squared_above(y: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -298,8 +299,8 @@ def run_chunks(
             "preparation and pair-choice events are not space-like separated; "
             "freedom of choice is not guaranteed (set the override to run anyway)"
         )
-    if n_shards < 1:
-        raise ValueError(f"need at least one shard, got {n_shards}")
+    if not _is_integer(n_shards) or n_shards < 1:
+        raise ValueError(f"n_shards must be an integer >= 1, got {n_shards!r}")
     return _chunk_stream(binding, world, n_trials, master_seed, n_shards)
 
 

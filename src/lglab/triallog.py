@@ -599,10 +599,9 @@ class TrialLogWriter:
     written.
     """
 
-    def __init__(self, file, rows: int = _CHUNK_ROWS):
+    def __init__(self, file):
         self.file = file
-        self._codec = _RowCodec(rows)
-        self._header_written = False
+        self._codec = _RowCodec(_CHUNK_ROWS)
         self.next_index = 0  # the index of the file's next row
 
     def write(self, log: TrialLog) -> None:
@@ -612,9 +611,8 @@ class TrialLogWriter:
                 f"the next row of this trial log is trial {self.next_index}, but the chunk starts at trial "
                 f"{log.first_index}; write the chunks of a run in order, from trial 0"
             )
-        if not self._header_written:
+        if self.next_index == 0:  # an empty chunk was refused above
             self.file.write(_HEADER_LINE)
-            self._header_written = True
         self.next_index += len(log)
         for chunk in log.chunks():
             self.file.write(self._codec.encode(chunk))
@@ -649,7 +647,7 @@ def write_trial_log(log: TrialLog, path) -> None:
         )
     _check_columns(log)
     with open(path, "wb") as out:
-        TrialLogWriter(out, min(len(log), _CHUNK_ROWS)).write(log)
+        TrialLogWriter(out).write(log)
 
 
 def _record_row(rec: TrialRecord) -> str:
@@ -665,8 +663,12 @@ class TrialLogFormatError(ValueError):
     """A trial log file violates the documented schema; names the line."""
 
 
-class _NotCanonical(Exception):
-    """The file is not exactly as write_trial_log writes its columns."""
+class _NotCanonical(BaseException):
+    """The file is not exactly as write_trial_log writes its columns.
+
+    A BaseException, so that a fold's `except Exception` cannot swallow the
+    signal that abandons it for the line scanner.
+    """
 
 
 _T = TypeVar("_T")
@@ -680,19 +682,13 @@ def fold_trial_log(path, fold: Callable[[Iterator[TrialLog]], _T]) -> _T:
     held whole. If some block turns out not to be canonical, that call of
     fold is abandoned and fold runs again on the whole file as one chunk,
     parsed by the line scanner, which validates the schema line by line and
-    names the first bad line. fold must not catch the exception that
-    abandons it. A pipe can be read only once, so it is held whole.
+    names the first bad line. A pipe can be read only once, so it is held
+    whole.
     """
-    return _fold_blocks(path, lambda chunks: fold(map(_copy, chunks)))
-
-
-def _fold_blocks(path, fold: Callable[[Iterator[TrialLog]], _T]) -> _T:
-    """fold_trial_log, with the chunks of canonical blocks as views of the
-    reader's arrays: each holds only until the next one is drawn."""
     with open(path, "rb") as f:
         source = f if f.seekable() else io.BytesIO(f.read())
         try:
-            return fold(_canonical_chunks(source))
+            return fold(map(_copy, _canonical_chunks(source)))
         except _NotCanonical:
             source.seek(0)
             data = source.read()

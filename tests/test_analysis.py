@@ -24,7 +24,7 @@ from lglab import (
     run_experiment,
     stabilization,
 )
-from lglab.analysis import VIOLATION_ARGMAX_ORBIT, _bootstrap_lhs_std_error
+from lglab.analysis import VIOLATION_ARGMAX_ORBIT, LogFold, _bootstrap_lhs_std_error
 from lglab.hidden_vars import (
     deterministic_strategy_values,
     expectation_exact,
@@ -305,6 +305,21 @@ def test_stabilization_validates_arguments():
         stabilization(recs, epsilon=0.0)
     with pytest.raises(ValueError):
         stabilization(recs, epsilon=0.1, checkpoint_stride=0)
+
+
+@pytest.mark.parametrize("stride", [1.5, 2.0, True])
+def test_stabilization_refuses_a_checkpoint_stride_that_is_not_an_integer(stride):
+    recs = records_from_products({pair: [1, 1] for pair in PairChoice})
+    with pytest.raises(ValueError, match="checkpoint_stride"):
+        stabilization(recs, 0.01, stride)
+    with pytest.raises(ValueError, match="checkpoint_stride"):
+        LogFold(stride)
+
+
+@pytest.mark.parametrize("significance", [math.nan, math.inf, -math.inf])
+def test_evaluate_lg_refuses_a_non_finite_significance(significance):
+    with pytest.raises(ValueError, match="significance"):
+        evaluate_lg(exact_estimates(0.5, -0.5, 0.5), significance)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])

@@ -25,8 +25,8 @@ from lglab.experiment import (
     QuantumWorld,
     SlotBinding,
     _cos_squared_above,
+    _cos_squared_lanes,
     _fresh_angle,
-    _fresh_p1,
     _quantum_tables,
 )
 from lglab.hidden_vars import (
@@ -256,7 +256,7 @@ class _Draw:
 def test_fresh_uniform_oracle_squares_the_cosine_as_the_kernel_does(initial, first_angle):
     # one lane's state fixes both its draws, so a stub draws the first outcome
     # at exactly the kernel's probability, between the two squarings
-    p1 = float(_fresh_p1(np.array([initial]), first_angle)[0])
+    p1 = float(_cos_squared_lanes(_fresh_angle(np.array([initial]), first_angle))[0])
     c = float(np.cos(initial * math.pi - first_angle))
     assert c**2 > p1 == c * c
     u = p1
@@ -359,7 +359,7 @@ def test_the_fallback_takes_few_lanes_and_the_kernel_stays_exact(monkeypatch):
     states = derive_states(7, np.arange(n, dtype=np.uint64))
     codes = np.random.default_rng(7).integers(0, 3, n).astype(np.intp)
     exact_states = states.copy()
-    p1 = _fresh_p1(uniforms(exact_states), first_angle.take(codes))
+    p1 = _cos_squared_lanes(_fresh_angle(uniforms(exact_states), first_angle.take(codes)))
     want = np.where(p1 > uniforms(exact_states), 1, -1)
 
     calls = []

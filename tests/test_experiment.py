@@ -157,6 +157,31 @@ def test_run_refuses_a_trial_count_that_is_not_an_integer(magic_binding, spaceli
         run(magic_binding, QuantumWorld(), n_trials, 1, spacelike_geometry)
 
 
+@pytest.mark.parametrize("run", [run_chunks, run_experiment])
+@pytest.mark.parametrize("n_shards", [2.0, 1.5, True, 0])
+def test_run_refuses_a_shard_count_that_is_not_an_integer_of_at_least_one(
+    magic_binding, spacelike_geometry, run, n_shards
+):
+    with pytest.raises(ValueError, match="n_shards"):
+        run(magic_binding, QuantumWorld(), 10, 1, spacelike_geometry, n_shards=n_shards)
+
+
+@pytest.mark.parametrize("policy", ["fixed", "fresh_uniform"])
+def test_quantum_world_without_a_binding_refuses_before_drawing(policy):
+    world = QuantumWorld(policy=policy)
+    states = derive_states(5, np.arange(8, dtype=np.uint64))
+    before = states.copy()
+    with pytest.raises(ValueError, match="SlotBinding"):
+        world.sample_pair_batch(PairChoice.P12, states)
+    with pytest.raises(ValueError, match="SlotBinding"):
+        world.sample_lanes(None, np.zeros(8, dtype=np.intp), states)
+    assert np.array_equal(states, before)
+    gen = SeededGenerator(5)
+    with pytest.raises(ValueError, match="SlotBinding"):
+        world.sample_pair(None, PairChoice.P12, gen)
+    assert gen.state == 5
+
+
 def test_run_refuses_timelike_geometry_without_override(magic_binding, timelike_geometry):
     with pytest.raises(FreedomOfChoiceError):
         run_experiment(magic_binding, QuantumWorld(), 100, 1, timelike_geometry)

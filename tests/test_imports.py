@@ -4,6 +4,7 @@
 an import cycle between two modules; so each module here is imported with
 the package registered but its __init__ not run.
 """
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lglab
-from lglab import experiment, triallog
+from lglab import cli, experiment, triallog
 
 IMPORT_FIRST = """
 import importlib, sys, types
@@ -47,3 +48,15 @@ def test_experiment_re_exports_the_trial_log_objects():
     assert experiment.write_trial_log is triallog.write_trial_log is lglab.write_trial_log
     assert experiment.read_trial_log is triallog.read_trial_log is lglab.read_trial_log
     assert experiment.TrialLog is triallog.TrialLog is lglab.TrialLog
+
+
+def test_cli_imports_no_private_name_of_the_trial_log():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "triallog"), (0, "lglab.triallog"))
+        for alias in node.names
+    ]
+    assert "TrialLogWriter" in names
+    assert [name for name in names if name.startswith("_")] == []

@@ -248,6 +248,26 @@ def test_a_partial_fold_is_dropped_when_a_later_block_is_not_canonical(table_run
     assert json.loads(_analyze(capsys, padded)) == expected
 
 
+def test_a_fold_that_catches_every_exception_still_gets_the_whole_log(table_run, tmp_path):
+    trials, log = table_run
+    # row 60 000 gets a padded index, so a block past the first is not canonical
+    lines = trials.read_bytes().split(b"\n")
+    lines[60_001] = b"0" + lines[60_001]
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(b"\n".join(lines))
+
+    def count_rows(chunks):
+        rows = 0
+        try:
+            for chunk in chunks:
+                rows += len(chunk)
+        except Exception:
+            pass
+        return rows
+
+    assert fold_trial_log(padded, count_rows) == len(read_trial_log(padded)) == len(log)
+
+
 @pytest.mark.parametrize("canonical", [True, False])
 def test_a_log_read_from_a_pipe_parses_as_from_a_file(tmp_path, canonical):
     config = load_run_config(_config(tmp_path, "table", 500, 4))
