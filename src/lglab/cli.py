@@ -189,6 +189,8 @@ def load_run_config(path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

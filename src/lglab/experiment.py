@@ -282,8 +282,10 @@ def run_chunks(
     Chunks are TrialLogs of at most 2^16 trials, in index order; the
     arguments are checked, and a geometry refused, before the first chunk is
     drawn. n_shards splits the index range into that many parts, each worked
-    through chunk by chunk; it moves chunk boundaries, never trials. Every
-    chunk's lambda column takes the dtype of the first chunk's lambdas.
+    through chunk by chunk; it moves chunk boundaries, never trials. The
+    first chunk's lambda column fixes the run's: a later chunk whose lambdas
+    are None where the first chunk's were not, or the reverse, or that have
+    another dtype, is refused with ValueError.
     """
     if not _is_integer(n_trials):
         raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
@@ -312,7 +314,6 @@ def _shards(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:
 
 
 def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed: int, n_shards: int):
-    lambda_dtype = None
     # the lanes' states and intp pair codes live in buffers the stream
     # reuses: per-chunk arrays of this size would be faulted in again after
     # glibc trims the heap between chunks
@@ -326,10 +327,14 @@ def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed
             kernel_codes = lane_codes[: len(codes)]
             np.copyto(kernel_codes, codes)
             s_first, s_second, lambda_ids = world.sample_lanes(binding, kernel_codes, states)
-            if lambda_ids is not None:
-                if lambda_dtype is None:
-                    lambda_dtype = lambda_ids.dtype
-                lambda_ids = lambda_ids.astype(lambda_dtype, copy=False)
+            dtype = None if lambda_ids is None else lambda_ids.dtype
+            if start == 0:  # the first chunk
+                lambda_dtype = dtype
+            elif (dtype is None) != (lambda_dtype is None) or dtype != lambda_dtype:
+                raise ValueError(
+                    f"world {world.tag!r}: the chunk from trial {start} has lambda dtype {dtype}, but the first "
+                    f"chunk's is {lambda_dtype}; every chunk of a run keeps the first chunk's lambda dtype"
+                )
             yield TrialLog(
                 codes,
                 s_first.astype(np.int8, copy=False),

@@ -146,14 +146,24 @@ class World(ABC):
         advanced in place by the draws the lane consumes. The engine passes
         both in buffers it reuses for the next chunk, so the returned arrays
         must not be views of them. The lambda array's dtype is the column's
-        dtype in the trial log; lambda_ids is None when every lambda is.
+        dtype in the trial log, and every chunk of a run keeps the first
+        chunk's lambda dtype (the engine refuses a chunk that changes it);
+        lambda_ids is None when every lambda is, and a chunk in which some
+        lambdas are None and others not is refused with ValueError.
         """
         gens = [SeededGenerator(state) for state in states.tolist()]
         codes = np.broadcast_to(codes, states.shape).tolist()
         trials = [self.sample_pair(binding, PAIR_ORDER[code], gen) for code, gen in zip(codes, gens)]
-        states[:] = [gen.state for gen in gens]
         s_first, s_second, lams = zip(*trials) if trials else ((), (), ())
-        lambda_ids = None if lams and all(lam is None for lam in lams) else np.array(lams)
+        lambda_ids = None
+        if any(lam is not None for lam in lams):
+            if any(lam is None for lam in lams):
+                raise ValueError(
+                    f"world {self.tag!r}: some trials returned lambda None and others a value; "
+                    "a run's lambdas are None on every trial or on none"
+                )
+            lambda_ids = np.array(lams)
+        states[:] = [gen.state for gen in gens]
         return np.array(s_first, dtype=np.int8), np.array(s_second, dtype=np.int8), lambda_ids
 
     def sample_pair_batch(self, pair: Union[PairChoice, SlotPair], states: np.ndarray):

@@ -3,8 +3,9 @@
 A TrialLog holds a run's records column-wise, as the estimators consume
 them. The file holds one row per trial and is byte-exact for identical runs.
 The writers refuse a log the reader could not read back: an empty one, one
-with trial indexes out of order, or a model tag or lambda_id that no row can
-carry. The reader streams a canonical file in fixed blocks and falls back to
+with trial indexes out of order, a model tag or lambda_id that no row can
+carry, or a chunk whose model tag or lambda kind differs from the first
+chunk's, as a file holds one run. The reader streams a canonical file in fixed blocks and falls back to
 a line scanner that names the first line breaking the schema.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -244,42 +245,31 @@ def _index_groups(groups: np.ndarray, first: int) -> None:
         k += run
 
 
-class _Layout(NamedTuple):
-    """Where each field's cells sit in a row of the cell matrix."""
-
-    index_groups: int
-    lambda_kind: Optional[str]  # None, "int" (digit groups) or "text" (repr)
-    lambda_width: int
-    tail: bytes  # ",model_tag\n"
-
-    @property
-    def middle(self) -> slice:
-        # an integer lambda_id's sign rides at the end of the middle
-        start = 4 * self.index_groups
-        return slice(start, start + (11 if self.lambda_kind == "int" else 10))
-
-    @property
-    def lambda_id(self) -> slice:
-        return slice(self.middle.stop, self.middle.stop + self.lambda_width)
-
-    @property
-    def width(self) -> int:
-        return self.lambda_id.stop + len(self.tail)
-
-
 class _RowCodec:
     """The row-codec workspace of one stream of trial-log rows.
 
-    Every chunk a stream writes, and every block it reads, is encoded and
-    parsed in the same arrays, made for up to `rows` rows when the stream
-    starts. Columns only widen within a stream, and the ",model_tag\\n" cells
-    are filled once per column layout, so after its first chunk a stream
-    allocates no array per row, save the repr of float lambda_ids.
+    A stream's model tag and lambda kind (see _lambda_kind) are fixed when it
+    starts, so its ",model_tag\\n" cells and its middles table are made once.
+    Every chunk it writes, and every block it reads, is encoded and parsed in
+    the same arrays, made for up to `rows` rows. Columns only widen within a
+    stream, so after its first chunk a stream allocates no array per row,
+    save the repr of float lambda_ids.
     """
 
-    def __init__(self, rows: int):
+    def __init__(self, rows: int, model_tag: str, lambda_kind: Optional[str]):
         self.rows = rows
-        self._layout: Optional[_Layout] = None
+        self.model_tag = model_tag
+        self.lambda_kind = lambda_kind
+        self._tail = f",{model_tag}\n".encode("utf-8")
+        # an integer lambda_id's sign rides at the end of the middle; each
+        # middle is one opaque value, taken by key and copied into its column
+        # through a view of each row as a record
+        middle_width = 11 if lambda_kind == "int" else 10
+        middles = np.ascontiguousarray(_ROW_MIDDLES[:, :middle_width])
+        self._middles = middles.view(f"V{middle_width}").ravel()
+        self._middle = np.empty(rows, dtype=self._middles.dtype)
+        # the column widths, in cells, of the index and the lambda_id
+        self._index_width = self._lambda_width = 0
         # the cell matrix, which numpy views only while a chunk is filled in,
         # as a bytearray can change size only while no array views it
         self._cells = bytearray()
@@ -312,6 +302,7 @@ class _RowCodec:
 
         The one definition of the row format: the writer emits it, and the
         reader accepts its fast parse only when this reproduces the file bytes.
+        chunk carries the stream's model tag and lambda kind.
         """
         self._fill(chunk)
         return self._cells.translate(None, b"\0")
@@ -320,23 +311,17 @@ class _RowCodec:
         """Fill the cell matrix with chunk's rows."""
         n = len(chunk)
         lambdas = chunk.lambda_ids
-        text = None
-        if lambdas is None:
-            kind, lambda_width = None, 0
-        elif lambdas.dtype.kind in "biu":
-            # booleans are written as 1/0, as _record_row's int() writes them
-            kind = "int"
+        lambda_width = 0
+        if self.lambda_kind == "int":
             lambda_width = 4 * _n_groups(max(int(lambdas.max()), -int(lambdas.min())))
-        else:
+        elif self.lambda_kind == "float":
             # the one per-row Python format left: repr of each float
-            kind = "text"
             text = np.array(list(map(repr, lambdas.tolist())), dtype="S")
             lambda_width = text.itemsize
-        tail = f",{chunk.model_tag}\n".encode("utf-8")
-        cells = self._cells_for(n, _n_groups(chunk.first_index + n - 1), kind, lambda_width, tail)
-        layout = self._layout
+        cells = self._cells_for(n, _n_groups(chunk.first_index + n - 1), lambda_width)
+        lambda_start = self._index_width + self._middles.itemsize
 
-        _index_groups(cells[:, : layout.middle.start].view(np.uint32), chunk.first_index)
+        _index_groups(cells[:, : self._index_width].view(np.uint32), chunk.first_index)
         # the keys are summed in int8, where no operand needs a cast buffer
         small_keys = self._small_keys[:n]
         np.multiply(chunk.pair_codes, 8, out=small_keys, casting="unsafe")
@@ -344,7 +329,7 @@ class _RowCodec:
             for _ in range(weight):
                 np.add(small_keys, outcome, out=small_keys, casting="unsafe")
         np.add(small_keys, 3, out=small_keys)
-        if kind == "int":
+        if self.lambda_kind == "int":
             negative = self._mask[:n]
             np.less(lambdas, 0, out=negative)
             np.add(small_keys, 1, out=small_keys, where=negative)
@@ -352,36 +337,27 @@ class _RowCodec:
         np.copyto(keys, small_keys)
         np.take(self._middles, keys, out=self._middle[:n], mode="clip")
         np.copyto(cells.view(self._middle_field)[:, 0]["middle"], self._middle[:n])
-        lambda_cells = cells[:, layout.lambda_id]
-        if kind == "int":
+        lambda_cells = cells[:, lambda_start : lambda_start + self._lambda_width]
+        if self.lambda_kind == "int":
             magnitudes = self._rest[:n]
             np.copyto(magnitudes, lambdas, casting="unsafe")
             np.negative(magnitudes, out=magnitudes, where=negative)  # exact for -2**63 too
             self._digit_groups(lambda_cells.view(np.uint32))
-        elif kind == "text":
+        elif self.lambda_kind == "float":
             lambda_cells[:, : text.itemsize] = text.view(np.uint8).reshape(n, -1)
             lambda_cells[:, text.itemsize :] = 0
 
-    def _cells_for(self, n: int, index_groups: int, kind, lambda_width: int, tail: bytes) -> np.ndarray:
-        """The cells of n rows, in a layout at least as wide as the last one."""
-        old = self._layout
-        if old is not None and (old.lambda_kind, old.tail) == (kind, tail):
-            index_groups = max(index_groups, old.index_groups)
-            lambda_width = max(lambda_width, old.lambda_width)
-        layout = _Layout(index_groups, kind, lambda_width, tail)
-        width = layout.width
-        if layout != old:
-            self._layout = layout
+    def _cells_for(self, n: int, index_groups: int, lambda_width: int) -> np.ndarray:
+        """The cells of n rows, in columns at least as wide as the last ones."""
+        index_width = max(4 * index_groups, self._index_width)
+        lambda_width = max(lambda_width, self._lambda_width)
+        width = index_width + self._middles.itemsize + lambda_width + len(self._tail)
+        if (index_width, lambda_width) != (self._index_width, self._lambda_width):
+            self._index_width, self._lambda_width = index_width, lambda_width
             self._cells = bytearray(n * width)
             self._tail_rows = 0
-            # each middle as one opaque value, taken by key and copied into
-            # its column through a view of each row as a record
-            m = layout.middle
-            middles = np.ascontiguousarray(_ROW_MIDDLES[:, : m.stop - m.start])
-            self._middles = middles.view(f"V{m.stop - m.start}").ravel()
-            self._middle = np.empty(self.rows, dtype=self._middles.dtype)
             self._middle_field = np.dtype(
-                {"names": ["middle"], "formats": [self._middles.dtype], "offsets": [m.start], "itemsize": width}
+                {"names": ["middle"], "formats": [self._middles.dtype], "offsets": [index_width], "itemsize": width}
             )
         # exactly n rows, so that translate sees no row of an earlier chunk
         size = n * width
@@ -392,7 +368,7 @@ class _RowCodec:
             self._cells += bytes(size - len(self._cells))
         cells = np.frombuffer(self._cells, dtype=np.uint8).reshape(n, width)
         if self._tail_rows < n:
-            cells[self._tail_rows :, width - len(tail) :] = np.frombuffer(tail, dtype=np.uint8)
+            cells[self._tail_rows :, width - len(self._tail) :] = np.frombuffer(self._tail, dtype=np.uint8)
             self._tail_rows = n
         return cells
 
@@ -414,7 +390,7 @@ class _RowCodec:
 
     # -- parsing ----------------------------------------------------------------
 
-    def parse(self, buf: bytearray, end: int, first: int, model_tag: str, lambda_dtype) -> TrialLog:
+    def parse(self, buf: bytearray, end: int, first: int) -> TrialLog:
         """The rows in buf[:end], numbered from first, if encode reproduces them.
 
         The parse itself is loose: it finds the newlines, then each field from
@@ -423,13 +399,13 @@ class _RowCodec:
         accepted block parse exactly as the line scanner would parse it. The
         chunk's columns are the workspace's, overwritten by the next parse.
         """
-        chunk = self._columns(buf, end, first, model_tag, lambda_dtype)
+        chunk = self._columns(buf, end, first)
         out = self.encode(chunk)
         if len(out) != end or not buf.startswith(out):
             raise _NotCanonical
         return chunk
 
-    def _columns(self, buf: bytearray, end: int, first: int, model_tag: str, lambda_dtype) -> TrialLog:
+    def _columns(self, buf: bytearray, end: int, first: int) -> TrialLog:
         block = np.frombuffer(buf, dtype=np.uint8, count=end)
         n = self._newlines(block)
         ends, pos, byte, mask = self._ends[:n], self._pos[:n], self._byte[:n], self._mask[:n]
@@ -462,17 +438,17 @@ class _RowCodec:
             np.copyto(outcome, -1, where=mask)
             np.add(pos, 1, out=pos, where=mask)
         lambdas = None
-        if lambda_dtype is not None:
+        if self.lambda_kind is not None:
             np.add(pos, 2, out=pos)
             # lambda_id runs from pos up to the comma of ",model_tag\n"
             widths = self._widths[:n]
-            np.subtract(ends, len(f",{model_tag}".encode("utf-8")), out=widths)
+            np.subtract(ends, len(self._tail) - 1, out=widths)
             np.subtract(widths, pos, out=widths)
             if widths.min() < 1 or widths.max() > _LAMBDA_MAX_WIDTH:
                 raise _NotCanonical
-            parse_lambdas = self._parse_floats if lambda_dtype.kind == "f" else self._parse_ints
+            parse_lambdas = self._parse_floats if self.lambda_kind == "float" else self._parse_ints
             lambdas = parse_lambdas(block, pos, widths)
-        return TrialLog(pair_codes, s_first, s_second, lambdas, model_tag, first_index=first)
+        return TrialLog(pair_codes, s_first, s_second, lambdas, self.model_tag, first_index=first)
 
     def _newlines(self, block: np.ndarray) -> int:
         """Put the offsets of the newlines in block into self._ends; return how many."""
@@ -560,6 +536,16 @@ def _plus_minus_one(outcomes: np.ndarray) -> bool:
     return outcomes.dtype.kind in "bf" and bool(np.all(np.abs(outcomes) == 1))
 
 
+def _lambda_kind(lambdas: Optional[np.ndarray]) -> Optional[str]:
+    """How rows write a lambda column: None (empty), "int" (booleans as 1/0,
+    as _record_row's int() writes them) or "float" (repr)."""
+    if lambdas is None:
+        return None
+    if lambdas.dtype.kind not in "biuf":
+        raise ValueError(f"lambda_id must be bool, integer or float, got dtype {lambdas.dtype}")
+    return "float" if lambdas.dtype.kind == "f" else "int"
+
+
 def _check_columns(log: TrialLog) -> None:
     _check_tag(log.model_tag)
     if not len(log):
@@ -570,17 +556,16 @@ def _check_columns(log: TrialLog) -> None:
     if not (_plus_minus_one(log.s_first) and _plus_minus_one(log.s_second)):
         raise ValueError("outcomes must be 1 or -1")
     lambdas = log.lambda_ids
-    if lambdas is None:
+    kind = _lambda_kind(lambdas)
+    if kind is None:
         return
-    if lambdas.dtype.kind not in "biuf":
-        raise ValueError(f"lambda_id must be bool, integer or float, got dtype {lambdas.dtype}")
     # the reader reads integer lambda_ids as int64
     if lambdas.dtype.kind == "u" and lambdas.max() > _INT64_MAX:
         k = int(np.argmax(lambdas > _INT64_MAX))
         raise ValueError(f"trial {log.first_index + k}: lambda_id {lambdas[k]} does not fit in int64")
     # repr writes a non-finite float as inf or nan, which the reader refuses; min
     # and max pass a NaN on, so a finite column costs no temporary per row
-    if lambdas.dtype.kind == "f" and not (np.isfinite(lambdas.min()) and np.isfinite(lambdas.max())):
+    if kind == "float" and not (np.isfinite(lambdas.min()) and np.isfinite(lambdas.max())):
         k = int(np.flatnonzero(~np.isfinite(lambdas))[0])
         raise ValueError(
             f"trial {log.first_index + k}: lambda_id {lambdas[k]} is not finite, which a trial log cannot carry"
@@ -594,14 +579,15 @@ class TrialLogWriter:
     write(chunk) for each chunk of a run, in order, writes the bytes of the
     whole log, and no chunk after the first allocates its own encoding
     temporaries. The header comes with the first chunk, which must start at
-    trial 0; every later chunk must start where the one before it ended. A
-    chunk that does not is refused with ValueError before a byte of it is
-    written.
+    trial 0 and fixes the file's model tag and lambda kind; every later
+    chunk must start where the one before it ended and carry the same tag
+    and kind. A chunk that does not is refused with ValueError before a byte
+    of it is written.
     """
 
     def __init__(self, file):
         self.file = file
-        self._codec = _RowCodec(_CHUNK_ROWS)
+        self._codec: Optional[_RowCodec] = None  # made for the first chunk
         self.next_index = 0  # the index of the file's next row
 
     def write(self, log: TrialLog) -> None:
@@ -611,8 +597,16 @@ class TrialLogWriter:
                 f"the next row of this trial log is trial {self.next_index}, but the chunk starts at trial "
                 f"{log.first_index}; write the chunks of a run in order, from trial 0"
             )
-        if self.next_index == 0:  # an empty chunk was refused above
+        schema = (log.model_tag, _lambda_kind(log.lambda_ids))
+        if self._codec is None:  # an empty chunk was refused above
+            self._codec = _RowCodec(_CHUNK_ROWS, *schema)
             self.file.write(_HEADER_LINE)
+        elif schema != (self._codec.model_tag, self._codec.lambda_kind):
+            raise ValueError(
+                f"the chunk at trial {log.first_index} has model tag {schema[0]!r} and lambda kind {schema[1]}, "
+                f"but this trial log's first chunk fixed model tag {self._codec.model_tag!r} and lambda kind "
+                f"{self._codec.lambda_kind}; a trial log file holds one run of one world"
+            )
         self.next_index += len(log)
         for chunk in log.chunks():
             self.file.write(self._codec.encode(chunk))
@@ -755,19 +749,20 @@ def _canonical_chunks(f) -> Iterator[TrialLog]:
             kept = filled
             continue
         if codec is None:
-            model_tag, lambda_dtype = _row_layout(bytes(buf[: buf.index(b"\n")]))
+            model_tag, lambda_kind = _row_layout(bytes(buf[: buf.index(b"\n")]))
             # no canonical row is shorter than "0,12,1,1," + lambda_id + ",model_tag\n"
-            shortest = len(f"0,12,1,1,{'0' if lambda_dtype else ''},{model_tag}\n".encode("utf-8"))
-            codec = _RowCodec(len(buf) // shortest)
-        chunk = codec.parse(buf, end, first, model_tag, lambda_dtype)
+            shortest = len(f"0,12,1,1,{'0' if lambda_kind else ''},{model_tag}\n".encode("utf-8"))
+            codec = _RowCodec(len(buf) // shortest, model_tag, lambda_kind)
+        chunk = codec.parse(buf, end, first)
         yield chunk
         first += len(chunk)
         kept = filled - end
         buf[:kept] = buf[end:filled]
 
 
-def _row_layout(row: bytes) -> tuple[str, Optional[np.dtype]]:
-    """The model tag and lambda dtype of a canonical log, from its first row."""
+def _row_layout(row: bytes) -> tuple[str, Optional[str]]:
+    """The model tag and lambda kind (see _lambda_kind) of a canonical log,
+    from its first row."""
     fields = row.split(b",")
     if len(fields) != 6:
         raise _NotCanonical
@@ -782,7 +777,7 @@ def _row_layout(row: bytes) -> tuple[str, Optional[np.dtype]]:
     if not lam_s:
         return model_tag, None
     # the scanner's rule: floats iff some value has a '.' or an 'e'
-    return model_tag, np.dtype(np.float64 if b"." in lam_s or b"e" in lam_s else np.int64)
+    return model_tag, "float" if b"." in lam_s or b"e" in lam_s else "int"
 
 
 def _decode_text(data: bytes) -> str:

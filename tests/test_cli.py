@@ -56,6 +56,15 @@ def test_unknown_nested_field_is_named(tmp_path):
         load_run_config(path)
 
 
+def test_a_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(base_config(world={"kind": "table"})).encode("latin-1") + b" \xe9\n")
+    code, report, trials = run_cli(tmp_path, path)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: config is not UTF-8 text: ")
+    assert not report.exists() and not trials.exists()
+
+
 def test_zero_trials_rejected(tmp_path):
     path = write_config(tmp_path, n_trials=0)
     code, _, _ = run_cli(tmp_path, path)

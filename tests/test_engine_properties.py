@@ -23,6 +23,7 @@ from lglab import (
     TrialLog,
     World,
     estimate_pairs,
+    run_chunks,
     run_experiment,
     stabilization,
 )
@@ -233,6 +234,63 @@ def test_sample_pair_batch_needs_a_protocol_pair():
     for pair in ((TimeSlot.T2, TimeSlot.T1), (TimeSlot.T3, TimeSlot.T3)):
         with pytest.raises(ValueError):
             model.sample_pair_batch(pair, states)
+
+
+class SometimesHidden(World):
+    """A world with only sample_pair, whose lambda is None on some trials."""
+
+    tag = "sometimes"
+
+    def sample_pair(self, binding, pair, rand):
+        return 1, -1, None if rand.next_uniform() < 0.5 else 3
+
+
+def test_the_default_kernel_refuses_lambdas_that_are_none_on_some_trials(magic_binding):
+    with pytest.raises(ValueError, match=r"^world 'sometimes': some trials returned lambda None and others a value"):
+        run_experiment(magic_binding, SometimesHidden(), 100, 5, GEOMETRY)
+
+
+# -- one lambda column per run ---------------------------------------------------
+
+
+class SchemaDrift(World):
+    """Lambdas whose column changes after the first chunk."""
+
+    tag = "drift"
+
+    def __init__(self, first, later):
+        self.columns = (first, later)
+        self.chunks = 0
+
+    def sample_pair(self, binding, pair, rand):
+        return 1, 1, None
+
+    def sample_lanes(self, binding, codes, states):
+        n = len(states)
+        lambdas = self.columns[min(self.chunks, 1)](n)
+        self.chunks += 1
+        return np.ones(n, np.int8), np.ones(n, np.int8), lambdas
+
+
+DRIFTS = {
+    # name: first chunk's lambdas, later chunks' lambdas, later dtype, first dtype
+    "int_then_float": (lambda n: np.zeros(n, np.int64), lambda n: np.full(n, 0.5), "float64", "int64"),
+    "none_then_int": (lambda n: None, lambda n: np.arange(n, dtype=np.int64), "int64", "None"),
+}
+
+
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+@pytest.mark.parametrize(
+    "run", [run_experiment, lambda *args: list(run_chunks(*args))], ids=["run_experiment", "run_chunks"]
+)
+def test_a_run_whose_lambdas_change_after_the_first_chunk_is_refused(magic_binding, drift, run):
+    first, later, got, fixed = DRIFTS[drift]
+    with pytest.raises(
+        ValueError,
+        match=rf"^world 'drift': the chunk from trial {_CHUNK_ROWS} has lambda dtype {got}, "
+        rf"but the first chunk's is {fixed};",
+    ):
+        run(magic_binding, SchemaDrift(first, later), _CHUNK_ROWS + 5, 3, GEOMETRY)
 
 
 # -- count-based estimators against a float64 reference -------------------------

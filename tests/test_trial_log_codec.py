@@ -38,6 +38,7 @@ from lglab.triallog import (
     TrialLogWriter,
     _canonical_chunks,
     _NotCanonical,
+    _lambda_kind,
     _RowCodec,
 )
 
@@ -406,7 +407,7 @@ def _int_text(values: np.ndarray) -> list:
     """The lambda_id field of each row the workspace encodes for values."""
     n = len(values)
     log = TrialLog(np.zeros(n, np.uint8), np.ones(n, np.int8), -np.ones(n, np.int8), values, "t")
-    return [row.split(",")[4] for row in _RowCodec(n).encode(log).decode().splitlines()]
+    return [row.split(",")[4] for row in _RowCodec(n, "t", "int").encode(log).decode().splitlines()]
 
 
 INT64_EDGES = (
@@ -499,7 +500,7 @@ INDEX_EDGES = [0, 1, 9_998, 9_999, 99_999_998, 10**12 - 2, 10**16 - 1, 2**63 - 1
 @pytest.mark.parametrize("first", INDEX_EDGES)
 def test_index_cells_match_str(first):
     log = TrialLog(np.zeros(3, np.uint8), np.ones(3, np.int8), np.ones(3, np.int8), None, "t", first_index=first)
-    rows = _RowCodec(3).encode(log).decode().splitlines()
+    rows = _RowCodec(3, "t", None).encode(log).decode().splitlines()
     assert [row.split(",")[0] for row in rows] == [str(first + k) for k in range(3)]
 
 
@@ -552,7 +553,7 @@ def test_chunks_through_one_workspace_match_the_record_oracle(kind, start, lengt
     for n in [*lengths, last]:
         chunks.append(_synthetic_chunk(rng, first, n, kind))
         first += n
-    codec = _RowCodec(_CHUNK_ROWS)
+    codec = _RowCodec(_CHUNK_ROWS, "synthetic", _lambda_kind(chunks[0].lambda_ids))
     rows = b"".join(codec.encode(chunk) for chunk in chunks)
     assert rows == _oracle_rows(rec for chunk in chunks for rec in chunk)
     if start == 0 and kind == "uint64":
@@ -570,14 +571,83 @@ def test_chunks_through_one_workspace_match_the_record_oracle(kind, start, lengt
         assert out.getvalue() == f"{TRIAL_LOG_HEADER}\n".encode() + rows
 
 
-@pytest.mark.parametrize("kind", LAMBDA_KINDS)
-def test_a_workspace_encodes_each_lambda_kind_after_the_others(kind):
-    # the column layout changes with the lambda kind; the rows must not
+# the lambda kind each synthetic kind is written as
+KIND_NAMES = {"none": "None", "int64": "int", "float": "float"}
+
+
+def _assert_refused_before_a_byte(writer: TrialLogWriter, out: io.BytesIO, chunk: TrialLog, match: str) -> None:
+    written, next_index = out.getvalue(), writer.next_index
+    with pytest.raises(ValueError, match=match):
+        writer.write(chunk)
+    assert out.getvalue() == written and writer.next_index == next_index
+
+
+def _assert_file_holds(tmp_path, out: io.BytesIO, chunks) -> None:
+    """out holds the chunks as one run, which reads back column for column."""
+    log = triallog._concatenate(iter(chunks))
+    assert out.getvalue() == _oracle_file(log)
+    path = tmp_path / "log.csv"
+    path.write_bytes(out.getvalue())
+    _assert_same_log(read_trial_log(path), log)
+
+
+@pytest.mark.parametrize("first, later", [(a, b) for a in KIND_NAMES for b in KIND_NAMES if a != b])
+def test_a_writer_refuses_a_chunk_that_changes_the_lambda_kind(tmp_path, first, later):
     rng = np.random.default_rng(7)
-    codec = _RowCodec(500)
-    for other in [k for k in LAMBDA_KINDS if k != kind] + [kind]:
-        chunk = _synthetic_chunk(rng, 123_456, 500, other)
-        assert codec.encode(chunk) == _oracle_rows(chunk)
+    chunks = [_synthetic_chunk(rng, 0, 500, first), _synthetic_chunk(rng, 500, 500, first)]
+    out = io.BytesIO()
+    writer = TrialLogWriter(out)
+    writer.write(chunks[0])
+    _assert_refused_before_a_byte(
+        writer,
+        out,
+        _synthetic_chunk(rng, 500, 500, later),
+        rf"^the chunk at trial 500 has model tag 'synthetic' and lambda kind {KIND_NAMES[later]}, "
+        rf"but this trial log's first chunk fixed model tag 'synthetic' and lambda kind {KIND_NAMES[first]};",
+    )
+    # the chunk the file stands at still goes on
+    writer.write(chunks[1])
+    _assert_file_holds(tmp_path, out, chunks)
+
+
+def test_a_writer_refuses_a_chunk_that_changes_the_model_tag(tmp_path):
+    rng = np.random.default_rng(8)
+    chunks = [_synthetic_chunk(rng, 0, 300, "int64"), _synthetic_chunk(rng, 300, 300, "int64")]
+    c = chunks[1]
+    out = io.BytesIO()
+    writer = TrialLogWriter(out)
+    writer.write(chunks[0])
+    _assert_refused_before_a_byte(
+        writer,
+        out,
+        TrialLog(c.pair_codes, c.s_first, c.s_second, c.lambda_ids, "other", first_index=300),
+        r"^the chunk at trial 300 has model tag 'other' and lambda kind int, "
+        r"but this trial log's first chunk fixed model tag 'synthetic' and lambda kind int;",
+    )
+    writer.write(chunks[1])
+    _assert_file_holds(tmp_path, out, chunks)
+
+
+def test_a_writer_takes_every_integer_dtype_as_one_lambda_kind(tmp_path):
+    # bool, uint64 and int64 columns are all written as decimal integers
+    n = 200
+    rng = np.random.default_rng(9)
+    columns = [rng.integers(0, 2, n).astype(np.bool_), rng.integers(0, 2**63, n, dtype=np.uint64)]
+    columns.append(-rng.integers(0, 2**63, n, dtype=np.int64))
+    chunks = [
+        TrialLog(np.ones(n, np.uint8), np.ones(n, np.int8), -np.ones(n, np.int8), lambdas, "t", k * n)
+        for k, lambdas in enumerate(columns)
+    ]
+    out = io.BytesIO()
+    writer = TrialLogWriter(out)
+    for chunk in chunks:
+        writer.write(chunk)
+    assert out.getvalue() == _oracle_file(rec for chunk in chunks for rec in chunk)
+    path = tmp_path / "log.csv"
+    path.write_bytes(out.getvalue())
+    assert _streams(path)
+    lambdas = np.concatenate([chunk.lambda_ids.astype(np.int64) for chunk in chunks])
+    assert np.array_equal(read_trial_log(path).lambda_ids, lambdas)
 
 
 def _chunk_lengths(path) -> list:
@@ -621,6 +691,5 @@ def test_a_block_parses_where_the_index_gains_a_digit(first, kind):
     # 10^8 rows; parse such a block directly
     chunk = _synthetic_chunk(np.random.default_rng(first), first, 40, kind)
     buf = bytearray(_oracle_rows(chunk))
-    lambda_dtype = None if kind == "none" else chunk.lambda_ids.dtype
-    parsed = _RowCodec(len(buf) // 11).parse(buf, len(buf), first, "synthetic", lambda_dtype)
+    parsed = _RowCodec(len(buf) // 11, "synthetic", _lambda_kind(chunk.lambda_ids)).parse(buf, len(buf), first)
     _assert_same_log(parsed, chunk)
