@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hidden_vars import PAIR_ORDER, PairChoice, _is_finite, _is_integer
+from .hidden_vars import PAIR_ORDER, PairChoice, _is_finite, _is_integer, _is_real
 from .rng import mix64
 from .triallog import TrialLog
 
@@ -146,10 +146,10 @@ def evaluate_lg(
     sits within one standard error of zero that propagation is unreliable, so
     a binomial bootstrap of the trial products replaces it. The verdict is a
     one-sided z-test: violated iff (lhs - 1)/se exceeds the significance,
-    which must be finite.
+    which must be a finite real number (not a bool).
     """
-    if not _is_finite(significance):
-        raise ValueError(f"significance must be finite, got {significance!r}")
+    if not (_is_real(significance) and _is_finite(significance)):
+        raise ValueError(f"significance must be a finite real number, got {significance!r}")
     got = {e.pair for e in estimates}
     missing = [p.value for p in PAIR_ORDER if p not in got]
     if missing or len(estimates) != 3:
@@ -389,8 +389,8 @@ class LogFold:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not (_is_real(epsilon) and _is_finite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be a finite real number > 0, got {epsilon!r}")
 
 
 def stabilization(

@@ -5,12 +5,14 @@ them. The file holds one row per trial and is byte-exact for identical runs.
 The writers refuse a log the reader could not read back: an empty one, one
 with trial indexes out of order, a model tag or lambda_id that no row can
 carry, or a chunk whose model tag or lambda kind differs from the first
-chunk's, as a file holds one run. The reader streams a canonical file in fixed blocks and falls back to
-a line scanner that names the first line breaking the schema.
+chunk's, as a file holds one run. The reader reads a file once, in blocks of
+whole lines: column-wise while the file is exactly as the writer writes it,
+and from the first block that is not, through a line scanner that names the
+first line breaking the schema. For reading as for writing, the first row
+fixes the model tag and the lambda kind.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
@@ -70,10 +72,11 @@ class TrialLog:
 
     @classmethod
     def from_records(cls, records: Iterable[TrialRecord]) -> "TrialLog":
-        """The columns of a record sequence, in its order.
+        """The columns of a record sequence, in its order, from the first record's index.
 
-        lambda_id must be None on every record or on none; records whose
-        model tags differ give the tag "mixed", as the log reader does.
+        As in a file, lambda_id must be None on every record or on none, every
+        record must carry the first one's model tag and record k must have
+        index first + k, checked in that order; no records give the tag "".
         """
         recs = list(records)
         lambda_ids: Optional[np.ndarray] = None
@@ -81,14 +84,19 @@ class TrialLog:
             if any(r.lambda_id is None for r in recs):
                 raise ValueError("lambda_id mixes empty and non-empty values")
             lambda_ids = np.array([r.lambda_id for r in recs])
-        tags = {r.model_tag for r in recs}
-        return cls(
+        first, tag = (recs[0].index, recs[0].model_tag) if recs else (0, "")
+        for k, rec in enumerate(recs):
+            if rec.model_tag != tag:
+                raise ValueError(f"record {k} has model tag {rec.model_tag!r}, but record 0 has {tag!r}")
+        for k, rec in enumerate(recs):
+            if rec.index != first + k:
+                raise ValueError(f"record {k} has index {rec.index}, not {first + k}; a log's trials are consecutive")
+        columns = (
             np.array([r.pair.code for r in recs], dtype=np.uint8),
             np.array([r.s_first for r in recs], dtype=np.int8),
             np.array([r.s_second for r in recs], dtype=np.int8),
-            lambda_ids,
-            tags.pop() if len(tags) == 1 else "mixed",
         )
+        return cls(*columns, lambda_ids, tag, first_index=first)
 
     def __len__(self) -> int:
         return len(self.pair_codes)
@@ -250,10 +258,11 @@ class _RowCodec:
 
     A stream's model tag and lambda kind (see _lambda_kind) are fixed when it
     starts, so its ",model_tag\\n" cells and its middles table are made once.
-    Every chunk it writes, and every block it reads, is encoded and parsed in
-    the same arrays, made for up to `rows` rows. Columns only widen within a
-    stream, so after its first chunk a stream allocates no array per row,
-    save the repr of float lambda_ids.
+    Every chunk it writes, and every block it reads, is encoded and parsed
+    through the same scratch arrays, made for up to `rows` rows. Columns only
+    widen within a stream, so after its first chunk a stream allocates no
+    temporary per row, save the repr of float lambda_ids; a parsed chunk's
+    own columns are the one allocation per row a read makes.
     """
 
     def __init__(self, rows: int, model_tag: str, lambda_kind: Optional[str]):
@@ -283,11 +292,7 @@ class _RowCodec:
         self._group = np.empty(rows, dtype=np.uint32)
         self._mask = np.empty(rows, dtype=np.bool_)
         self._mask2 = np.empty(rows, dtype=np.bool_)
-        # the parsed columns, and parser scratch
-        self._pair_codes = np.empty(rows, dtype=np.uint8)
-        self._s_first = np.empty(rows, dtype=np.int8)
-        self._s_second = np.empty(rows, dtype=np.int8)
-        self._lambdas = np.empty(rows, dtype=np.int64)  # or its float64 view
+        # parser scratch
         self._newline = np.empty(_NEWLINE_SLICE, dtype=np.bool_)
         self._ends = np.empty(rows, dtype=np.intp)
         self._pos = np.empty(rows, dtype=np.intp)
@@ -397,17 +402,22 @@ class _RowCodec:
         the width of the row's index, which first + k fixes, and the widths of
         the outcomes before it. The re-encoding check is what makes every
         accepted block parse exactly as the line scanner would parse it. The
-        chunk's columns are the workspace's, overwritten by the next parse.
+        chunk's columns are allocated for it, so it is the caller's to keep.
         """
-        chunk = self._columns(buf, end, first)
+        block = np.frombuffer(buf, dtype=np.uint8, count=end)
+        n = self._newlines(block)
+        lambdas = None if self.lambda_kind is None else np.empty(n, _LAMBDA_DTYPES[self.lambda_kind])
+        columns = np.empty(n, np.uint8), np.empty(n, np.int8), np.empty(n, np.int8), lambdas
+        chunk = TrialLog(*columns, self.model_tag, first)
+        self._columns(block, chunk)
         out = self.encode(chunk)
         if len(out) != end or not buf.startswith(out):
             raise _NotCanonical
         return chunk
 
-    def _columns(self, buf: bytearray, end: int, first: int) -> TrialLog:
-        block = np.frombuffer(buf, dtype=np.uint8, count=end)
-        n = self._newlines(block)
+    def _columns(self, block: np.ndarray, chunk: TrialLog) -> None:
+        """Fill chunk's columns from the rows of block, whose newlines are in self._ends."""
+        n, first = len(chunk), chunk.first_index
         ends, pos, byte, mask = self._ends[:n], self._pos[:n], self._byte[:n], self._mask[:n]
         # each row's pair starts after its index and a comma
         pos[0] = 0
@@ -419,7 +429,7 @@ class _RowCodec:
             pos[power - first :] += 1
             power *= 10
         # "12", "13", "23" -> 0, 1, 2 from the sum of the two digits
-        pair_codes = self._pair_codes[:n]
+        pair_codes = chunk.pair_codes
         np.take(block, pos, out=pair_codes, mode="clip")
         np.add(pos, 1, out=pos)
         np.take(block, pos, out=byte, mode="clip")
@@ -429,15 +439,13 @@ class _RowCodec:
             raise _NotCanonical
         # each outcome starts two bytes after the field before it ends; "1" is
         # one byte wide, "-1" two
-        s_first, s_second = self._s_first[:n], self._s_second[:n]
-        for outcome in (s_first, s_second):
+        for outcome in (chunk.s_first, chunk.s_second):
             np.add(pos, 2, out=pos)
             np.take(block, pos, out=byte, mode="clip")
             np.equal(byte, ord("-"), out=mask)
             outcome.fill(1)
             np.copyto(outcome, -1, where=mask)
             np.add(pos, 1, out=pos, where=mask)
-        lambdas = None
         if self.lambda_kind is not None:
             np.add(pos, 2, out=pos)
             # lambda_id runs from pos up to the comma of ",model_tag\n"
@@ -447,8 +455,7 @@ class _RowCodec:
             if widths.min() < 1 or widths.max() > _LAMBDA_MAX_WIDTH:
                 raise _NotCanonical
             parse_lambdas = self._parse_floats if self.lambda_kind == "float" else self._parse_ints
-            lambdas = parse_lambdas(block, pos, widths)
-        return TrialLog(pair_codes, s_first, s_second, lambdas, self.model_tag, first_index=first)
+            parse_lambdas(block, pos, widths, chunk.lambda_ids)
 
     def _newlines(self, block: np.ndarray) -> int:
         """Put the offsets of the newlines in block into self._ends; return how many."""
@@ -462,7 +469,7 @@ class _RowCodec:
             n += len(at)
         return n
 
-    def _parse_ints(self, block: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    def _parse_ints(self, block: np.ndarray, starts: np.ndarray, widths: np.ndarray, out: np.ndarray) -> None:
         n = len(starts)
         byte, negative, is_digit = self._byte[:n], self._mask[:n], self._mask2[:n]
         np.take(block, starts, out=byte, mode="clip")
@@ -473,7 +480,7 @@ class _RowCodec:
         np.subtract(widths, 1, out=widths, where=negative)
         if widths.min() < 1 or widths.max() > _LAMBDA_MAX_DIGITS:
             raise _NotCanonical
-        values, term = self._lambdas[:n].view(np.uint64), self._key[:n]
+        values, term = out.view(np.uint64), self._key[:n]
         values.fill(0)
         for j in range(int(widths.max())):
             np.subtract(at, 1, out=at)
@@ -484,9 +491,8 @@ class _RowCodec:
             np.greater(widths, j, out=is_digit)
             np.add(values, term, out=values, where=is_digit)
         np.negative(values, out=values, where=negative)
-        return self._lambdas[:n]
 
-    def _parse_floats(self, block: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    def _parse_floats(self, block: np.ndarray, starts: np.ndarray, widths: np.ndarray, out: np.ndarray) -> None:
         n, width = len(starts), int(widths.max())
         if len(self._text) < self.rows * _LAMBDA_MAX_WIDTH:
             self._text = np.empty(self.rows * _LAMBDA_MAX_WIDTH, dtype=np.uint8)
@@ -498,15 +504,13 @@ class _RowCodec:
             np.greater(widths, j, out=inside)
             np.multiply(byte, inside, out=text[:, j])
             np.add(starts, 1, out=starts)
-        values = self._lambdas[:n].view(np.float64)
         try:
-            np.copyto(values, text.view(f"S{width}")[:, 0], casting="unsafe")
+            np.copyto(out, text.view(f"S{width}")[:, 0], casting="unsafe")
         except (ValueError, OverflowError):
             raise _NotCanonical from None
         # the scanner rejects "inf" and "nan", which repr writes for non-finite floats
-        if not np.isfinite(values, out=inside).all():
+        if not np.isfinite(out, out=inside).all():
             raise _NotCanonical
-        return values
 
 
 def _tag_fits(tag: str) -> bool:
@@ -534,6 +538,10 @@ def _plus_minus_one(outcomes: np.ndarray) -> bool:
         # with no temporary per row: within [-1, 1] and never 0
         return outcomes.min() >= -1 and outcomes.max() <= 1 and np.count_nonzero(outcomes) == len(outcomes)
     return outcomes.dtype.kind in "bf" and bool(np.all(np.abs(outcomes) == 1))
+
+
+# how the reader reads each lambda kind
+_LAMBDA_DTYPES = {"int": np.int64, "float": np.float64}
 
 
 def _lambda_kind(lambdas: Optional[np.ndarray]) -> Optional[str]:
@@ -657,12 +665,8 @@ class TrialLogFormatError(ValueError):
     """A trial log file violates the documented schema; names the line."""
 
 
-class _NotCanonical(BaseException):
-    """The file is not exactly as write_trial_log writes its columns.
-
-    A BaseException, so that a fold's `except Exception` cannot swallow the
-    signal that abandons it for the line scanner.
-    """
+class _NotCanonical(Exception):
+    """The file is not exactly as write_trial_log writes its columns."""
 
 
 _T = TypeVar("_T")
@@ -671,38 +675,20 @@ _T = TypeVar("_T")
 def fold_trial_log(path, fold: Callable[[Iterator[TrialLog]], _T]) -> _T:
     """fold(chunks) over the log's chunks, in index order, each with its own arrays.
 
-    A log exactly as write_trial_log would write it streams in fixed blocks
-    (1 MiB), each parsed column-wise into one chunk, so the file is never
-    held whole. If some block turns out not to be canonical, that call of
-    fold is abandoned and fold runs again on the whole file as one chunk,
-    parsed by the line scanner, which validates the schema line by line and
-    names the first bad line. A pipe can be read only once, so it is held
-    whole.
+    The file is read once, in blocks of whole lines (1 MiB), and fold is
+    called once. While the file is exactly as write_trial_log writes it, each
+    block is parsed column-wise into one chunk; from the first block that is
+    not, the line scanner parses each block, naming the first line that
+    breaks the schema. Only a file with no \\n at all, such as one with
+    lone-CR line ends, is held whole.
     """
     with open(path, "rb") as f:
-        source = f if f.seekable() else io.BytesIO(f.read())
-        try:
-            return fold(map(_copy, _canonical_chunks(source)))
-        except _NotCanonical:
-            source.seek(0)
-            data = source.read()
-    return fold(iter([_scan_lines(_decode_text(data))]))
+        return fold(_chunks(f))
 
 
 def read_trial_log(path) -> TrialLog:
     """Parse a CSV trial log (see fold_trial_log for how)."""
     return fold_trial_log(path, _concatenate)
-
-
-def _copy(log: TrialLog) -> TrialLog:
-    return TrialLog(
-        log.pair_codes.copy(),
-        log.s_first.copy(),
-        log.s_second.copy(),
-        None if log.lambda_ids is None else log.lambda_ids.copy(),
-        log.model_tag,
-        first_index=log.first_index,
-    )
 
 
 def _concatenate(chunks: Iterator[TrialLog]) -> TrialLog:
@@ -711,53 +697,61 @@ def _concatenate(chunks: Iterator[TrialLog]) -> TrialLog:
     if len(parts) == 1:
         return parts[0]
     lambdas = None if parts[0].lambda_ids is None else np.concatenate([p.lambda_ids for p in parts])
-    return TrialLog(
-        np.concatenate([p.pair_codes for p in parts]),
-        np.concatenate([p.s_first for p in parts]),
-        np.concatenate([p.s_second for p in parts]),
-        lambdas,
-        parts[0].model_tag,
-        first_index=parts[0].first_index,
-    )
+    rows = [(p.pair_codes, p.s_first, p.s_second) for p in parts]
+    columns = [np.concatenate(column) for column in zip(*rows)]
+    return TrialLog(*columns, lambdas, parts[0].model_tag, first_index=parts[0].first_index)
 
 
-def _canonical_chunks(f) -> Iterator[TrialLog]:
-    """One chunk for each block of complete lines read from f.
+def _chunks(f) -> Iterator[TrialLog]:
+    """One chunk for each block of whole lines read from f (see fold_trial_log).
 
     A block ends at its last newline; the partial line after it moves to the
-    front of the buffer and the next read appends to it. Raises _NotCanonical
-    as soon as the file is found not to be canonical.
+    front of the buffer, and a line longer than the buffer doubles it. The
+    scanner also takes a last line without its newline, and the first block
+    from the file's start if the header is not canonical; the blocks before
+    fix its first index, model tag and lambda kind.
     """
-    if f.read(len(_HEADER_LINE)) != _HEADER_LINE:
-        raise _NotCanonical
+    head = f.read(len(_HEADER_LINE))
+    header = head != _HEADER_LINE  # the first block is then read from the file's start
     buf = bytearray(_READ_BLOCK)
-    kept = first = 0
-    codec = None
+    kept = len(head) if header else 0
+    buf[:kept] = head[:kept]
+    canonical = not header
+    first, layout, codec = 0, None, None
     while True:
+        if kept == len(buf):
+            buf += bytes(len(buf))
         with memoryview(buf) as view:
             got = f.readinto(view[kept:])
-        if not got:
-            # a file without its final newline, or without rows
-            if kept or not first:
-                raise _NotCanonical
-            return
         filled = kept + got
-        end = buf.rfind(b"\n", 0, filled) + 1
-        if not end:
-            if filled == len(buf):  # a line longer than a block
-                raise _NotCanonical
+        end = buf.rfind(b"\n", 0, filled) + 1 if got else filled
+        if got and not end:
             kept = filled
             continue
-        if codec is None:
-            model_tag, lambda_kind = _row_layout(bytes(buf[: buf.index(b"\n")]))
-            # no canonical row is shorter than "0,12,1,1," + lambda_id + ",model_tag\n"
-            shortest = len(f"0,12,1,1,{'0' if lambda_kind else ''},{model_tag}\n".encode("utf-8"))
-            codec = _RowCodec(len(buf) // shortest, model_tag, lambda_kind)
-        chunk = codec.parse(buf, end, first)
-        yield chunk
-        first += len(chunk)
+        if not (end or header):  # an empty file still goes to the scanner, which wants a header
+            break
+        if canonical and got:
+            try:
+                if codec is None:
+                    model_tag, lambda_kind = _row_layout(bytes(buf[: buf.index(b"\n")]))
+                    # no canonical row is shorter than "0,12,1,1," + lambda_id + ",model_tag\n"
+                    shortest = len(f"0,12,1,1,{'0' if lambda_kind else ''},{model_tag}\n".encode("utf-8"))
+                    codec = _RowCodec(len(buf) // shortest, model_tag, lambda_kind)
+                chunk = codec.parse(buf, end, first)
+            except _NotCanonical:
+                canonical = False
+        if not (canonical and got):
+            text = _decode_text(buf[:end], 1 if header else first + 2)
+            chunk = _scan_lines(text, first, layout, header)
+            header = False
+        if len(chunk):
+            yield chunk
+            first += len(chunk)
+            layout = (chunk.model_tag, _lambda_kind(chunk.lambda_ids))
         kept = filled - end
         buf[:kept] = buf[end:filled]
+    if not first:
+        raise TrialLogFormatError("line 2: log contains no trials")
 
 
 def _row_layout(row: bytes) -> tuple[str, Optional[str]]:
@@ -776,17 +770,18 @@ def _row_layout(row: bytes) -> tuple[str, Optional[str]]:
     lam_s = fields[4]
     if not lam_s:
         return model_tag, None
-    # the scanner's rule: floats iff some value has a '.' or an 'e'
+    # the scanner's rule: a float iff it has a '.' or an 'e'
     return model_tag, "float" if b"." in lam_s or b"e" in lam_s else "int"
 
 
-def _decode_text(data: bytes) -> str:
-    """The file as the line scanner reads it: UTF-8 with universal newlines."""
+def _decode_text(data: bytes, line: int = 1) -> str:
+    """data as the line scanner reads it: UTF-8 with universal newlines; its
+    first line is line `line` of the file."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = _universal_newlines(data[: exc.start].decode("utf-8"))
-        line_no = before.count("\n") + 1
+        line_no = before.count("\n") + line
         raise TrialLogFormatError(f"line {line_no}: not valid UTF-8 (byte 0x{data[exc.start]:02x})") from None
     return _universal_newlines(text)
 
@@ -795,23 +790,32 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _scan_lines(text: str) -> TrialLog:
-    """Parse the log line by line, naming the first line that breaks the schema."""
+def _scan_lines(text: str, first: int = 0, layout: Optional[tuple] = None, header: bool = True) -> TrialLog:
+    """Parse rows line by line, numbered from first, naming the first line that breaks the schema.
+
+    With its defaults, text is a whole file, header first. The layout, the
+    model tag and lambda kind (see _lambda_kind), is the rows' before text or
+    else is fixed by the first row, whose lambda_id is a float iff it has a
+    '.' or an 'e'. A later row must carry the same tag, and no float in an
+    integer column; a float column reads every lambda_id as a float.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if not lines or lines[0] != TRIAL_LOG_HEADER:
-        raise TrialLogFormatError(f"line 1: expected header {TRIAL_LOG_HEADER!r}")
+    if header:
+        if not lines or lines[0] != TRIAL_LOG_HEADER:
+            raise TrialLogFormatError(f"line 1: expected header {TRIAL_LOG_HEADER!r}")
+        lines = lines[1:]
+    # dict lookups, as int() of a str allocates a copy of it
     code_by_pair = {p.value: p.code for p in PAIR_ORDER}
-    n = len(lines) - 1
-    pair_codes = np.empty(n, dtype=np.uint8)
-    s_first = np.empty(n, dtype=np.int8)
-    s_second = np.empty(n, dtype=np.int8)
-    lambda_vals: list = []
-    tags = set()
-    for k in range(n):
-        line_no = k + 2
-        fields = lines[k + 1].split(",")
+    outcome = {"1": 1, "-1": -1}
+    start = first + 2  # the line of row first
+    n = len(lines)
+    pair_codes, s_first, s_second = np.empty(n, np.uint8), np.empty(n, np.int8), np.empty(n, np.int8)
+    lambda_ids: Optional[np.ndarray] = None
+    for k, line in enumerate(lines):
+        line_no = start + k
+        fields = line.split(",")
         if len(fields) != 6:
             raise TrialLogFormatError(f"line {line_no}: expected 6 fields, got {len(fields)}")
         idx_s, pair_s, s1_s, s2_s, lam_s, tag = fields
@@ -819,47 +823,40 @@ def _scan_lines(text: str) -> TrialLog:
             idx = int(idx_s)
         except ValueError:
             raise TrialLogFormatError(f"line {line_no}: index {idx_s!r} is not an integer") from None
-        if idx != k:
-            raise TrialLogFormatError(f"line {line_no}: index {idx} breaks the consecutive order (expected {k})")
+        if idx + 2 != line_no:
+            raise TrialLogFormatError(
+                f"line {line_no}: index {idx} breaks the consecutive order (expected {line_no - 2})"
+            )
         if pair_s not in code_by_pair:
             raise TrialLogFormatError(f"line {line_no}: pair must be one of 12|13|23, got {pair_s!r}")
-        if s1_s not in ("1", "-1") or s2_s not in ("1", "-1"):
+        if s1_s not in outcome or s2_s not in outcome:
             raise TrialLogFormatError(f"line {line_no}: outcomes must be 1 or -1, got {s1_s!r}, {s2_s!r}")
         pair_codes[k] = code_by_pair[pair_s]
-        s_first[k] = int(s1_s)
-        s_second[k] = int(s2_s)
+        s_first[k] = outcome[s1_s]
+        s_second[k] = outcome[s2_s]
+        is_float = "." in lam_s or "e" in lam_s
+        if layout is None:
+            layout = (tag, None if lam_s == "" else "float" if is_float else "int")
+        if tag != layout[0]:
+            raise TrialLogFormatError(f"line {line_no}: model tag {tag!r} differs from the first row's {layout[0]!r}")
+        if (lam_s == "") != (layout[1] is None):
+            raise TrialLogFormatError(f"line {line_no}: lambda_id column mixes empty and non-empty values")
         if lam_s == "":
-            lambda_vals.append(None)
-        else:
-            try:
-                value = int(lam_s) if ("." not in lam_s and "e" not in lam_s) else float(lam_s)
-            except ValueError:
-                raise TrialLogFormatError(f"line {line_no}: lambda_id {lam_s!r} is not a number") from None
-            # float() reads a number beyond the float range, such as 1e400, as inf
-            if value in (math.inf, -math.inf):
-                raise TrialLogFormatError(f"line {line_no}: lambda_id {lam_s!r} is not finite")
-            lambda_vals.append(value)
-        tags.add(tag)
-    if n == 0:
-        raise TrialLogFormatError("line 2: log contains no trials")
-    model_tag = tags.pop() if len(tags) == 1 else "mixed"
-    lambda_ids: Optional[np.ndarray] = None
-    if any(v is not None for v in lambda_vals):
-        empty_first = lambda_vals[0] is None
-        for k, v in enumerate(lambda_vals):
-            if (v is None) != empty_first:
-                raise TrialLogFormatError(f"line {k + 2}: lambda_id column mixes empty and non-empty values")
-        if all(isinstance(v, int) for v in lambda_vals):
-            try:
-                lambda_ids = np.array(lambda_vals, dtype=np.int64)
-            except OverflowError:
-                k = next(k for k, v in enumerate(lambda_vals) if not -(2**63) <= v < 2**63)
-                raise TrialLogFormatError(f"line {k + 2}: lambda_id {lambda_vals[k]} does not fit in 64 bits") from None
-        else:
-            lambda_ids = np.empty(n)
-            for k, v in enumerate(lambda_vals):
-                try:
-                    lambda_ids[k] = v
-                except OverflowError:  # an integer beyond the float range
-                    raise TrialLogFormatError(f"line {k + 2}: lambda_id {v} is beyond the float range") from None
-    return TrialLog(pair_codes, s_first, s_second, lambda_ids, model_tag)
+            continue
+        try:
+            value = float(lam_s) if is_float else int(lam_s)
+        except ValueError:
+            raise TrialLogFormatError(f"line {line_no}: lambda_id {lam_s!r} is not a number") from None
+        # float() reads a number beyond the float range, such as 1e400, as inf
+        if value in (math.inf, -math.inf):
+            raise TrialLogFormatError(f"line {line_no}: lambda_id {lam_s!r} is not finite")
+        if is_float and layout[1] == "int":
+            raise TrialLogFormatError(f"line {line_no}: lambda_id {lam_s!r} is a float in an integer column")
+        if lambda_ids is None:
+            lambda_ids = np.empty(n, _LAMBDA_DTYPES[layout[1]])
+        try:
+            lambda_ids[k] = value
+        except OverflowError:
+            beyond = "does not fit in 64 bits" if layout[1] == "int" else "is beyond the float range"
+            raise TrialLogFormatError(f"line {line_no}: lambda_id {value} {beyond}") from None
+    return TrialLog(pair_codes, s_first, s_second, lambda_ids, layout[0] if layout else "", first)

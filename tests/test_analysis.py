@@ -329,6 +329,31 @@ def test_stabilization_rejects_non_finite_epsilon(epsilon):
         stabilization(recs, epsilon=epsilon)
 
 
+# a bool is refused as LogFold(checkpoint_stride=True) and run_chunks(n_trials=True) are
+NOT_REAL = [True, False, "3", None, [1.0], 10**400]
+
+
+@pytest.mark.parametrize("significance", NOT_REAL)
+def test_evaluate_lg_refuses_a_significance_that_is_not_a_finite_real_number(significance):
+    with pytest.raises(ValueError, match="^significance must be a finite real number"):
+        evaluate_lg(exact_estimates(0.5, -0.5, 0.5), significance)
+
+
+@pytest.mark.parametrize("significance", [3, np.float32(3.0), np.int64(3)])
+def test_evaluate_lg_takes_any_real_significance(significance):
+    report = evaluate_lg(exact_estimates(0.5, -0.5, 0.5), significance)
+    assert report.config_echo["significance"] == significance
+
+
+@pytest.mark.parametrize("epsilon", NOT_REAL)
+def test_stabilization_refuses_an_epsilon_that_is_not_a_finite_real_number(epsilon):
+    recs = records_from_products({pair: [1, 1] for pair in PairChoice})
+    with pytest.raises(ValueError, match="^epsilon must be a finite real number > 0"):
+        stabilization(recs, epsilon=epsilon)
+    with pytest.raises(ValueError, match="^epsilon must be a finite real number > 0"):
+        LogFold.over(recs.chunks(), 10).stabilization(epsilon)
+
+
 # -- JSON emission ------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ run_trial_scalar draws one trial at a time through the public single-draw
 operations, so it is the oracle for every lane kernel; a float64 mean and
 cumsum of the outcome products is the oracle for the estimators.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from lglab import (
     TableModel,
     TimeSlot,
     TrialLog,
+    TrialRecord,
     World,
     estimate_pairs,
     run_chunks,
@@ -372,4 +374,31 @@ def test_from_records_names_mixed_inputs(magic_binding):
     rotor, table = records(RotorModel(magic_binding.directions)), records(TableModel([(1.0, (1, 1, 1))]))
     with pytest.raises(ValueError, match="mixes"):
         TrialLog.from_records(rotor + records(QuantumWorld()))
-    assert TrialLog.from_records(rotor + table).model_tag == "mixed"
+    # a trial log holds one run of one world, as a file does
+    with pytest.raises(ValueError, match="^record 3 has model tag 'table', but record 0 has 'rotor'$"):
+        TrialLog.from_records(rotor + table)
+
+
+def test_from_records_keeps_the_records_indexes(magic_binding):
+    chunks = list(run_chunks(magic_binding, QuantumWorld(), 70_000, 5, GEOMETRY))
+    assert chunks[1].first_index == _CHUNK_ROWS
+    again = TrialLog.from_records(list(chunks[1]))
+    assert again.first_index == _CHUNK_ROWS and again == chunks[1]
+    empty = TrialLog.from_records([])
+    assert (len(empty), empty.first_index, empty.model_tag) == (0, 0, "")
+
+
+@pytest.mark.parametrize("indexes, k", [([5, 2], 1), ([0, 1, 3], 2), ([0, 0], 1)])
+def test_from_records_refuses_records_out_of_order(indexes, k):
+    records = [TrialRecord(i, PAIR_ORDER[0], 1, -1, None, "quantum") for i in indexes]
+    expected = indexes[0] + k
+    with pytest.raises(ValueError, match=f"^record {k} has index {indexes[k]}, not {expected};"):
+        TrialLog.from_records(records)
+
+
+def test_from_records_checks_lambdas_then_tags_then_indexes():
+    ok = TrialRecord(0, PAIR_ORDER[0], 1, -1, 3, "table")
+    with pytest.raises(ValueError, match="mixes empty and non-empty"):
+        TrialLog.from_records([ok, dataclasses.replace(ok, index=7, lambda_id=None, model_tag="rotor")])
+    with pytest.raises(ValueError, match="^record 1 has model tag 'rotor'"):
+        TrialLog.from_records([ok, dataclasses.replace(ok, index=7, model_tag="rotor")])

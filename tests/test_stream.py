@@ -171,7 +171,7 @@ def test_analyze_output_does_not_depend_on_the_block_size(tmp_path, capsys):
 
 @pytest.mark.parametrize("block", [4096, triallog._READ_BLOCK])
 def test_chunks_that_a_fold_keeps_stay_as_read(table_run, block):
-    # the block reader parses every block into the same arrays; a chunk that
+    # the block reader parses every block into arrays of its own; a chunk that
     # fold_trial_log hands out must not change when the next one is parsed
     trials, log = table_run
     with mock.patch.object(triallog, "_READ_BLOCK", block), mock.patch.object(
@@ -214,6 +214,14 @@ def test_small_blocks_parse_valid_logs_as_the_line_scanner_does(tmp_path_factory
         lines[row % n_trials + 1] = MUTATIONS[mutation](lines[row % n_trials + 1])
         text = "\n".join(lines)
     path.write_bytes(text.encode())
+    if mutation == "other_tag":
+        # a row whose tag differs from the first row's is refused, naming its line
+        with pytest.raises(TrialLogFormatError, match="model tag") as expected:
+            triallog._scan_lines(triallog._decode_text(path.read_bytes()))
+        with mock.patch.object(triallog, "_READ_BLOCK", block), pytest.raises(TrialLogFormatError) as got:
+            read_trial_log(path)
+        assert str(got.value) == str(expected.value)
+        return
     with mock.patch.object(triallog, "_READ_BLOCK", block):
         got = read_trial_log(path)
     expected = triallog._scan_lines(triallog._decode_text(path.read_bytes()))
@@ -236,7 +244,7 @@ def test_bad_row_at_line_70000_is_named_with_small_blocks(table_run, tmp_path, c
     assert "error: line 70000: outcomes" in capsys.readouterr().err
 
 
-def test_a_partial_fold_is_dropped_when_a_later_block_is_not_canonical(table_run, tmp_path, capsys):
+def test_a_log_whose_last_block_is_not_canonical_folds_as_the_canonical_one(table_run, tmp_path, capsys):
     trials, log = table_run
     expected = json.loads(_analyze(capsys, trials))
     # the last row gets a padded index: valid, but not as the writer writes it
@@ -266,6 +274,105 @@ def test_a_fold_that_catches_every_exception_still_gets_the_whole_log(table_run,
         return rows
 
     assert fold_trial_log(padded, count_rows) == len(read_trial_log(padded)) == len(log)
+
+
+def _edited(trials, tmp_path, edit: str):
+    """A copy of the log at trials, with one valid edit that no writer makes."""
+    data = trials.read_bytes()
+    if edit == "padded_row_60000":
+        lines = data.split(b"\n")
+        lines[60_001] = b"0" + lines[60_001]
+        data = b"\n".join(lines)
+    elif edit == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    path = tmp_path / f"{edit}.csv"
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("edit", ["none", "padded_row_60000", "crlf"])
+def test_fold_trial_log_calls_its_fold_once(table_run, tmp_path, edit):
+    trials, log = table_run
+    calls = []
+
+    def fold(chunks):
+        calls.append(edit)
+        return triallog._concatenate(chunks)
+
+    assert fold_trial_log(_edited(trials, tmp_path, edit), fold) == log
+    assert calls == [edit]
+
+
+@pytest.mark.parametrize("block", [4096, triallog._READ_BLOCK])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (5, "table2", "model tag 'table2' differs from the first row's 'table'"),
+        (4, "0.5", "lambda_id '0.5' is a float in an integer column"),
+    ],
+    ids=["other_tag", "float_lambda"],
+)
+def test_a_row_that_changes_the_first_rows_layout_is_refused(table_run, tmp_path, capsys, block, field, value, message):
+    # the first row fixes the model tag and the lambda kind, as the first
+    # chunk does for a writer
+    trials, _ = table_run
+    lines = trials.read_text(encoding="utf-8").split("\n")
+    fields = lines[69_999].split(",")  # line 70 000
+    fields[field] = value
+    lines[69_999] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    with mock.patch.object(triallog, "_READ_BLOCK", block):
+        with pytest.raises(TrialLogFormatError, match=f"^line 70000: {message}"):
+            read_trial_log(bad)
+        assert main(["analyze", "--trials", str(bad)]) == EXIT_CONFIG
+    assert f"error: line 70000: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", [16, 60, 4096])
+def test_a_header_that_is_not_canonical_is_scanned_from_the_start(table_run, tmp_path, block):
+    # a CRLF header is longer than a canonical one, and than a 16-byte block;
+    # a bad byte far into the file is still named by its line
+    trials, log = table_run
+    crlf = _edited(trials, tmp_path, "crlf")
+    with mock.patch.object(triallog, "_READ_BLOCK", block):
+        chunks = fold_trial_log(crlf, list)
+    assert len(chunks) > 1 and triallog._concatenate(iter(chunks)) == log
+    lines = crlf.read_bytes().split(b"\r\n")
+    lines[69_999] += b"\xff"
+    crlf.write_bytes(b"\r\n".join(lines))
+    with mock.patch.object(triallog, "_READ_BLOCK", block):
+        with pytest.raises(TrialLogFormatError, match="^line 70000: not valid UTF-8"):
+            read_trial_log(crlf)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "line 1: expected header"),
+        (b"index\n0,12,1,1,,q\n", "line 1: expected header"),
+        (triallog._HEADER_LINE, "line 2: log contains no trials"),
+        (triallog._HEADER_LINE[:-1], "line 2: log contains no trials"),
+    ],
+    ids=["empty", "other_header", "header_only", "header_without_newline"],
+)
+def test_a_log_without_a_header_or_trials_is_refused(tmp_path, data, message):
+    path = tmp_path / "log.csv"
+    path.write_bytes(data)
+    with pytest.raises(TrialLogFormatError, match=f"^{message}"):
+        read_trial_log(path)
+
+
+def test_a_line_longer_than_the_block_doubles_it(tmp_path):
+    path = tmp_path / "long.csv"
+    tag = "t" * 300
+    rows = [f"{k},12,1,-1,{k},{tag}" for k in range(5)]
+    rows[2] = f"0{rows[2]}"  # a padded index: valid, but not canonical
+    path.write_text("\n".join([triallog.TRIAL_LOG_HEADER, *rows, ""]), encoding="utf-8")
+    with mock.patch.object(triallog, "_READ_BLOCK", 64):
+        log = read_trial_log(path)
+    assert log == triallog._scan_lines(path.read_text(encoding="utf-8"))
+    assert (len(log), log.model_tag, log.lambda_ids.tolist()) == (5, tag, list(range(5)))
 
 
 @pytest.mark.parametrize("canonical", [True, False])
@@ -311,6 +418,20 @@ def test_run_and_analyze_peaks_do_not_grow_with_n_trials(tmp_path, capsys):
     # the 2^20-trial file alone is 22 MB; its columns are 3 MB
     for command in ("run", "analyze"):
         assert math.isclose(peaks[command, 1 << 20], peaks[command, 1 << 17], abs_tol=2.0), peaks
+
+
+def test_analyze_peak_does_not_grow_with_n_trials_on_a_crlf_log(tmp_path, capsys):
+    # every block of a CRLF log goes through the line scanner, which is
+    # still fed one block at a time
+    peaks = {}
+    for n in (1 << 17, 1 << 20):
+        assert _run(tmp_path, _config(tmp_path, "quantum", n, 3))[0] == EXIT_OK
+        trials = _edited(tmp_path / "trials.csv", tmp_path, "crlf")
+        code = []
+        peaks[n] = _peak_mb(lambda: code.append(main(["analyze", "--trials", str(trials)])))
+        capsys.readouterr()
+        assert code == [EXIT_OK]
+    assert math.isclose(peaks[1 << 20], peaks[1 << 17], abs_tol=2.0), peaks
 
 
 def _traced_peaks(monkeypatch, method: str) -> list:

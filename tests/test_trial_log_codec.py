@@ -36,8 +36,7 @@ from lglab.triallog import (
     TrialLog,
     TrialLogFormatError,
     TrialLogWriter,
-    _canonical_chunks,
-    _NotCanonical,
+    _chunks,
     _lambda_kind,
     _RowCodec,
 )
@@ -74,13 +73,17 @@ def _assert_same_log(loaded: TrialLog, expected: TrialLog) -> None:
         assert loaded.lambda_ids.dtype == expected.lambda_ids.dtype
 
 
+class _NotStreamed(Exception):
+    """A block of the file went to the line scanner."""
+
+
 def _streams(path) -> bool:
     """Does the column-wise block reader take the whole file?"""
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, mock.patch.object(triallog, "_scan_lines", side_effect=_NotStreamed):
         try:
-            for _ in _canonical_chunks(f):
+            for _ in _chunks(f):
                 pass
-        except _NotCanonical:
+        except _NotStreamed:
             return False
     return True
 
@@ -146,7 +149,10 @@ def test_valid_non_canonical_logs_parse_as_the_line_scanner_does(
     canonical = path.read_bytes()
     lines = canonical.decode().split("\n")
     fields = lines[row % n_trials + 1].split(",")
-    lambdas, tag = log.lambda_ids, log.model_tag
+    lambdas = log.lambda_ids
+    # the first row fixes the model tag and lambda kind, so a later row that
+    # changes either is refused; a changed first row makes the second one differ
+    refused = None
     if mutation == "pad_index":
         fields[0] = "00" + fields[0]
     elif mutation == "plus_index":
@@ -155,13 +161,16 @@ def test_valid_non_canonical_logs_parse_as_the_line_scanner_does(
         fields[0] = " " + fields[0]  # int() strips surrounding whitespace
     elif mutation == "other_tag":
         fields[5] += "2"
-        tag = "mixed"
+        refused = "model tag"
     elif mutation == "pad_lambda" and fields[4]:
         lam = fields[4]
         fields[4] = "-0" + lam[1:] if lam.startswith("-") else "0" + lam
     elif mutation == "float_text_lambda" and lambdas is not None and lambdas.dtype.kind == "i":
-        fields[4] += ".0"  # one float value turns the whole column into floats
-        lambdas = lambdas.astype(np.float64)
+        fields[4] += ".0"
+        if row % n_trials:
+            refused = "lambda_id .* is a float in an integer column"
+        else:  # a float column reads the integers after it as floats
+            lambdas = lambdas.astype(np.float64)
     lines[row % n_trials + 1] = ",".join(fields)
     text = "\n".join(lines)
     if mutation == "crlf":
@@ -176,7 +185,11 @@ def test_valid_non_canonical_logs_parse_as_the_line_scanner_does(
 
     path.write_bytes(data)
     assert not _streams(path)
-    expected = TrialLog(log.pair_codes, log.s_first, log.s_second, lambdas, tag)
+    if refused is not None:
+        with pytest.raises(TrialLogFormatError, match=f"^line {max(row % n_trials, 1) + 2}: {refused}"):
+            read_trial_log(path)
+        return
+    expected = TrialLog(log.pair_codes, log.s_first, log.s_second, lambdas, log.model_tag)
     _assert_same_log(read_trial_log(path), expected)
 
 
@@ -652,11 +665,10 @@ def test_a_writer_takes_every_integer_dtype_as_one_lambda_kind(tmp_path):
 
 def _chunk_lengths(path) -> list:
     """The length of each chunk the block reader parses path into."""
-    lengths = []
-    with open(path, "rb") as f:
-        for chunk in _canonical_chunks(f):
-            lengths.append(len(chunk))
-    return lengths
+    with open(path, "rb") as f, mock.patch.object(
+        triallog, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
+    ):
+        return [len(chunk) for chunk in _chunks(f)]
 
 
 def test_blocks_of_more_than_a_chunk_of_rows_stream(tmp_path):
