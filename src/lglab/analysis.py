@@ -314,14 +314,20 @@ class LogFold:
         return fold
 
     def add(self, chunk: TrialLog) -> "LogFold":
+        """Fold one chunk in; a chunk with a pair code outside 0..2 is refused
+        before anything is folded."""
+        codes, same = chunk.pair_codes, chunk.s_first == chunk.s_second
+        in_pair = [codes == code for code in range(3)]
         if self.checkpoint_stride is None:
-            keys = chunk.pair_codes * 2
-            keys += chunk.s_first == chunk.s_second
-            added = np.bincount(keys, minlength=6).reshape(3, 2).tolist()
+            n_pair = [int(np.count_nonzero(mask)) for mask in in_pair]
+            _check_codes(chunk, sum(n_pair))
+            n_same = [int(np.count_nonzero(np.logical_and(mask, same, out=mask))) for mask in in_pair]
+            added = [(n - agree, agree) for n, agree in zip(n_pair, n_same)]
         else:
-            same = chunk.s_first == chunk.s_second
             # several times faster than same[mask]
-            added = [self._checkpoint(code, np.compress(chunk.pair_codes == code, same)) for code in range(3)]
+            pair_same = [np.compress(mask, same) for mask in in_pair]
+            _check_codes(chunk, sum(map(len, pair_same)))
+            added = [self._checkpoint(code, agree) for code, agree in enumerate(pair_same)]
         for counts, (n_diff, n_same) in zip(self.counts, added):
             counts[0] += n_diff
             counts[1] += n_same
@@ -386,6 +392,14 @@ class LogFold:
                 )
             )
         return StabilizationReport(epsilon=epsilon, checkpoint_stride=self.checkpoint_stride, pairs=tuple(reports))
+
+
+def _check_codes(chunk: TrialLog, n_coded: int) -> None:
+    """Refuse a chunk of which only n_coded trials have a pair code 0, 1 or 2."""
+    if n_coded != len(chunk):
+        codes = chunk.pair_codes
+        at = int(np.flatnonzero(~np.isin(codes, (0, 1, 2)))[0])
+        raise ValueError(f"pair code {codes[at].item()!r} at trial {chunk.first_index + at} is not 0, 1 or 2")
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -458,22 +458,39 @@ def random_table_model(rand: UnitUniformSource) -> TableModel:
     return TableModel(list(zip(_random_mixture_weights(rand), triples)))
 
 
-def _mixture_lhs(trials: int, rand: UnitUniformSource) -> np.ndarray:
+def _mixture_lhs(trials: int, gen: SeededGenerator) -> np.ndarray:
     """Exact inequality LHS of trials random mixtures, drawn as random_table_model draws them.
 
+    random_table_model is the scalar oracle. Here each round draws 8 * missing
+    uniforms at once, as integers k with uniform k / 2^53, and keeps in order
+    each group of 8 with no k == 0, the only draw that weight rejects; a round
+    completes the count only if it keeps every group, so the generator ends
+    where the oracle's does. A row's k sum exactly in int64 (below 2^56), so
+    one rounding to float64 gives the correctly rounded total that math.fsum
+    does, and (k * 2^-53) / total is the oracle's w / total bit for bit.
     One (trials, 8) @ (8, 3) product gives every mixture's three pair
     expectations; each is the same sum of weight * (+/-1) that
     expectation_exact forms for one model.
     """
-    weights = np.array([_random_mixture_weights(rand) for _ in range(trials)])
+    rounds, missing = [], trials
+    while missing:
+        ks = gen.next_integers(8 * missing).reshape(missing, 8)
+        kept = ks[np.all(ks != 0, axis=1)]
+        rounds.append(kept)
+        missing -= len(kept)
+    ks = np.concatenate(rounds).view(np.int64)
+    totals = ks.sum(axis=1).astype(np.float64) * 2.0**-53
+    weights = ks * 2.0**-53 / totals[:, None]
     responses = np.array([t for t, _ in deterministic_strategy_values()], dtype=np.float64)
     products = responses[:, _FIRST_SLOT] * responses[:, _SECOND_SLOT]  # column = pair code
     e12, e13, e23 = (weights @ products).T
     return np.abs(e12 - e13) + e23
 
 
-def mixture_bound_check(trials: int, rand: UnitUniformSource) -> float:
+def mixture_bound_check(trials: int, gen: SeededGenerator) -> float:
     """Max exact inequality LHS over random strategy mixtures; must stay <= 1."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    return float(np.max(_mixture_lhs(trials, rand)))
+    if not (_is_integer(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not isinstance(gen, SeededGenerator):
+        raise ValueError(f"gen must be a SeededGenerator, got {gen!r}")
+    return float(np.max(_mixture_lhs(trials, gen)))

@@ -5,9 +5,14 @@ the generators defined here, so runs replay byte-for-byte on any platform.
 The generator is a fixed 64-bit linear congruential recurrence; per-trial
 streams are derived with a splitmix-style finalizer so that trials can be
 computed in any order (serial, sharded, vectorized) with identical results.
+
+SeededGenerator.step is the scalar definition, and the oracle that every
+array form here is tested against: the lane kernels, and next_integers, which
+computes a generator's next n states at once by jump-ahead.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -40,6 +45,9 @@ class SeededGenerator:
 
     state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64
     Unit uniforms take the top 53 bits of state' divided by 2^53.
+
+    step and next_uniform are the scalar oracle; next_integers draws the
+    same values in bulk.
     """
 
     state: int
@@ -59,6 +67,36 @@ class SeededGenerator:
     def top_two_bits(self) -> int:
         """Advance one step and return the top 2 bits of the new state."""
         return self.step() >> 62
+
+    def next_integers(self, n: int) -> np.ndarray:
+        """Advance n steps and return the top 53 bits k of each new state, as
+        uint64: next_uniform would have returned k / 2^53 for each.
+
+        Step j of the n is the affine map s -> A_j * s + C_j (mod 2^64). The
+        maps for j = 1..m give those for j = m+1..2m, since step m + i is step
+        i after step m, so ceil(log2 n) doubling rounds of array products
+        build them all (Brown, Trans. Am. Nucl. Soc. 71, 202, 1994).
+        """
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {n!r}")
+        n = int(n)
+        if n == 0:
+            return np.zeros(0, dtype=np.uint64)
+        mult = np.empty(n, dtype=np.uint64)
+        inc = np.empty(n, dtype=np.uint64)
+        mult[0], inc[0] = _U64_MULT, _U64_INC
+        m = 1
+        while m < n:
+            # every product is array by scalar, which wraps without a warning
+            step = min(m, n - m)
+            np.multiply(mult[:step], mult[m - 1], out=mult[m : m + step])
+            np.multiply(mult[:step], inc[m - 1], out=inc[m : m + step])
+            inc[m : m + step] += inc[:step]
+            m += step
+        states = mult * np.uint64(self.state)
+        states += inc
+        self.state = int(states[-1])
+        return states >> np.uint64(11)
 
 
 def mix64(z: int) -> int:

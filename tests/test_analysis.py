@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lglab import (
@@ -297,6 +297,59 @@ def test_quantum_run_stabilizes(magic_binding, spacelike_geometry):
     for p in report.pairs:
         assert p.stabilized
         assert p.n_star <= 100_000
+
+
+def _log_with_code(code, dtype, first_index=0):
+    """Ten trials of valid pairs, but trial 5 has the given pair code."""
+    codes = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0], dtype=dtype)
+    codes[5] = code
+    plus = np.ones(10, dtype=np.int8)
+    return TrialLog(codes, plus, plus.copy(), None, "test", first_index)
+
+
+BAD_CODES = [(3, np.uint8), (255, np.uint8), (-1, np.int8), (7, np.int64)]
+
+
+@pytest.mark.parametrize("code, dtype", BAD_CODES)
+def test_estimate_pairs_refuses_a_pair_code_outside_0_to_2(code, dtype):
+    with pytest.raises(ValueError, match=f"^pair code {code} at trial 5 is not 0, 1 or 2"):
+        estimate_pairs(_log_with_code(code, dtype))
+
+
+@pytest.mark.parametrize("code, dtype", BAD_CODES)
+def test_stabilization_refuses_a_pair_code_outside_0_to_2(code, dtype):
+    with pytest.raises(ValueError, match=f"^pair code {code} at trial 5 is not 0, 1 or 2"):
+        stabilization(_log_with_code(code, dtype), checkpoint_stride=1)
+
+
+@pytest.mark.parametrize("stride", [None, 1, 4])
+def test_a_chunk_with_a_bad_pair_code_is_named_by_run_index_and_not_folded(stride):
+    fold = LogFold(stride).add(_log_with_code(0, np.uint8))
+    before = [list(c) for c in fold.counts], fold.stabilization() if stride else None
+    with pytest.raises(ValueError, match="^pair code 3 at trial 15 "):
+        fold.add(_log_with_code(3, np.uint8, first_index=10))
+    assert ([list(c) for c in fold.counts], fold.stabilization() if stride else None) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    present=st.sets(st.integers(0, 2), min_size=1),
+    cuts=st.lists(st.integers(0, 300), max_size=8),
+    stride=st.none() | st.integers(1, 5),
+)
+def test_fold_counts_equal_a_bincount_over_any_chunk_split(seed, n, present, cuts, stride):
+    # logs that lack a pair, and small chunks, give chunks in which a pair is absent
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(np.array(sorted(present), dtype=np.uint8), n)
+    s_first, s_second = (rng.choice(np.array([-1, 1], dtype=np.int8), n) for _ in range(2))
+    edges = sorted({0, n, *(c for c in cuts if c < n)})
+    chunks = [
+        TrialLog(codes[lo:hi], s_first[lo:hi], s_second[lo:hi], None, "test", lo) for lo, hi in zip(edges, edges[1:])
+    ]
+    keys = codes.astype(np.intp) * 2 + (s_first == s_second)
+    assert LogFold.over(chunks, stride).counts == np.bincount(keys, minlength=6).reshape(3, 2).tolist()
 
 
 def test_stabilization_validates_arguments():

@@ -9,6 +9,9 @@ the edges (k = t - 1 and k = t, y on an edge and its float neighbours), so
 a kernel that is off by one threshold step or one ULP fails it. The
 fresh-uniform kernel screens cos^2 with a float32 cosine and recomputes the
 float64 one only near u; its properties put u on and beside both values.
+SeededGenerator.next_integers jumps ahead instead of stepping, and the
+mixture check built on it rejects a zero draw as the scalar weights do; the
+last properties plant that zero on the group and round edges.
 """
 import math
 
@@ -36,6 +39,9 @@ from lglab.hidden_vars import (
     ConspiracyModel,
     RotorModel,
     _cos_nonnegative,
+    _mixture_lhs,
+    random_table_model,
+    table_lhs_exact,
 )
 from lglab.quantum import (
     Direction,
@@ -488,3 +494,87 @@ def test_sparse_checkpoints_equal_the_full_cumsum_over_any_chunk_split(stride, s
     whole = stabilization(log, 0.05, stride)
     assert split == whole
     assert [p.checkpoints for p in split.pairs] == _full_cumsum_checkpoints(log, stride)
+
+
+# -- jump-ahead draws and the mixture check's rejection -------------------------
+
+
+# n around the doubling rounds: each round doubles the steps whose maps are built
+DOUBLING_EDGES = sorted({0, 1, 2, 3} | {(1 << k) + d for k in range(1, 15) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=st.integers(0, MASK64) | st.sampled_from([0, 1, MASK64]),
+    n=st.sampled_from(DOUBLING_EDGES) | st.integers(0, 30_000),
+)
+def test_next_integers_are_the_top_bits_of_the_next_n_steps(state, n):
+    bulk, scalar = SeededGenerator(state), SeededGenerator(state)
+    ks = bulk.next_integers(n)
+    assert ks.dtype == np.uint64
+    assert ks.tolist() == [scalar.step() >> 11 for _ in range(n)]
+    assert bulk.state == scalar.state
+
+
+def test_next_integers_of_zero_steps_leave_the_state_alone():
+    gen = SeededGenerator(12345)
+    assert gen.next_integers(0).tolist() == []
+    assert gen.state == 12345
+
+
+@pytest.mark.parametrize("n", [-1, True, False, 2.5, 3.0, "3", None])
+def test_next_integers_refuses_an_n_that_is_not_an_integer_at_least_0(n):
+    gen = SeededGenerator(12345)
+    with pytest.raises(ValueError, match="^n must be an integer >= 0"):
+        gen.next_integers(n)
+    assert gen.state == 12345
+
+
+class _PlantedZeros(SeededGenerator):
+    """A generator whose draws at the given positions (from 1) have k = 0.
+
+    Its state runs on as the unplanted generator's does, so two zeros can sit
+    in one group of 8, which no seed of the LCG gives.
+    """
+
+    def __init__(self, state: int, zeros):
+        super().__init__(state)
+        self.zeros, self.drawn = set(zeros), 0
+
+    def step(self) -> int:
+        self.drawn += 1
+        state = super().step()
+        return state & 0x7FF if self.drawn in self.zeros else state
+
+    def next_integers(self, n: int) -> np.ndarray:
+        ks = super().next_integers(n)
+        ks[[d - self.drawn - 1 for d in sorted(self.zeros) if self.drawn < d <= self.drawn + n]] = 0
+        self.drawn += n
+        return ks
+
+
+MIXTURES = 4
+
+
+def _assert_mixtures_equal_the_oracle(fast: SeededGenerator, slow: SeededGenerator):
+    rows = _mixture_lhs(MIXTURES, fast)
+    assert rows.tolist() == [table_lhs_exact(random_table_model(slow)) for _ in range(MIXTURES)]
+    assert fast.state == slow.state
+
+
+# a zero at the first draw, at the end of the first group, at the start of the
+# second, and at the last draw of the first round, which forces a second round
+@pytest.mark.parametrize("draw", [1, 8, 9, 8 * MIXTURES])
+@pytest.mark.parametrize("low", [0, 1, 0x7FF])
+def test_a_planted_zero_draw_rejects_its_group_as_the_scalar_weights_do(draw, low):
+    start = _unstep(low, draw)
+    probe = SeededGenerator(start)
+    assert probe.next_integers(draw)[-1] == 0
+    _assert_mixtures_equal_the_oracle(SeededGenerator(start), SeededGenerator(start))
+
+
+@pytest.mark.parametrize("zeros", [(3, 6), (9, 16), (8 * MIXTURES - 1, 8 * MIXTURES), (1, 8, 9, 8 * MIXTURES + 8)])
+def test_several_zero_draws_reject_their_groups_as_the_scalar_weights_do(zeros):
+    fast, slow = _PlantedZeros(2024, zeros), _PlantedZeros(2024, zeros)
+    _assert_mixtures_equal_the_oracle(fast, slow)
+    assert fast.drawn == slow.drawn == 8 * (MIXTURES + len({(d - 1) // 8 for d in zeros}))

@@ -269,6 +269,29 @@ def test_mixture_bound_check_rejects_zero_trials():
         mixture_bound_check(0, SeededGenerator(1))
 
 
+@pytest.mark.parametrize("trials", [True, False, 2.5, 10.0, "10", None, 0, -1])
+def test_mixture_bound_check_refuses_trials_that_are_not_an_integer_at_least_1(trials):
+    with pytest.raises(ValueError, match="^trials must be an integer >= 1"):
+        mixture_bound_check(trials, SeededGenerator(1))
+
+
+class _Halves:
+    """A uniform source that is not a SeededGenerator."""
+
+    def next_uniform(self) -> float:
+        return 0.5
+
+
+@pytest.mark.parametrize("gen", [_Halves(), None, 1])
+def test_mixture_bound_check_refuses_a_gen_that_is_not_a_seeded_generator(gen):
+    with pytest.raises(ValueError, match="^gen must be a SeededGenerator"):
+        mixture_bound_check(10, gen)
+
+
+def test_mixture_bound_check_takes_a_numpy_integer_trials():
+    assert mixture_bound_check(np.int64(100), SeededGenerator(1)) == mixture_bound_check(100, SeededGenerator(1))
+
+
 def test_exact_bound_holds_for_every_random_table_model():
     gen = SeededGenerator(555)
     for _ in range(500):
