@@ -216,10 +216,10 @@ def maximize_violation(
     (theta_ab, theta_bc, lhs_max); the maximum is 1.5, reached at
     theta_ab = theta_bc = pi/6 and its symmetry-equivalent points.
     """
-    if not 0.0 < grid_step <= math.pi / 64:
-        raise ValueError(f"grid step must be in (0, pi/64], got {grid_step}")
-    if not (math.isfinite(refine_tolerance) and refine_tolerance > 0.0):
-        raise ValueError(f"refine tolerance must be finite and > 0, got {refine_tolerance}")
+    if not (_is_real(grid_step) and 0.0 < grid_step <= math.pi / 64):
+        raise ValueError(f"grid step must be a number in (0, pi/64], got {grid_step!r}")
+    if not (_is_real(refine_tolerance) and _is_finite(refine_tolerance) and refine_tolerance > 0.0):
+        raise ValueError(f"refine tolerance must be a finite number > 0, got {refine_tolerance!r}")
 
     axis = np.arange(0.0, math.pi, grid_step)
     a_grid, b_grid = np.meshgrid(axis, axis, indexing="ij")

@@ -71,6 +71,9 @@ class SlotBinding:
     c: Direction
 
     def __post_init__(self) -> None:
+        for name in ("t1", "t2", "t3"):
+            if not _is_finite(getattr(self, name)):
+                raise ValueError(f"time {name} must be finite, got {getattr(self, name)!r}")
         if not (self.t1 < self.t2 < self.t3):
             raise ValueError(f"times must strictly increase, got {self.t1}, {self.t2}, {self.t3}")
 
@@ -94,7 +97,7 @@ class SpacetimeEvent:
 
     def __post_init__(self) -> None:
         for name in ("t", "x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"event coordinate {name} must be finite")
 
 

@@ -341,10 +341,10 @@ class ConspiracyModel(World):
         if set(self.target_means) != set(PAIR_ORDER):
             raise ValueError("conspiracy model needs a target mean keyed by each of the three PairChoice members")
         for pair, m in self.target_means.items():
-            if not (-1.0 <= m <= 1.0):
-                raise ValueError(f"target mean for {pair} must lie in [-1, 1], got {m}")
-        if not 0.0 <= self.strength <= 1.0:
-            raise ValueError(f"strength must lie in [0, 1], got {self.strength}")
+            if not (_is_real(m) and -1.0 <= m <= 1.0):
+                raise ValueError(f"target mean for {pair} must be a number in [-1, 1], got {m!r}")
+        if not (_is_real(self.strength) and 0.0 <= self.strength <= 1.0):
+            raise ValueError(f"strength must be a number in [0, 1], got {self.strength!r}")
         # the lane kernel's match probabilities, by pair code
         p_same = [(1.0 + self.target_means[p]) / 2.0 for p in PAIR_ORDER]
         object.__setattr__(self, "_same_limits", thresholds(p_same))

@@ -42,6 +42,20 @@ def cos_squared(x: float) -> float:
     return c * c
 
 
+def _reduced_angle(angle, name: str) -> float:
+    """reduce_direction_angle(angle), if angle is a finite number and not a bool.
+
+    No numbers.Real check, as the scalar oracle builds a state per measurement.
+    """
+    try:
+        finite = type(angle) is not bool and math.isfinite(angle)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {angle!r}")
+    return reduce_direction_angle(angle)
+
+
 @dataclass(frozen=True)
 class Direction:
     """A polarization direction: an angle in [0, pi), reduced on construction."""
@@ -49,9 +63,7 @@ class Direction:
     angle: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError(f"direction angle must be finite, got {self.angle}")
-        object.__setattr__(self, "angle", reduce_direction_angle(self.angle))
+        object.__setattr__(self, "angle", _reduced_angle(self.angle, "direction angle"))
 
 
 @dataclass(frozen=True)
@@ -61,9 +73,7 @@ class PolarizationState:
     angle: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError(f"state angle must be finite, got {self.angle}")
-        object.__setattr__(self, "angle", reduce_direction_angle(self.angle))
+        object.__setattr__(self, "angle", _reduced_angle(self.angle, "state angle"))
 
 
 def measure_polarization(

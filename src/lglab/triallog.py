@@ -6,10 +6,11 @@ The writers refuse a log the reader could not read back: an empty one, one
 with trial indexes out of order, a model tag or lambda_id that no row can
 carry, or a chunk whose model tag or lambda kind differs from the first
 chunk's, as a file holds one run. The reader reads a file once, in blocks of
-whole lines: column-wise while the file is exactly as the writer writes it,
-and from the first block that is not, through a line scanner that names the
-first line breaking the schema. For reading as for writing, the first row
-fixes the model tag and the lambda kind.
+whole lines, and every block one way: its line ends become \\n, it is parsed
+column-wise, and only if it is then not exactly as the writer writes it
+does it go through a line scanner that names the first line breaking the
+schema. For reading as for writing, the first row fixes the model tag and
+the lambda kind.
 """
 from __future__ import annotations
 
@@ -395,8 +396,8 @@ class _RowCodec:
 
     # -- parsing ----------------------------------------------------------------
 
-    def parse(self, buf: bytearray, end: int, first: int) -> TrialLog:
-        """The rows in buf[:end], numbered from first, if encode reproduces them.
+    def parse(self, rows, first: int) -> TrialLog:
+        """The rows in the buffer rows, numbered from first, if encode reproduces them.
 
         The parse itself is loose: it finds the newlines, then each field from
         the width of the row's index, which first + k fixes, and the widths of
@@ -404,14 +405,13 @@ class _RowCodec:
         accepted block parse exactly as the line scanner would parse it. The
         chunk's columns are allocated for it, so it is the caller's to keep.
         """
-        block = np.frombuffer(buf, dtype=np.uint8, count=end)
+        block = np.frombuffer(rows, dtype=np.uint8)
         n = self._newlines(block)
         lambdas = None if self.lambda_kind is None else np.empty(n, _LAMBDA_DTYPES[self.lambda_kind])
         columns = np.empty(n, np.uint8), np.empty(n, np.int8), np.empty(n, np.int8), lambdas
         chunk = TrialLog(*columns, self.model_tag, first)
         self._columns(block, chunk)
-        out = self.encode(chunk)
-        if len(out) != end or not buf.startswith(out):
+        if self.encode(chunk) != rows:
             raise _NotCanonical
         return chunk
 
@@ -513,19 +513,15 @@ class _RowCodec:
             raise _NotCanonical
 
 
-def _tag_fits(tag: str) -> bool:
-    """Whether a row can carry the model tag.
+def _check_tag(tag: str) -> None:
+    """Refuse a model tag that no row can carry.
 
     Rows are assembled as fixed-width uint8 cells, one per row, in which a
     field shorter than its column is padded with NUL; deleting every NUL from
     the joined cells leaves the rows. A model tag may therefore hold no NUL,
     nor the ',' and newlines that would split its row.
     """
-    return frozenset(",\n\r\0").isdisjoint(tag)
-
-
-def _check_tag(tag: str) -> None:
-    if not _tag_fits(tag):
+    if not frozenset(",\n\r\0").isdisjoint(tag):
         raise ValueError(f"model tag {tag!r} holds ',', a line break or NUL, which a trial log cannot carry")
     try:
         tag.encode("utf-8")
@@ -666,7 +662,7 @@ class TrialLogFormatError(ValueError):
 
 
 class _NotCanonical(Exception):
-    """The file is not exactly as write_trial_log writes its columns."""
+    """A block is not exactly as write_trial_log writes its columns."""
 
 
 _T = TypeVar("_T")
@@ -676,11 +672,12 @@ def fold_trial_log(path, fold: Callable[[Iterator[TrialLog]], _T]) -> _T:
     """fold(chunks) over the log's chunks, in index order, each with its own arrays.
 
     The file is read once, in blocks of whole lines (1 MiB), and fold is
-    called once. While the file is exactly as write_trial_log writes it, each
-    block is parsed column-wise into one chunk; from the first block that is
-    not, the line scanner parses each block, naming the first line that
-    breaks the schema. Only a file with no \\n at all, such as one with
-    lone-CR line ends, is held whole.
+    called once. Every block is read one way: its line ends become \\n, as
+    the line scanner's universal newlines make them, and it is parsed
+    column-wise into one chunk. Only a block that is then not exactly as
+    write_trial_log writes it goes through the line scanner, which names the
+    first line that breaks the schema. Only a file with no \\n at all, such
+    as one with lone-CR line ends, is held whole.
     """
     with open(path, "rb") as f:
         return fold(_chunks(f))
@@ -705,19 +702,15 @@ def _concatenate(chunks: Iterator[TrialLog]) -> TrialLog:
 def _chunks(f) -> Iterator[TrialLog]:
     """One chunk for each block of whole lines read from f (see fold_trial_log).
 
-    A block ends at its last newline; the partial line after it moves to the
-    front of the buffer, and a line longer than the buffer doubles it. The
-    scanner also takes a last line without its newline, and the first block
-    from the file's start if the header is not canonical; the blocks before
-    fix its first index, model tag and lambda kind.
+    A block ends at its last newline, or at the end of the file; the partial
+    line after it moves to the front of the buffer, and a line longer than
+    the buffer doubles it. The header line comes off the first block, and
+    the first row, as the line scanner reads it, fixes the model tag and
+    lambda kind of the row codec that parses every block.
     """
-    head = f.read(len(_HEADER_LINE))
-    header = head != _HEADER_LINE  # the first block is then read from the file's start
     buf = bytearray(_READ_BLOCK)
-    kept = len(head) if header else 0
-    buf[:kept] = head[:kept]
-    canonical = not header
-    first, layout, codec = 0, None, None
+    kept = first = 0
+    header, codec = True, None  # the header is still to come off the first block
     while True:
         if kept == len(buf):
             buf += bytes(len(buf))
@@ -728,84 +721,69 @@ def _chunks(f) -> Iterator[TrialLog]:
         if got and not end:
             kept = filled
             continue
-        if not (end or header):  # an empty file still goes to the scanner, which wants a header
+        if not end:
             break
-        if canonical and got:
+        data, stop = _unix_lines(buf, end)
+        start = 0
+        if header:
+            if not data.startswith(_HEADER_LINE, 0, stop):
+                break  # refused below, as an empty file is
+            start, header = len(_HEADER_LINE), False
+        if start < stop:
+            if codec is None:
+                row = _scan_lines(_decode_text(data[start : data.index(b"\n", start) + 1], 2))
+                lambda_kind = _lambda_kind(row.lambda_ids)
+                # no canonical row is shorter than "0,12,1,1," + lambda_id + ",model_tag\n"
+                shortest = len(f"0,12,1,1,{'0' if lambda_kind else ''},{row.model_tag}\n".encode("utf-8"))
+                codec = _RowCodec(len(buf) // shortest, row.model_tag, lambda_kind)
             try:
-                if codec is None:
-                    model_tag, lambda_kind = _row_layout(bytes(buf[: buf.index(b"\n")]))
-                    # no canonical row is shorter than "0,12,1,1," + lambda_id + ",model_tag\n"
-                    shortest = len(f"0,12,1,1,{'0' if lambda_kind else ''},{model_tag}\n".encode("utf-8"))
-                    codec = _RowCodec(len(buf) // shortest, model_tag, lambda_kind)
-                chunk = codec.parse(buf, end, first)
+                chunk = codec.parse(memoryview(data)[start:stop], first)
             except _NotCanonical:
-                canonical = False
-        if not (canonical and got):
-            text = _decode_text(buf[:end], 1 if header else first + 2)
-            chunk = _scan_lines(text, first, layout, header)
-            header = False
-        if len(chunk):
+                text = _decode_text(data[start:stop], first + 2)
+                chunk = _scan_lines(text, first, (codec.model_tag, codec.lambda_kind))
             yield chunk
             first += len(chunk)
-            layout = (chunk.model_tag, _lambda_kind(chunk.lambda_ids))
         kept = filled - end
         buf[:kept] = buf[end:filled]
+    if header:
+        raise TrialLogFormatError(f"line 1: expected header {TRIAL_LOG_HEADER!r}")
     if not first:
         raise TrialLogFormatError("line 2: log contains no trials")
 
 
-def _row_layout(row: bytes) -> tuple[str, Optional[str]]:
-    """The model tag and lambda kind (see _lambda_kind) of a canonical log,
-    from its first row."""
-    fields = row.split(b",")
-    if len(fields) != 6:
-        raise _NotCanonical
-    try:
-        model_tag = fields[5].decode("utf-8")
-    except UnicodeDecodeError:
-        raise _NotCanonical from None
-    # a tag the writer refuses, such as one ending in the \r of a CRLF line
-    if not _tag_fits(model_tag):
-        raise _NotCanonical
-    lam_s = fields[4]
-    if not lam_s:
-        return model_tag, None
-    # the scanner's rule: a float iff it has a '.' or an 'e'
-    return model_tag, "float" if b"." in lam_s or b"e" in lam_s else "int"
+def _unix_lines(buf: bytearray, end: int) -> tuple:
+    """(data, stop): the lines of buf[:end] in data[:stop], with the line
+    scanner's universal newlines and a \\n after the last line; buf itself
+    if that changes no byte, else a copy."""
+    if buf[end - 1] == ord("\n") and buf.find(b"\r", 0, end) < 0:
+        return buf, end
+    data = buf[:end] if buf[end - 1] == ord("\n") else buf[:end] + b"\n"
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data, len(data)
 
 
-def _decode_text(data: bytes, line: int = 1) -> str:
-    """data as the line scanner reads it: UTF-8 with universal newlines; its
-    first line is line `line` of the file."""
+def _decode_text(data: bytes, line: int) -> str:
+    """data, whose line ends are \\n, as UTF-8 text; its first line is line
+    `line` of the file."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = _universal_newlines(data[: exc.start].decode("utf-8"))
-        line_no = before.count("\n") + line
+        line_no = data.count(b"\n", 0, exc.start) + line
         raise TrialLogFormatError(f"line {line_no}: not valid UTF-8 (byte 0x{data[exc.start]:02x})") from None
-    return _universal_newlines(text)
 
 
-def _universal_newlines(text: str) -> str:
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _scan_lines(text: str, first: int = 0, layout: Optional[tuple] = None, header: bool = True) -> TrialLog:
+def _scan_lines(text: str, first: int = 0, layout: Optional[tuple] = None) -> TrialLog:
     """Parse rows line by line, numbered from first, naming the first line that breaks the schema.
 
-    With its defaults, text is a whole file, header first. The layout, the
-    model tag and lambda kind (see _lambda_kind), is the rows' before text or
-    else is fixed by the first row, whose lambda_id is a float iff it has a
-    '.' or an 'e'. A later row must carry the same tag, and no float in an
-    integer column; a float column reads every lambda_id as a float.
+    text holds rows alone, split at \\n. The layout, the model tag and
+    lambda kind (see _lambda_kind), is the rows' before text or else is
+    fixed by the first row, whose lambda_id is a float iff it has a '.' or
+    an 'e'. A later row must carry the same tag, and no float in an integer
+    column; a float column reads every lambda_id as a float.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if header:
-        if not lines or lines[0] != TRIAL_LOG_HEADER:
-            raise TrialLogFormatError(f"line 1: expected header {TRIAL_LOG_HEADER!r}")
-        lines = lines[1:]
     # dict lookups, as int() of a str allocates a copy of it
     code_by_pair = {p.value: p.code for p in PAIR_ORDER}
     outcome = {"1": 1, "-1": -1}

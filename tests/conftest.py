@@ -1,10 +1,12 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from lglab import Direction, SlotBinding, SpacetimeEvent
+from lglab import Direction, SlotBinding, SpacetimeEvent, triallog
 
 # property tests draw the same examples on every run, and their timing on a
 # loaded machine does not fail them
@@ -58,3 +60,30 @@ class CountingSource:
     def next_uniform(self) -> float:
         self.draws += 1
         return self.inner.next_uniform()
+
+
+class BlockScanned(AssertionError):
+    """A block of a trial log went to the line scanner."""
+
+
+@contextlib.contextmanager
+def layout_scan_only():
+    """Within it, the trial-log reader may call its line scanner only for the
+    one-row scan at trial 0 that fixes the row codec's layout; any other call
+    raises BlockScanned."""
+    scan = triallog._scan_lines
+
+    def layout_scan(text, first=0, layout=None):
+        if (first, layout) != (0, None) or text.count("\n") != 1:
+            raise BlockScanned("a block fell back to the line scanner")
+        return scan(text, first, layout)
+
+    with mock.patch.object(triallog, "_scan_lines", layout_scan):
+        yield
+
+
+@pytest.fixture
+def no_block_scanned():
+    """Fail the test if the trial-log reader scans a block line by line."""
+    with layout_scan_only():
+        yield

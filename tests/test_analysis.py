@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import math
 import struct
@@ -444,6 +445,38 @@ def test_json_field_order_is_stable():
     b = dumps_stable({"b": 1, "a": 2})
     assert a == b
     assert a.index('"b"') < a.index('"a"')
+
+
+def test_json_writes_every_report_value_and_refuses_the_rest():
+    report = {
+        "none": None,
+        "empty_dict": {},
+        "empty_list": [],
+        "flags": (True, False),
+        "numpy": {"int": np.int64(-7), "float": np.float32(0.5), "array": np.array([1.5, -2.0])},
+        "non_finite": [math.inf, -math.inf, math.nan],
+        # more pieces than dump_stable holds before it writes them
+        "checkpoints": [[k, k / 8] for k in range(3000)],
+    }
+    text = dumps_stable(report)
+    parsed = json.loads(text)
+    assert math.isnan(parsed["non_finite"].pop())
+    assert parsed == {
+        "none": None,
+        "empty_dict": {},
+        "empty_list": [],
+        "flags": [True, False],
+        "numpy": {"int": -7, "float": 0.5, "array": [1.5, -2.0]},
+        "non_finite": [math.inf, -math.inf],
+        "checkpoints": [[k, k / 8] for k in range(3000)],
+    }
+    out = io.StringIO()
+    dump_stable(report, out)
+    assert out.getvalue() == text
+    with pytest.raises(TypeError, match="keys must be strings"):
+        dumps_stable({1: 2})
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps_stable({"pairs": {"12"}})
 
 
 def test_report_serialization_round_trip(magic_binding, spacelike_geometry):

@@ -108,6 +108,74 @@ def test_initial_state_only_for_quantum(tmp_path):
         load_run_config(path)
 
 
+_EVENT = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
+
+
+# each refusal of load_run_config: the config's text, or overrides of
+# base_config, and the field that the error names
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ("[]", "config"),
+        ({"geometry": {"preparation": {"x": 0.0, "y": 0.0, "z": 0.0}, "choice": _EVENT}}, "geometry.preparation"),
+        ({"angles": [MAGIC, MAGIC]}, "angles"),
+        ({"world": {"kind": "quantum", "rows": []}}, "world"),
+        ({"world": {"kind": "rotor", "strength": 1.0}}, "world"),
+        ({"world": {"kind": "table"}}, "world.rows"),
+        ({"world": {"kind": "table", "rows": [[1.0, 1, 1, 1]], "strength": 1.0}}, "world.strength"),
+        ({"world": {"kind": "table", "rows": []}}, "world.rows"),
+        ({"world": {"kind": "table", "rows": [[1.0, 1, 1]]}}, "world.rows[0]"),
+        ({"world": {"kind": "conspiracy", "rows": []}}, "world.rows"),
+        ({"world": {"kind": "conspiracy", "strength": 2}}, "world.strength"),
+        ({"initial_state": {"policy": "random"}}, "initial_state.policy"),
+        ({"initial_state": {"policy": "fresh_uniform", "angle": 0.0}}, "initial_state.angle"),
+        (None, "cannot read config file"),
+        ("{", "config is not valid JSON"),
+        ({"schema": 2}, "schema"),
+        ({"times": [1.0, 2.0]}, "times"),
+        ({"times": [1.0, 3.0, 2.0]}, "times"),
+        ({"master_seed": 1 << 64}, "master_seed"),
+        ({"epsilon": 0}, "epsilon"),
+        ({"checkpoint_stride": 0}, "checkpoint_stride"),
+        ({"override_foc": "yes"}, "override_foc"),
+    ],
+    ids=[
+        "top_level_list",
+        "event_without_t",
+        "angles_not_an_object",
+        "quantum_with_rows",
+        "rotor_with_strength",
+        "table_without_rows",
+        "table_with_strength",
+        "table_with_no_rows",
+        "table_row_of_three",
+        "conspiracy_with_rows",
+        "conspiracy_strength_2",
+        "bad_policy",
+        "angle_with_fresh_uniform",
+        "unreadable_path",
+        "invalid_json",
+        "schema_2",
+        "times_not_three",
+        "times_not_increasing",
+        "master_seed_out_of_range",
+        "epsilon_0",
+        "checkpoint_stride_0",
+        "override_foc_not_a_bool",
+    ],
+)
+def test_every_config_refusal_exits_1_naming_its_field(tmp_path, capsys, config, field):
+    path = tmp_path / "config.json"
+    if isinstance(config, str):
+        path.write_text(config, encoding="utf-8")
+    elif config is not None:
+        path = write_config(tmp_path, **config)
+    code, report, trials = run_cli(tmp_path, path)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not report.exists() and not trials.exists()
+
+
 # -- run ------------------------------------------------------------------------
 
 

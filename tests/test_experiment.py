@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from lglab import (
+    ConspiracyModel,
     Direction,
     FreedomOfChoiceError,
     PairChoice,
+    PolarizationState,
     QuantumWorld,
     SeededGenerator,
     SlotBinding,
@@ -15,6 +17,7 @@ from lglab import (
     TrialLog,
     TrialRecord,
     derive_trial_generator,
+    maximize_violation,
     read_trial_log,
     run_chunks,
     run_experiment,
@@ -119,6 +122,43 @@ def test_binding_requires_increasing_times():
     d = Direction(0)
     with pytest.raises(ValueError):
         SlotBinding(2.0, 1.0, 3.0, d, d, d)
+
+
+_MEANS = {p: 0.5 for p in PairChoice}
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Direction(10**400), "direction angle"),
+        (lambda: Direction(True), "direction angle"),
+        (lambda: PolarizationState(10**400), "state angle"),
+        (lambda: PolarizationState(True), "state angle"),
+        (lambda: SpacetimeEvent(10**400, 0, 0, 0), "event coordinate t"),
+        (lambda: SlotBinding(0, 1, math.inf, Direction(0), Direction(0), Direction(0)), "time t3"),
+        (lambda: ConspiracyModel(_MEANS, strength=True), "strength"),
+        (lambda: ConspiracyModel(_MEANS, strength="1"), "strength"),
+        (lambda: ConspiracyModel({**_MEANS, PairChoice.P13: True}), "target mean"),
+        (lambda: maximize_violation("x"), "grid step"),
+        (lambda: maximize_violation(0.01, 10**400), "refine tolerance"),
+    ],
+    ids=[
+        "direction_beyond_float_range",
+        "direction_bool",
+        "state_beyond_float_range",
+        "state_bool",
+        "event_beyond_float_range",
+        "binding_infinite_time",
+        "conspiracy_bool_strength",
+        "conspiracy_str_strength",
+        "conspiracy_bool_target_mean",
+        "optimize_str_grid_step",
+        "optimize_tolerance_beyond_float_range",
+    ],
+)
+def test_value_types_refuse_a_bad_number_with_a_value_error_naming_it(build, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        build()
 
 
 # -- run_experiment ---------------------------------------------------------------

@@ -33,6 +33,8 @@ from lglab.triallog import (
 from lglab.jsonutil import dumps_stable
 from lglab.rng import MASK64
 
+from conftest import layout_scan_only
+
 MAGIC = 0.5235987755982988  # pi/6
 WORLDS = {
     "quantum": {"kind": "quantum"},
@@ -155,28 +157,24 @@ def _analyze(capsys, path) -> str:
     return capsys.readouterr().out
 
 
-def test_analyze_output_does_not_depend_on_the_block_size(tmp_path, capsys):
+def test_analyze_output_does_not_depend_on_the_block_size(tmp_path, capsys, no_block_scanned):
     code, _, trials = _run(tmp_path, _config(tmp_path, "table", 5_000, 12, stride=100))
     assert code == EXIT_OK
     capsys.readouterr()
     log = read_trial_log(trials)
     expected = _analyze(capsys, trials)
     # 300-byte blocks split lines; every block must still stream
-    with mock.patch.object(triallog, "_READ_BLOCK", 300), mock.patch.object(
-        triallog, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
-    ):
+    with mock.patch.object(triallog, "_READ_BLOCK", 300):
         assert _analyze(capsys, trials) == expected
         assert read_trial_log(trials) == log
 
 
 @pytest.mark.parametrize("block", [4096, triallog._READ_BLOCK])
-def test_chunks_that_a_fold_keeps_stay_as_read(table_run, block):
+def test_chunks_that_a_fold_keeps_stay_as_read(table_run, block, no_block_scanned):
     # the block reader parses every block into arrays of its own; a chunk that
     # fold_trial_log hands out must not change when the next one is parsed
     trials, log = table_run
-    with mock.patch.object(triallog, "_READ_BLOCK", block), mock.patch.object(
-        triallog, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
-    ):
+    with mock.patch.object(triallog, "_READ_BLOCK", block):
         chunks = fold_trial_log(trials, list)
     assert len(chunks) > 1
     first = 0
@@ -184,6 +182,14 @@ def test_chunks_that_a_fold_keeps_stay_as_read(table_run, block):
         assert chunk == triallog._rows(log, first, first + len(chunk))
         first += len(chunk)
     assert first == len(log)
+
+
+def _scanned(data: bytes) -> TrialLog:
+    """The log in data as the line scanner alone reads it, the oracle for the
+    block reader: universal newlines, the header line off, then every row."""
+    header, rows = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n", 1)
+    assert header == triallog.TRIAL_LOG_HEADER
+    return triallog._scan_lines(rows)
 
 
 MUTATIONS = {
@@ -217,14 +223,14 @@ def test_small_blocks_parse_valid_logs_as_the_line_scanner_does(tmp_path_factory
     if mutation == "other_tag":
         # a row whose tag differs from the first row's is refused, naming its line
         with pytest.raises(TrialLogFormatError, match="model tag") as expected:
-            triallog._scan_lines(triallog._decode_text(path.read_bytes()))
+            _scanned(path.read_bytes())
         with mock.patch.object(triallog, "_READ_BLOCK", block), pytest.raises(TrialLogFormatError) as got:
             read_trial_log(path)
         assert str(got.value) == str(expected.value)
         return
     with mock.patch.object(triallog, "_READ_BLOCK", block):
         got = read_trial_log(path)
-    expected = triallog._scan_lines(triallog._decode_text(path.read_bytes()))
+    expected = _scanned(path.read_bytes())
     assert got == expected
     assert got.lambda_ids.dtype == expected.lambda_ids.dtype
 
@@ -285,6 +291,10 @@ def _edited(trials, tmp_path, edit: str):
         data = b"\n".join(lines)
     elif edit == "crlf":
         data = data.replace(b"\n", b"\r\n")
+    elif edit == "padded":
+        lines = data.split(b"\n")
+        lines[1:-1] = [b"0" + line for line in lines[1:-1]]
+        data = b"\n".join(lines)
     path = tmp_path / f"{edit}.csv"
     path.write_bytes(data)
     return path
@@ -330,12 +340,13 @@ def test_a_row_that_changes_the_first_rows_layout_is_refused(table_run, tmp_path
 
 
 @pytest.mark.parametrize("block", [16, 60, 4096])
-def test_a_header_that_is_not_canonical_is_scanned_from_the_start(table_run, tmp_path, block):
+def test_a_crlf_log_streams_and_names_a_bad_byte_by_its_line(table_run, tmp_path, block):
     # a CRLF header is longer than a canonical one, and than a 16-byte block;
-    # a bad byte far into the file is still named by its line
+    # once its line ends are \n, every block parses column-wise, and a bad
+    # byte far into the file is still named by its line
     trials, log = table_run
     crlf = _edited(trials, tmp_path, "crlf")
-    with mock.patch.object(triallog, "_READ_BLOCK", block):
+    with mock.patch.object(triallog, "_READ_BLOCK", block), layout_scan_only():
         chunks = fold_trial_log(crlf, list)
     assert len(chunks) > 1 and triallog._concatenate(iter(chunks)) == log
     lines = crlf.read_bytes().split(b"\r\n")
@@ -363,6 +374,22 @@ def test_a_log_without_a_header_or_trials_is_refused(tmp_path, data, message):
         read_trial_log(path)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"index\n0,12,1,1,,q\xff\n", "line 1: expected header"),
+        (triallog._HEADER_LINE + b"0,12,1,0,,q\n1,12,1,1,,q\xff\n", "line 2: outcomes must be 1 or -1"),
+    ],
+    ids=["wrong_header", "bad_first_row"],
+)
+def test_the_first_line_breaking_the_schema_is_named_before_a_later_bad_byte(tmp_path, data, message):
+    # the header and the first row are read before the rest of their block
+    path = tmp_path / "log.csv"
+    path.write_bytes(data)
+    with pytest.raises(TrialLogFormatError, match=f"^{message}"):
+        read_trial_log(path)
+
+
 def test_a_line_longer_than_the_block_doubles_it(tmp_path):
     path = tmp_path / "long.csv"
     tag = "t" * 300
@@ -371,7 +398,7 @@ def test_a_line_longer_than_the_block_doubles_it(tmp_path):
     path.write_text("\n".join([triallog.TRIAL_LOG_HEADER, *rows, ""]), encoding="utf-8")
     with mock.patch.object(triallog, "_READ_BLOCK", 64):
         log = read_trial_log(path)
-    assert log == triallog._scan_lines(path.read_text(encoding="utf-8"))
+    assert log == _scanned(path.read_bytes())
     assert (len(log), log.model_tag, log.lambda_ids.tolist()) == (5, tag, list(range(5)))
 
 
@@ -406,27 +433,31 @@ def _peak_mb(fn) -> float:
 
 
 def test_run_and_analyze_peaks_do_not_grow_with_n_trials(tmp_path, capsys):
+    # a CRLF copy of the log parses column-wise too, once its line ends are \n
     peaks = {}
     for n in (1 << 17, 1 << 20):
         code = {}
         config_path = _config(tmp_path, "quantum", n, 3)
         peaks["run", n] = _peak_mb(lambda: code.setdefault("run", _run(tmp_path, config_path)[0]))
         trials = tmp_path / "trials.csv"
-        peaks["analyze", n] = _peak_mb(lambda: code.setdefault("analyze", main(["analyze", "--trials", str(trials)])))
+        crlf = _edited(trials, tmp_path, "crlf")
+        for command, path in (("analyze", trials), ("analyze_crlf", crlf)):
+            with layout_scan_only():
+                peaks[command, n] = _peak_mb(lambda: code.setdefault(command, main(["analyze", "--trials", str(path)])))
         capsys.readouterr()
-        assert code == {"run": EXIT_OK, "analyze": EXIT_OK}
+        assert code == {"run": EXIT_OK, "analyze": EXIT_OK, "analyze_crlf": EXIT_OK}
     # the 2^20-trial file alone is 22 MB; its columns are 3 MB
-    for command in ("run", "analyze"):
+    for command in ("run", "analyze", "analyze_crlf"):
         assert math.isclose(peaks[command, 1 << 20], peaks[command, 1 << 17], abs_tol=2.0), peaks
 
 
-def test_analyze_peak_does_not_grow_with_n_trials_on_a_crlf_log(tmp_path, capsys):
-    # every block of a CRLF log goes through the line scanner, which is
-    # still fed one block at a time
+def test_analyze_peak_does_not_grow_with_n_trials_on_a_padded_log(tmp_path, capsys):
+    # every block of a log whose every index is zero-padded goes through the
+    # line scanner, which is still fed one block at a time
     peaks = {}
     for n in (1 << 17, 1 << 20):
         assert _run(tmp_path, _config(tmp_path, "quantum", n, 3))[0] == EXIT_OK
-        trials = _edited(tmp_path / "trials.csv", tmp_path, "crlf")
+        trials = _edited(tmp_path / "trials.csv", tmp_path, "padded")
         code = []
         peaks[n] = _peak_mb(lambda: code.append(main(["analyze", "--trials", str(trials)])))
         capsys.readouterr()

@@ -41,6 +41,8 @@ from lglab.triallog import (
     _RowCodec,
 )
 
+from conftest import BlockScanned, layout_scan_only
+
 BINDING = SlotBinding(
     t1=1.0, t2=2.0, t3=3.0, a=Direction(0.0), b=Direction(math.pi / 6), c=Direction(math.pi / 3)
 )
@@ -73,17 +75,13 @@ def _assert_same_log(loaded: TrialLog, expected: TrialLog) -> None:
         assert loaded.lambda_ids.dtype == expected.lambda_ids.dtype
 
 
-class _NotStreamed(Exception):
-    """A block of the file went to the line scanner."""
-
-
 def _streams(path) -> bool:
     """Does the column-wise block reader take the whole file?"""
-    with open(path, "rb") as f, mock.patch.object(triallog, "_scan_lines", side_effect=_NotStreamed):
+    with open(path, "rb") as f, layout_scan_only():
         try:
             for _ in _chunks(f):
                 pass
-        except _NotStreamed:
+        except BlockScanned:
             return False
     return True
 
@@ -119,6 +117,8 @@ def test_logs_across_a_chunk_boundary_match_the_record_oracle(codec_dir, n_trial
     _check_codec(codec_dir, _run(world, seed, n_trials))
 
 
+# the mutations that change only line ends
+LINE_END_MUTATIONS = ("crlf", "crlf_after_header", "no_final_newline")
 MUTATIONS = (
     "pad_index",
     "plus_index",
@@ -126,10 +126,7 @@ MUTATIONS = (
     "other_tag",
     "pad_lambda",
     "float_text_lambda",
-    "crlf",
-    "crlf_after_header",
-    "no_final_newline",
-)
+) + LINE_END_MUTATIONS
 
 
 @settings(max_examples=200)
@@ -184,7 +181,8 @@ def test_valid_non_canonical_logs_parse_as_the_line_scanner_does(
     assume(data != canonical)
 
     path.write_bytes(data)
-    assert not _streams(path)
+    # once its line ends are \n, a block parses column-wise
+    assert _streams(path) == (mutation in LINE_END_MUTATIONS)
     if refused is not None:
         with pytest.raises(TrialLogFormatError, match=f"^line {max(row % n_trials, 1) + 2}: {refused}"):
             read_trial_log(path)
@@ -665,13 +663,11 @@ def test_a_writer_takes_every_integer_dtype_as_one_lambda_kind(tmp_path):
 
 def _chunk_lengths(path) -> list:
     """The length of each chunk the block reader parses path into."""
-    with open(path, "rb") as f, mock.patch.object(
-        triallog, "_scan_lines", side_effect=AssertionError("fell back to the line scanner")
-    ):
+    with open(path, "rb") as f:
         return [len(chunk) for chunk in _chunks(f)]
 
 
-def test_blocks_of_more_than_a_chunk_of_rows_stream(tmp_path):
+def test_blocks_of_more_than_a_chunk_of_rows_stream(tmp_path, no_block_scanned):
     # with an empty tag and positive outcomes a row is 14-15 bytes, so a 1 MiB
     # block holds about 70 000 rows
     n = 150_000
@@ -683,14 +679,16 @@ def test_blocks_of_more_than_a_chunk_of_rows_stream(tmp_path):
 
 
 @pytest.mark.parametrize("world", sorted(WORLDS))
-def test_blocks_of_a_single_row_stream(tmp_path, world):
+def test_blocks_of_a_single_row_stream(tmp_path, world, no_block_scanned):
     log = _run(world, 31, 40)
+    # rows longer than the header line, so the first block holds the header alone
+    log = TrialLog(log.pair_codes, log.s_first, log.s_second, log.lambda_ids, f"{log.model_tag}-{'x' * 50}")
     path = tmp_path / "log.csv"
     write_trial_log(log, path)
-    rows = path.read_bytes().splitlines(keepends=True)[1:]
+    header, *rows = path.read_bytes().splitlines(keepends=True)
     # no block can hold two rows, and any block holds the row it starts with
     block = max(len(row) for row in rows)
-    assert block < 2 * min(len(row) for row in rows)
+    assert len(header) < block < 2 * min(len(row) for row in rows)
     with mock.patch.object(triallog, "_READ_BLOCK", block):
         assert _chunk_lengths(path) == [1] * 40
         _assert_same_log(read_trial_log(path), log)
@@ -703,5 +701,5 @@ def test_a_block_parses_where_the_index_gains_a_digit(first, kind):
     # 10^8 rows; parse such a block directly
     chunk = _synthetic_chunk(np.random.default_rng(first), first, 40, kind)
     buf = bytearray(_oracle_rows(chunk))
-    parsed = _RowCodec(len(buf) // 11, "synthetic", _lambda_kind(chunk.lambda_ids)).parse(buf, len(buf), first)
+    parsed = _RowCodec(len(buf) // 11, "synthetic", _lambda_kind(chunk.lambda_ids)).parse(buf, first)
     _assert_same_log(parsed, chunk)
