@@ -15,8 +15,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hidden_vars import PAIR_ORDER, PairChoice, _is_finite, _is_integer, _is_real
-from .rng import mix64
+from .hidden_vars import PAIR_ORDER, PairChoice
+from .rng import _is_finite_real, _is_integer, mix64
 from .triallog import TrialLog
 
 DEFAULT_SIGNIFICANCE = 3.0
@@ -148,7 +148,7 @@ def evaluate_lg(
     one-sided z-test: violated iff (lhs - 1)/se exceeds the significance,
     which must be a finite real number (not a bool).
     """
-    if not (_is_real(significance) and _is_finite(significance)):
+    if not _is_finite_real(significance):
         raise ValueError(f"significance must be a finite real number, got {significance!r}")
     got = {e.pair for e in estimates}
     missing = [p.value for p in PAIR_ORDER if p not in got]
@@ -216,9 +216,9 @@ def maximize_violation(
     (theta_ab, theta_bc, lhs_max); the maximum is 1.5, reached at
     theta_ab = theta_bc = pi/6 and its symmetry-equivalent points.
     """
-    if not (_is_real(grid_step) and 0.0 < grid_step <= math.pi / 64):
+    if not (_is_finite_real(grid_step) and 0.0 < grid_step <= math.pi / 64):
         raise ValueError(f"grid step must be a number in (0, pi/64], got {grid_step!r}")
-    if not (_is_real(refine_tolerance) and _is_finite(refine_tolerance) and refine_tolerance > 0.0):
+    if not (_is_finite_real(refine_tolerance) and refine_tolerance > 0.0):
         raise ValueError(f"refine tolerance must be a finite number > 0, got {refine_tolerance!r}")
 
     axis = np.arange(0.0, math.pi, grid_step)
@@ -299,7 +299,7 @@ class LogFold:
     def __init__(self, checkpoint_stride: Optional[int] = None):
         if checkpoint_stride is not None and not (_is_integer(checkpoint_stride) and checkpoint_stride >= 1):
             raise ValueError(f"checkpoint_stride must be an integer >= 1, got {checkpoint_stride!r}")
-        self.checkpoint_stride = checkpoint_stride
+        self.checkpoint_stride = None if checkpoint_stride is None else int(checkpoint_stride)
         self.counts = [[0, 0], [0, 0], [0, 0]]
         # per pair: the checkpoints' trial counts and running means, each
         # starting empty and growing by one array per chunk
@@ -403,7 +403,7 @@ def _check_codes(chunk: TrialLog, n_coded: int) -> None:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not (_is_real(epsilon) and _is_finite(epsilon) and epsilon > 0.0):
+    if not (_is_finite_real(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be a finite real number > 0, got {epsilon!r}")
 
 

@@ -41,10 +41,10 @@ from .experiment import (
     run_chunks,
     spacelike_separated,
 )
-from .hidden_vars import RotorModel, TableModel, World, _is_finite, _is_integer, _is_real, conspiracy_from_quantum
+from .hidden_vars import RotorModel, TableModel, World, conspiracy_from_quantum
 from .jsonutil import dump_stable, dumps_stable
 from .quantum import Direction, sequential_correlation_exact
-from .rng import MASK64
+from .rng import MASK64, _is_finite_real, _is_integer
 from .triallog import TrialLogFormatError, TrialLogWriter, fold_trial_log, write_trial_log
 
 SCHEMA_VERSION = 1
@@ -94,7 +94,7 @@ def _require_keys(obj: dict, path: str, required: tuple[str, ...], optional: tup
 
 def _finite(value, field: str) -> float:
     """value as a float, if it is a JSON number that a finite float holds."""
-    if _is_real(value) and _is_finite(value):
+    if _is_finite_real(value):
         return float(value)
     raise ConfigError(f"{field}: expected a finite number, got {value!r}")
 
@@ -374,8 +374,8 @@ def cmd_optimize(grid_step: float, tolerance: float) -> int:
         raise ConfigError(f"--tol: expected a finite number > 0, got {tolerance}")
     try:
         theta_ab, theta_bc, lhs_max = maximize_violation(grid_step, tolerance)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:  # --tol passed above, so it concerns the grid step
+        raise ConfigError(f"--grid-step: {exc}") from None
     out = {
         "schema": SCHEMA_VERSION,
         "grid_step": grid_step,

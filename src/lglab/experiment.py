@@ -22,12 +22,14 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .hidden_vars import PAIR_ORDER, PairChoice, World, _is_finite, _is_integer, signs
+from .hidden_vars import PAIR_ORDER, PairChoice, World, signs
 from .quantum import Direction, PolarizationState, cos_squared, reduce_direction_angle, run_quantum_trial
 from .rng import (
     MASK64,
     SeededGenerator,
     StateBuffer,
+    _is_finite_real,
+    _is_integer,
     derive_trial_generator,
     draw_integers,
     step_states,
@@ -72,7 +74,7 @@ class SlotBinding:
 
     def __post_init__(self) -> None:
         for name in ("t1", "t2", "t3"):
-            if not _is_finite(getattr(self, name)):
+            if not _is_finite_real(getattr(self, name)):
                 raise ValueError(f"time {name} must be finite, got {getattr(self, name)!r}")
         if not (self.t1 < self.t2 < self.t3):
             raise ValueError(f"times must strictly increase, got {self.t1}, {self.t2}, {self.t3}")
@@ -97,8 +99,8 @@ class SpacetimeEvent:
 
     def __post_init__(self) -> None:
         for name in ("t", "x", "y", "z"):
-            if not _is_finite(getattr(self, name)):
-                raise ValueError(f"event coordinate {name} must be finite")
+            if not _is_finite_real(getattr(self, name)):
+                raise ValueError(f"event coordinate {name} must be finite, got {getattr(self, name)!r}")
 
 
 def spacelike_separated(e1: SpacetimeEvent, e2: SpacetimeEvent) -> bool:
@@ -130,7 +132,7 @@ class QuantumWorld(World):
     def __post_init__(self) -> None:
         if self.policy not in ("fixed", "fresh_uniform"):
             raise ValueError(f"unknown initial-state policy {self.policy!r}")
-        if not _is_finite(self.initial_angle):
+        if not _is_finite_real(self.initial_angle):
             raise ValueError(f"initial_angle must be finite, got {self.initial_angle!r}")
         object.__setattr__(self, "initial_angle", reduce_direction_angle(self.initial_angle))
 
@@ -290,14 +292,10 @@ def run_chunks(
     are None where the first chunk's were not, or the reverse, or that have
     another dtype, is refused with ValueError.
     """
-    if not _is_integer(n_trials):
-        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
+    if not (_is_integer(n_trials) and 1 <= n_trials <= 1 << 64):
+        raise ValueError(f"n_trials must be an integer in [1, 2^64], as trial indexes fit in 64 bits, got {n_trials!r}")
     if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
         raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
-    if n_trials < 1:
-        raise ValueError(f"need at least one trial, got {n_trials}")
-    if n_trials > 1 << 64:
-        raise ValueError(f"trial indexes must fit in 64 bits, so at most 2^64 trials, got {n_trials}")
     prep, choice = geometry
     if not spacelike_separated(prep, choice) and not override_foc:
         raise FreedomOfChoiceError(
@@ -306,7 +304,7 @@ def run_chunks(
         )
     if not _is_integer(n_shards) or n_shards < 1:
         raise ValueError(f"n_shards must be an integer >= 1, got {n_shards!r}")
-    return _chunk_stream(binding, world, n_trials, master_seed, n_shards)
+    return _chunk_stream(binding, world, int(n_trials), int(master_seed), int(n_shards))
 
 
 def _shards(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:

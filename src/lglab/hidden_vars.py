@@ -13,7 +13,6 @@ statistically over random mixtures.
 from __future__ import annotations
 
 import math
-import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .rng import SeededGenerator, UnitUniformSource, draw_integers, thresholds, uniforms
+from .rng import SeededGenerator, UnitUniformSource, _is_finite_real, _is_integer, draw_integers, thresholds, uniforms
 
 # lambda identifiers: a row index for discrete models, an angle for continuous ones
 HiddenVariable = Union[int, float]
@@ -95,23 +94,6 @@ _STRATEGY = np.array(
     ],
     dtype=np.int64,
 )
-
-def _is_real(value) -> bool:
-    """True for int, float and numpy real scalars; False for booleans and non-numbers."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    """True for int and numpy integer scalars; False for booleans and non-integers."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """math.isfinite, False too for an integer beyond the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def signs(positive: np.ndarray) -> np.ndarray:
@@ -214,12 +196,12 @@ class TableModel(ResponseModel):
                 w, triple = row
             except (TypeError, ValueError):
                 raise ValueError(f"row {k}: expected a (weight, responses) pair, got {row!r}") from None
-            if not (_is_real(w) and w > 0.0 and _is_finite(w)):
+            if not (_is_finite_real(w) and w > 0.0):
                 raise ValueError(f"row {k}: weight must be a finite number > 0, got {w!r}")
             if (
                 not hasattr(triple, "__len__")
                 or len(triple) != 3
-                or not all(_is_real(s) and s in (-1, 1) for s in triple)
+                or not all(_is_finite_real(s) and s in (-1, 1) for s in triple)
             ):
                 raise ValueError(f"row {k}: responses must be a triple of -1/+1, got {triple}")
             weights.append(float(w))
@@ -341,9 +323,9 @@ class ConspiracyModel(World):
         if set(self.target_means) != set(PAIR_ORDER):
             raise ValueError("conspiracy model needs a target mean keyed by each of the three PairChoice members")
         for pair, m in self.target_means.items():
-            if not (_is_real(m) and -1.0 <= m <= 1.0):
+            if not (_is_finite_real(m) and -1.0 <= m <= 1.0):
                 raise ValueError(f"target mean for {pair} must be a number in [-1, 1], got {m!r}")
-        if not (_is_real(self.strength) and 0.0 <= self.strength <= 1.0):
+        if not (_is_finite_real(self.strength) and 0.0 <= self.strength <= 1.0):
             raise ValueError(f"strength must be a number in [0, 1], got {self.strength!r}")
         # the lane kernel's match probabilities, by pair code
         p_same = [(1.0 + self.target_means[p]) / 2.0 for p in PAIR_ORDER]
@@ -493,4 +475,4 @@ def mixture_bound_check(trials: int, gen: SeededGenerator) -> float:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not isinstance(gen, SeededGenerator):
         raise ValueError(f"gen must be a SeededGenerator, got {gen!r}")
-    return float(np.max(_mixture_lhs(trials, gen)))
+    return float(np.max(_mixture_lhs(int(trials), gen)))

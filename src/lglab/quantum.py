@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import UnitUniformSource
+from .rng import UnitUniformSource, _is_finite_real
 
 # Outcomes of a dichotomic polarization measurement are normalized to +1/-1.
 Outcome = int
@@ -43,15 +43,8 @@ def cos_squared(x: float) -> float:
 
 
 def _reduced_angle(angle, name: str) -> float:
-    """reduce_direction_angle(angle), if angle is a finite number and not a bool.
-
-    No numbers.Real check, as the scalar oracle builds a state per measurement.
-    """
-    try:
-        finite = type(angle) is not bool and math.isfinite(angle)
-    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
-        finite = False
-    if not finite:
+    """reduce_direction_angle(angle), if angle is a finite real number."""
+    if not _is_finite_real(angle):
         raise ValueError(f"{name} must be a finite number, got {angle!r}")
     return reduce_direction_angle(angle)
 

@@ -12,6 +12,7 @@ computes a generator's next n states at once by jump-ahead.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Protocol
@@ -31,6 +32,21 @@ MIX_MULT_2 = 0x94D049BB133111EB
 
 _TWO53 = float(1 << 53)
 _TWO_MINUS53 = 2.0**-53
+
+
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer scalar, False for a bool or any other value."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _is_finite_real(value) -> bool:
+    """True for a finite int, float or numpy real scalar, False for a bool, any other
+    value or an int beyond the float range: with _is_integer, the library's number rule."""
+    try:  # a float skips the ABC check
+        real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+        return real and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class UnitUniformSource(Protocol):
@@ -53,8 +69,9 @@ class SeededGenerator:
     state: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.state <= MASK64:
-            raise ValueError(f"generator state must be a 64-bit unsigned integer, got {self.state}")
+        if not (_is_integer(self.state) and 0 <= self.state <= MASK64):
+            raise ValueError(f"generator state must be a 64-bit unsigned integer, got {self.state!r}")
+        self.state = int(self.state)
 
     def step(self) -> int:
         """Advance one step and return the new state."""
@@ -77,7 +94,7 @@ class SeededGenerator:
         i after step m, so ceil(log2 n) doubling rounds of array products
         build them all (Brown, Trans. Am. Nucl. Soc. 71, 202, 1994).
         """
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        if not (_is_integer(n) and n >= 0):
             raise ValueError(f"n must be an integer >= 0, got {n!r}")
         n = int(n)
         if n == 0:
@@ -117,11 +134,11 @@ def derive_trial_generator(master_seed: int, trial_index: int) -> SeededGenerato
     Distinct indexes land in well-separated streams, and the derivation does
     not depend on any other trial, so serial and sharded runs agree.
     """
-    if not 0 <= master_seed <= MASK64:
-        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed}")
-    if trial_index < 0:
-        raise ValueError(f"trial index must be non-negative, got {trial_index}")
-    return SeededGenerator(mix64((master_seed + trial_index * STREAM_GOLDEN) & MASK64))
+    if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
+        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
+    if not (_is_integer(trial_index) and 0 <= trial_index <= MASK64):
+        raise ValueError(f"trial index must be an integer in [0, 2^64), got {trial_index!r}")
+    return SeededGenerator(mix64((int(master_seed) + int(trial_index) * STREAM_GOLDEN) & MASK64))
 
 
 # -- vectorized counterparts ------------------------------------------------
@@ -139,7 +156,9 @@ _U64_MIX2 = np.uint64(MIX_MULT_2)
 
 def derive_states(master_seed: int, indexes: np.ndarray) -> np.ndarray:
     """Vectorized derive_trial_generator: one uint64 state per index."""
-    z = np.asarray(np.uint64(master_seed) + np.asarray(indexes, dtype=np.uint64) * _U64_GOLDEN)
+    if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
+        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
+    z = np.asarray(np.uint64(int(master_seed)) + np.asarray(indexes, dtype=np.uint64) * _U64_GOLDEN)
     return _mix_lanes(z, np.empty_like(z))[()]  # [()]: a scalar for a scalar index
 
 

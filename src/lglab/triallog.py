@@ -753,13 +753,20 @@ def _chunks(f) -> Iterator[TrialLog]:
 
 def _unix_lines(buf: bytearray, end: int) -> tuple:
     """(data, stop): the lines of buf[:end] in data[:stop], with the line
-    scanner's universal newlines and a \\n after the last line; buf itself
-    if that changes no byte, else a copy."""
-    if buf[end - 1] == ord("\n") and buf.find(b"\r", 0, end) < 0:
+    scanner's universal newlines and a \\n after the last line. data is buf,
+    edited in place, unless a \\r\\n is to go; then it is one copy of the
+    whole buffer, as no \\r\\n straddles end."""
+    if buf[end - 1] != ord("\n"):  # a file's last line: a lone \r becomes \n, a missing \n goes in
+        end -= buf[end - 1] == ord("\r")
+        buf[end : end + 1] = b"\n"
+        end += 1
+    if buf.find(b"\r", 0, end) < 0:
         return buf, end
-    data = buf[:end] if buf[end - 1] == ord("\n") else buf[:end] + b"\n"
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data, len(data)
+    stop = end - buf.count(b"\r\n", 0, end)
+    data = buf.replace(b"\r\n", b"\n") if stop < end else buf
+    if data.find(b"\r", 0, stop) >= 0:  # lone \r line ends
+        data[:stop] = data[:stop].replace(b"\r", b"\n")
+    return data, stop
 
 
 def _decode_text(data: bytes, line: int) -> str:

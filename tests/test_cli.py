@@ -427,6 +427,14 @@ def test_optimize_degenerate_grid_rejected(capsys):
     assert "grid step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1.0", "0", "-1", "nan", "inf"])
+def test_optimize_bad_grid_step_names_the_flag(capsys, value):
+    assert main(["optimize", "--grid-step", value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --grid-step: ")
+
+
 def test_usage_errors_exit_1_not_2(capsys):
     assert main(["frobnicate"]) == EXIT_CONFIG
     capsys.readouterr()

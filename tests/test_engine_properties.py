@@ -124,6 +124,21 @@ def test_small_runs_equal_the_scalar_oracle(run, n_trials):
     _assert_matches_oracle(log, binding, world, seed, range(n_trials))
 
 
+@settings(max_examples=60)
+@given(
+    run=runs(),
+    seed=st.integers(0, (1 << 63) - 1),
+    n_trials=st.integers(1, 40),
+    np_int=st.sampled_from([np.int64, np.uint64]),
+)
+def test_a_numpy_integer_seed_runs_as_the_python_int(run, seed, n_trials, np_int):
+    binding, world, _ = run
+    log = run_experiment(binding, world, n_trials, seed, GEOMETRY)
+    assert run_experiment(binding, world, n_trials, np_int(seed), GEOMETRY) == log
+    for i in (0, n_trials - 1):
+        assert run_trial_scalar(binding, world, i, np_int(seed)) == run_trial_scalar(binding, world, i, seed) == log[i]
+
+
 @pytest.mark.parametrize("n_trials", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
 @settings(max_examples=6)
 @given(run=runs())

@@ -125,6 +125,7 @@ def test_binding_requires_increasing_times():
 
 
 _MEANS = {p: 0.5 for p in PairChoice}
+_BINDING = SlotBinding(1.0, 2.0, 3.0, Direction(0), Direction(0), Direction(0))
 
 
 @pytest.mark.parametrize(
@@ -141,6 +142,20 @@ _MEANS = {p: 0.5 for p in PairChoice}
         (lambda: ConspiracyModel({**_MEANS, PairChoice.P13: True}), "target mean"),
         (lambda: maximize_violation("x"), "grid step"),
         (lambda: maximize_violation(0.01, 10**400), "refine tolerance"),
+        (lambda: QuantumWorld(initial_angle=True), "initial_angle"),
+        (lambda: QuantumWorld(initial_angle="0"), "initial_angle"),
+        (lambda: SlotBinding(True, 2.0, 3.0, Direction(0), Direction(0), Direction(0)), "time t1"),
+        (lambda: SlotBinding("1", 2.0, 3.0, Direction(0), Direction(0), Direction(0)), "time t1"),
+        (lambda: SpacetimeEvent(True, 0, 0, 0), "event coordinate t"),
+        (lambda: SpacetimeEvent("0", 0, 0, 0), "event coordinate t"),
+        (lambda: SeededGenerator(1.5), "generator state"),
+        (lambda: SeededGenerator(True), "generator state"),
+        (lambda: derive_trial_generator(0, True), "trial index"),
+        (lambda: derive_trial_generator(1.5, 0), "master seed"),
+        (lambda: derive_trial_generator(42, 2**64), "trial index"),
+        (lambda: run_trial_scalar(_BINDING, QuantumWorld(), 2**64, 42), "trial index"),
+        (lambda: derive_states("7", np.arange(4, dtype=np.uint64)), "master seed"),
+        (lambda: derive_states(1.5, np.arange(4, dtype=np.uint64)), "master seed"),
     ],
     ids=[
         "direction_beyond_float_range",
@@ -154,6 +169,20 @@ _MEANS = {p: 0.5 for p in PairChoice}
         "conspiracy_bool_target_mean",
         "optimize_str_grid_step",
         "optimize_tolerance_beyond_float_range",
+        "quantum_world_bool_angle",
+        "quantum_world_str_angle",
+        "binding_bool_time",
+        "binding_str_time",
+        "event_bool_coordinate",
+        "event_str_coordinate",
+        "generator_float_state",
+        "generator_bool_state",
+        "trial_generator_bool_index",
+        "trial_generator_float_seed",
+        "trial_generator_index_2_64",
+        "scalar_trial_index_2_64",
+        "derive_states_str_seed",
+        "derive_states_float_seed",
     ],
 )
 def test_value_types_refuse_a_bad_number_with_a_value_error_naming_it(build, field):

@@ -60,3 +60,16 @@ def test_cli_imports_no_private_name_of_the_trial_log():
     ]
     assert "TrialLogWriter" in names
     assert [name for name in names if name.startswith("_")] == []
+
+
+def test_only_rng_holds_the_number_rule():
+    # the number predicates live in rng.py, which every other module imports,
+    # so that each module reads a number by the same rule
+    for path in sorted(Path(lglab.__file__).parent.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
+        imported += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level]
+        defined = [node.name for node in nodes if isinstance(node, ast.FunctionDef) and node.name.startswith("_is_")]
+        assert ("numbers" in imported, defined) == (False, []), path.name

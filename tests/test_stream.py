@@ -204,7 +204,7 @@ MUTATIONS = {
     block=st.integers(20, 400),
     n_trials=st.integers(2, 80),
     row=st.integers(0, 79),
-    mutation=st.sampled_from(sorted(MUTATIONS) + ["no_final_newline", "none"]),
+    mutation=st.sampled_from(sorted(MUTATIONS) + ["no_final_newline", "lone_cr", "last_lone_cr", "mixed_ends", "none"]),
 )
 def test_small_blocks_parse_valid_logs_as_the_line_scanner_does(tmp_path_factory, block, n_trials, row, mutation):
     tmp_path = tmp_path_factory.mktemp("small")
@@ -215,6 +215,12 @@ def test_small_blocks_parse_valid_logs_as_the_line_scanner_does(tmp_path_factory
     text = path.read_text(encoding="utf-8")
     if mutation == "no_final_newline":
         text = text[:-1]
+    elif mutation == "lone_cr":
+        text = text.replace("\n", "\r")
+    elif mutation == "last_lone_cr":
+        text = text[:-1] + "\r"
+    elif mutation == "mixed_ends":
+        text = "".join(line + ("\r\n", "\r", "\n")[k % 3] for k, line in enumerate(text.split("\n")[:-1]))
     elif mutation != "none":
         lines = text.split("\n")
         lines[row % n_trials + 1] = MUTATIONS[mutation](lines[row % n_trials + 1])
@@ -449,6 +455,17 @@ def test_run_and_analyze_peaks_do_not_grow_with_n_trials(tmp_path, capsys):
     # the 2^20-trial file alone is 22 MB; its columns are 3 MB
     for command in ("run", "analyze", "analyze_crlf"):
         assert math.isclose(peaks[command, 1 << 20], peaks[command, 1 << 17], abs_tol=2.0), peaks
+
+
+def test_a_crlf_log_peaks_within_one_block_of_the_canonical_log(tmp_path):
+    # a block that holds a \r\n is copied once to \n line ends, and that
+    # copy is all a CRLF log holds beyond the canonical one
+    assert _run(tmp_path, _config(tmp_path, "quantum", 300_000, 3))[0] == EXIT_OK
+    trials = tmp_path / "trials.csv"
+    peaks = {}
+    for path in (trials, _edited(trials, tmp_path, "crlf")):
+        peaks[path.name] = _peak_mb(lambda: fold_trial_log(path, lambda chunks: LogFold.over(chunks, 1000)))
+    assert peaks["crlf.csv"] - peaks["trials.csv"] <= 1.25 * 2**20 / 1e6, peaks
 
 
 def test_analyze_peak_does_not_grow_with_n_trials_on_a_padded_log(tmp_path, capsys):
