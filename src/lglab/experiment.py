@@ -27,9 +27,9 @@ from .quantum import Direction, PolarizationState, cos_squared, reduce_direction
 from .rng import (
     MASK64,
     SeededGenerator,
-    StateBuffer,
     _is_finite_real,
     _is_integer,
+    derive_states,
     derive_trial_generator,
     draw_integers,
     step_states,
@@ -315,22 +315,17 @@ def _shards(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:
 
 
 def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed: int, n_shards: int):
-    # the lanes' states and intp pair codes live in buffers the stream
-    # reuses: per-chunk arrays of this size would be faulted in again after
-    # glibc trims the heap between chunks
-    lanes = StateBuffer(master_seed, min(n_trials, _CHUNK_ROWS))
-    lane_codes = np.empty(min(n_trials, _CHUNK_ROWS), dtype=np.intp)
+    first = True
     for lo, hi in _shards(n_trials, n_shards):
         for start in range(lo, hi, _CHUNK_ROWS):
-            states = lanes.derive(start, min(_CHUNK_ROWS, hi - start))
+            # an offset from 0 keeps every index exact for any start below 2^64
+            indexes = np.arange(min(_CHUNK_ROWS, hi - start), dtype=np.uint64) + np.uint64(start)
+            states = derive_states(master_seed, indexes)
             codes = _select_pairs_batch(states)
-            # the kernels' per-pair lookups are take()s, which cast uint8 codes on every call
-            kernel_codes = lane_codes[: len(codes)]
-            np.copyto(kernel_codes, codes)
-            s_first, s_second, lambda_ids = world.sample_lanes(binding, kernel_codes, states)
+            s_first, s_second, lambda_ids = world.sample_lanes(binding, codes, states)
             dtype = None if lambda_ids is None else lambda_ids.dtype
-            if start == 0:  # the first chunk
-                lambda_dtype = dtype
+            if first:
+                lambda_dtype, first = dtype, False
             elif (dtype is None) != (lambda_dtype is None) or dtype != lambda_dtype:
                 raise ValueError(
                     f"world {world.tag!r}: the chunk from trial {start} has lambda dtype {dtype}, but the first "

@@ -126,10 +126,10 @@ class World(ABC):
         codes holds each lane's pair code (an index into PAIR_ORDER), or one
         code for every lane; states holds each lane's generator state and is
         advanced in place by the draws the lane consumes. The engine passes
-        both in buffers it reuses for the next chunk, so the returned arrays
-        must not be views of them. The lambda array's dtype is the column's
-        dtype in the trial log, and every chunk of a run keeps the first
-        chunk's lambda dtype (the engine refuses a chunk that changes it);
+        the chunk's own pair-code column as codes, which the log keeps, so a
+        kernel reads it and never writes it. The lambda array's dtype is the
+        column's dtype in the trial log, and every chunk of a run keeps the
+        first chunk's lambda dtype (the engine refuses a chunk that changes it);
         lambda_ids is None when every lambda is, and a chunk in which some
         lambdas are None and others not is refused with ValueError.
         """
@@ -382,10 +382,14 @@ class ConspiracyModel(World):
 
 
 def expectation_exact(model: TableModel, pair: Union[PairChoice, SlotPair]) -> float:
-    """Exact pair expectation of a discrete model: sum of weight * S_first * S_second."""
+    """Exact pair expectation of a discrete model: sum of weight * S_first * S_second,
+    added row by row in order, as _mixture_lhs adds its eight terms."""
     first, second = PairChoice.of(pair).slots
-    products = model._responses[:, first.value].astype(np.float64) * model._responses[:, second.value]
-    return float(np.dot(model._weights, products))
+    products = model._responses[:, first.value] * model._responses[:, second.value]
+    total = 0.0
+    for term in (model._weights * products).tolist():
+        total += term
+    return total
 
 
 def table_lhs_exact(model: TableModel) -> float:
@@ -450,9 +454,9 @@ def _mixture_lhs(trials: int, gen: SeededGenerator) -> np.ndarray:
     where the oracle's does. A row's k sum exactly in int64 (below 2^56), so
     one rounding to float64 gives the correctly rounded total that math.fsum
     does, and (k * 2^-53) / total is the oracle's w / total bit for bit.
-    One (trials, 8) @ (8, 3) product gives every mixture's three pair
-    expectations; each is the same sum of weight * (+/-1) that
-    expectation_exact forms for one model.
+    Each mixture's three pair expectations add the eight weight * (+/-1)
+    terms strategy by strategy, the order in which expectation_exact adds
+    one model's rows, so the two agree on every platform.
     """
     rounds, missing = [], trials
     while missing:
@@ -465,7 +469,10 @@ def _mixture_lhs(trials: int, gen: SeededGenerator) -> np.ndarray:
     weights = ks * 2.0**-53 / totals[:, None]
     responses = np.array([t for t, _ in deterministic_strategy_values()], dtype=np.float64)
     products = responses[:, _FIRST_SLOT] * responses[:, _SECOND_SLOT]  # column = pair code
-    e12, e13, e23 = (weights @ products).T
+    sums = weights[:, 0, None] * products[0]
+    for j in range(1, 8):
+        sums += weights[:, j, None] * products[j]
+    e12, e13, e23 = sums.T
     return np.abs(e12 - e13) + e23
 
 

@@ -159,39 +159,15 @@ def derive_states(master_seed: int, indexes: np.ndarray) -> np.ndarray:
     if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
         raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
     z = np.asarray(np.uint64(int(master_seed)) + np.asarray(indexes, dtype=np.uint64) * _U64_GOLDEN)
-    return _mix_lanes(z, np.empty_like(z))[()]  # [()]: a scalar for a scalar index
-
-
-def _mix_lanes(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """mix64 on every lane of z, in place; scratch is a same-sized buffer."""
+    # mix64 on every lane, in place
+    scratch = np.empty_like(z)
     for shift, mult in ((30, _U64_MIX1), (27, _U64_MIX2)):
         np.right_shift(z, np.uint64(shift), out=scratch)
         z ^= scratch
         z *= mult
     np.right_shift(z, np.uint64(31), out=scratch)
     z ^= scratch
-    return z
-
-
-class StateBuffer:
-    """derive_states for consecutive index ranges of one run, into one reused buffer.
-
-    The lane offsets i * STREAM_GOLDEN are formed once, so each range costs
-    one add and the in-place finalizer, and no range allocates.
-    """
-
-    def __init__(self, master_seed: int, rows: int):
-        self.master_seed = master_seed
-        self._offsets = np.arange(rows, dtype=np.uint64) * _U64_GOLDEN
-        self._states = np.empty(rows, dtype=np.uint64)
-        self._scratch = np.empty(rows, dtype=np.uint64)
-
-    def derive(self, start: int, n: int) -> np.ndarray:
-        """derive_states(master_seed, range(start, start + n)), n at most the
-        buffer's rows, as a view that the next call overwrites."""
-        base = np.uint64((self.master_seed + start * STREAM_GOLDEN) & MASK64)
-        states = np.add(self._offsets[:n], base, out=self._states[:n])
-        return _mix_lanes(states, self._scratch[:n])
+    return z[()]  # a scalar for a scalar index
 
 
 def step_states(states: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 import numpy as np
 
 from .hidden_vars import PAIR_ORDER, PairChoice
+from .rng import _is_integer
 
 # The engine samples, the estimators fold and the trial-log writer encodes in
 # chunks of this many trials, so no step holds a temporary per trial for the
@@ -103,7 +104,7 @@ class TrialLog:
         return len(self.pair_codes)
 
     def __getitem__(self, index: int) -> TrialRecord:
-        if not isinstance(index, (int, np.integer)):
+        if not _is_integer(index):
             raise TypeError("trial logs support integer indexing only")
         n = len(self)
         if index < 0:
@@ -754,16 +755,17 @@ def _chunks(f) -> Iterator[TrialLog]:
 def _unix_lines(buf: bytearray, end: int) -> tuple:
     """(data, stop): the lines of buf[:end] in data[:stop], with the line
     scanner's universal newlines and a \\n after the last line. data is buf,
-    edited in place, unless a \\r\\n is to go; then it is one copy of the
-    whole buffer, as no \\r\\n straddles end."""
+    edited in place, unless the lines hold a \\r; then it is one copy of the
+    whole buffer, and stop is its length less that of its copied tail, as no
+    \\r\\n straddles end."""
     if buf[end - 1] != ord("\n"):  # a file's last line: a lone \r becomes \n, a missing \n goes in
         end -= buf[end - 1] == ord("\r")
         buf[end : end + 1] = b"\n"
         end += 1
     if buf.find(b"\r", 0, end) < 0:
         return buf, end
-    stop = end - buf.count(b"\r\n", 0, end)
-    data = buf.replace(b"\r\n", b"\n") if stop < end else buf
+    data = buf.replace(b"\r\n", b"\n")
+    stop = len(data) - len(buf[end:].replace(b"\r\n", b"\n"))
     if data.find(b"\r", 0, stop) >= 0:  # lone \r line ends
         data[:stop] = data[:stop].replace(b"\r", b"\n")
     return data, stop

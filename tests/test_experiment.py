@@ -276,6 +276,13 @@ def test_records_are_indexed_consecutively(magic_binding, spacelike_geometry):
         log[1000]
 
 
+@pytest.mark.parametrize("index", [True, False, np.True_, 1.0, "1"])
+def test_records_refuse_an_index_that_is_not_an_integer(magic_binding, spacelike_geometry, index):
+    log = run_experiment(magic_binding, QuantumWorld(), 10, 11, spacelike_geometry)
+    with pytest.raises(TypeError, match="integer indexing only"):
+        log[index]
+
+
 def test_per_pair_counts_sum_to_n_trials(magic_binding, spacelike_geometry):
     log = run_experiment(magic_binding, QuantumWorld(), 30_000, 23, spacelike_geometry)
     counts = np.bincount(log.pair_codes, minlength=3)

@@ -255,13 +255,20 @@ def test_mixture_bound_check_respects_bound():
 
 @pytest.mark.parametrize("seed", [0, 2024, 7])
 def test_mixture_rows_equal_the_per_model_oracle(seed):
-    # one matrix product gives each mixture the LHS that building its TableModel gives
+    # the eight ordered sums give each mixture the LHS that building its TableModel gives
     fast, slow = SeededGenerator(seed), SeededGenerator(seed)
     rows = _mixture_lhs(10_000, fast)
     expected = [table_lhs_exact(random_table_model(slow)) for _ in range(10_000)]
     assert rows.tolist() == expected
     assert fast.state == slow.state
     assert mixture_bound_check(10_000, SeededGenerator(seed)) == max(expected)
+
+
+def test_one_mixture_sums_its_terms_as_its_table_model_does():
+    # a single row once went through a dot product whose order differed from the model's
+    for seed in range(200):
+        expected = table_lhs_exact(random_table_model(SeededGenerator(seed)))
+        assert mixture_bound_check(1, SeededGenerator(seed)) == expected, seed
 
 
 def test_mixture_bound_check_rejects_zero_trials():

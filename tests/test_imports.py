@@ -73,3 +73,20 @@ def test_only_rng_holds_the_number_rule():
         imported += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level]
         defined = [node.name for node in nodes if isinstance(node, ast.FunctionDef) and node.name.startswith("_is_")]
         assert ("numbers" in imported, defined) == (False, []), path.name
+
+
+def test_only_the_two_stream_derivations_name_the_stream_constant():
+    # a trial's stream is mix64(seed + i * STREAM_GOLDEN) in one scalar and one
+    # array form, so no third derivation can drift from them
+    golden = {"STREAM_GOLDEN", "_U64_GOLDEN"}
+    for path in sorted(Path(lglab.__file__).parent.glob("*.py")):
+        users = set()
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.Assign) and {getattr(t, "id", None) for t in top.targets} <= golden:
+                continue  # a definition of one of the two constants
+            names = {getattr(node, "id", None) for node in ast.walk(top)}
+            names |= {node.name for node in ast.walk(top) if isinstance(node, ast.alias)}
+            if names & golden:
+                users.add(getattr(top, "name", type(top).__name__))
+        expected = {"derive_trial_generator", "derive_states"} if path.name == "rng.py" else set()
+        assert users == expected, path.name

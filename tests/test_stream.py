@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from lglab import experiment, triallog
 from lglab.analysis import AnalysisError, LogFold, estimate_pairs, evaluate_lg, stabilization
 from lglab.cli import EXIT_CONFIG, EXIT_OK, SCHEMA_VERSION, load_run_config, main
-from lglab.experiment import run_chunks, run_experiment, spacelike_separated
+from lglab.experiment import run_chunks, run_experiment, run_trial_scalar, spacelike_separated
+from lglab.hidden_vars import conspiracy_from_quantum
 from lglab.triallog import (
     _CHUNK_ROWS,
     TrialLog,
@@ -538,6 +539,24 @@ def test_runs_past_2_63_trials_start_like_any_run(magic_binding, spacelike_geome
     world = experiment.QuantumWorld()
     first = next(run_chunks(magic_binding, world, n_trials, 9, spacelike_geometry))
     assert first == next(run_chunks(magic_binding, world, _CHUNK_ROWS, 9, spacelike_geometry))
+
+
+@pytest.mark.parametrize("span", [(2**63 - 100, 2**63 + 100), (2**64 - 70_000, 2**64)], ids=["2^63", "2^64"])
+@pytest.mark.parametrize("world", ["quantum", "conspiracy"])
+def test_chunks_at_the_top_of_the_index_range_match_the_scalar_trials(
+    magic_binding, spacelike_geometry, monkeypatch, span, world
+):
+    # a run's first shard starts at trial 0, so only a patched shard reaches these indexes
+    monkeypatch.setattr(experiment, "_shards", lambda n_trials, n_shards: iter([span]))
+    b = magic_binding
+    model = experiment.QuantumWorld() if world == "quantum" else conspiracy_from_quantum(b.a, b.b, b.c)
+    chunks = list(run_chunks(b, model, 2**64, 9, spacelike_geometry))
+    assert [c.first_index for c in chunks] == list(range(*span, _CHUNK_ROWS))
+    assert chunks[-1].first_index + len(chunks[-1]) == span[1]
+    for chunk in chunks:
+        for k in [*range(0, len(chunk), 997), len(chunk) - 1]:
+            assert chunk[k] == run_trial_scalar(b, model, chunk.first_index + k, 9)
+
 
 
 def test_a_run_whose_indexes_overflow_64_bits_is_refused(magic_binding, spacelike_geometry):
