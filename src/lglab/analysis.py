@@ -17,7 +17,7 @@ import numpy as np
 
 from .hidden_vars import PAIR_ORDER, PairChoice
 from .rng import _is_finite_real, _is_integer, mix64
-from .triallog import TrialLog
+from .triallog import TrialLog, _plus_minus_one
 
 DEFAULT_SIGNIFICANCE = 3.0
 DEFAULT_EPSILON = 0.01
@@ -289,11 +289,11 @@ class LogFold:
     """The estimators' state, folded one chunk of trials at a time.
 
     counts[code] is (trials whose outcomes differ, trials whose outcomes
-    agree) for each pair so far. With a checkpoint stride the fold also
-    records, as each chunk passes them, the running mean of a pair at each of
-    its stride-th trials, from exact integer counts. Chunks must arrive in
-    trial order; folding a log as one chunk gives the same numbers as
-    folding its chunks.
+    agree) for each pair so far, and every chunk is counted the same way. A
+    checkpoint stride only adds marks: as each chunk passes them, the running
+    mean of a pair at each of its stride-th trials, from exact integer
+    counts. Chunks must arrive in trial order; folding a log as one chunk
+    gives the same numbers as folding its chunks.
     """
 
     def __init__(self, checkpoint_stride: Optional[int] = None):
@@ -314,31 +314,30 @@ class LogFold:
         return fold
 
     def add(self, chunk: TrialLog) -> "LogFold":
-        """Fold one chunk in; a chunk with a pair code outside 0..2 is refused
-        before anything is folded."""
+        """Fold one chunk in. A chunk with a pair code outside 0..2, or an
+        outcome that is not 1 or -1, is refused before anything is folded."""
         codes, same = chunk.pair_codes, chunk.s_first == chunk.s_second
         in_pair = [codes == code for code in range(3)]
-        if self.checkpoint_stride is None:
-            n_pair = [int(np.count_nonzero(mask)) for mask in in_pair]
-            _check_codes(chunk, sum(n_pair))
-            n_same = [int(np.count_nonzero(np.logical_and(mask, same, out=mask))) for mask in in_pair]
-            added = [(n - agree, agree) for n, agree in zip(n_pair, n_same)]
-        else:
-            # several times faster than same[mask]
-            pair_same = [np.compress(mask, same) for mask in in_pair]
-            _check_codes(chunk, sum(map(len, pair_same)))
-            added = [self._checkpoint(code, agree) for code, agree in enumerate(pair_same)]
-        for counts, (n_diff, n_same) in zip(self.counts, added):
-            counts[0] += n_diff
-            counts[1] += n_same
+        n_pair = [int(np.count_nonzero(mask)) for mask in in_pair]
+        _check_codes(chunk, sum(n_pair))
+        _check_outcomes(chunk)
+        if self.checkpoint_stride is not None:
+            for code, mask in enumerate(in_pair):
+                # several times faster than same[mask]
+                self._checkpoint(code, np.compress(mask, same))
+        # the third pair's agreements are the chunk's less the other two pairs'
+        n_same = [int(np.count_nonzero(np.logical_and(mask, same, out=mask))) for mask in in_pair[:2]]
+        n_same.append(int(np.count_nonzero(same)) - sum(n_same))
+        for counts, n, agree in zip(self.counts, n_pair, n_same):
+            counts[0] += n - agree
+            counts[1] += agree
         return self
 
-    def _checkpoint(self, code: int, pair_same: np.ndarray) -> tuple[int, int]:
-        """Record the checkpoints that fall among pair_same, the pair's
-        outcomes-agree flags in this chunk; returns its (n_diff, n_same)."""
+    def _checkpoint(self, code: int, pair_same: np.ndarray) -> None:
+        """Record the marks that fall among pair_same, the pair's
+        outcomes-agree flags in this chunk, before the chunk is counted."""
         stride = self.checkpoint_stride
         n_before, agree_before = sum(self.counts[code]), self.counts[code][1]
-        n_same = int(np.count_nonzero(pair_same))
         # where the pair's stride multiples fall in this chunk
         at = np.arange(stride - 1 - n_before % stride, len(pair_same), stride)
         if len(at):
@@ -352,7 +351,6 @@ class LogFold:
             # the running product sum after k samples is 2 * (agreements so far) - k,
             # an exact integer, so the division matches a float cumsum's bit for bit
             means.append((2 * (running + agree_before) - counts[-1]) / counts[-1])
-        return len(pair_same) - n_same, n_same
 
     def estimates(self) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
         return estimates_from_counts(self.counts)
@@ -400,6 +398,21 @@ def _check_codes(chunk: TrialLog, n_coded: int) -> None:
         codes = chunk.pair_codes
         at = int(np.flatnonzero(~np.isin(codes, (0, 1, 2)))[0])
         raise ValueError(f"pair code {codes[at].item()!r} at trial {chunk.first_index + at} is not 0, 1 or 2")
+
+
+def _check_outcomes(chunk: TrialLog) -> None:
+    """Refuse a chunk with an outcome that the trial-log writer refuses,
+    naming the first trial that has one."""
+    columns = (chunk.s_first, chunk.s_second)
+    if all(map(_plus_minus_one, columns)):
+        return
+    for column in columns:
+        if column.dtype.kind not in "biuf":
+            raise ValueError(f"outcomes must be 1 or -1, got dtype {column.dtype}")
+    bad = [np.abs(column) != 1 for column in columns]
+    at = int(np.flatnonzero(bad[0] | bad[1])[0])
+    value = columns[0][at] if bad[0][at] else columns[1][at]
+    raise ValueError(f"outcome {value.item()!r} at trial {chunk.first_index + at} is not 1 or -1")
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -210,8 +210,9 @@ def load_run_config(path) -> RunConfig:
             "override_foc",
         ),
     )
-    if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"schema: this build reads schema {SCHEMA_VERSION}, got {raw['schema']!r}")
+    schema = raw.get("schema", SCHEMA_VERSION)
+    if not (_is_integer(schema) and schema == SCHEMA_VERSION):
+        raise ConfigError(f"schema: this build reads schema {SCHEMA_VERSION}, got {schema!r}")
 
     a, b, c = _parse_angles(raw["angles"])
 

@@ -319,7 +319,8 @@ def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed
     for lo, hi in _shards(n_trials, n_shards):
         for start in range(lo, hi, _CHUNK_ROWS):
             # an offset from 0 keeps every index exact for any start below 2^64
-            indexes = np.arange(min(_CHUNK_ROWS, hi - start), dtype=np.uint64) + np.uint64(start)
+            indexes = np.arange(min(_CHUNK_ROWS, hi - start), dtype=np.uint64)
+            indexes += np.uint64(start)
             states = derive_states(master_seed, indexes)
             codes = _select_pairs_batch(states)
             s_first, s_second, lambda_ids = world.sample_lanes(binding, codes, states)

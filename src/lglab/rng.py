@@ -158,9 +158,16 @@ def derive_states(master_seed: int, indexes: np.ndarray) -> np.ndarray:
     """Vectorized derive_trial_generator: one uint64 state per index."""
     if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
         raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
-    z = np.asarray(np.uint64(int(master_seed)) + np.asarray(indexes, dtype=np.uint64) * _U64_GOLDEN)
+    indexes = np.asarray(indexes, dtype=np.uint64)
+    # made before the states, so that the block it frees on return lies below
+    # them, where the caller's next temporaries reuse it, and not at the top
+    # of the heap, which the allocator may give back and fault in again
+    scratch = np.empty(indexes.shape, np.uint64)
+    # one product, into an array even for a scalar index, so the seed's add
+    # wraps as array arithmetic does, without an overflow warning
+    z = np.multiply(indexes, _U64_GOLDEN, out=np.empty_like(scratch))
+    z += np.uint64(int(master_seed))
     # mix64 on every lane, in place
-    scratch = np.empty_like(z)
     for shift, mult in ((30, _U64_MIX1), (27, _U64_MIX2)):
         np.right_shift(z, np.uint64(shift), out=scratch)
         z ^= scratch

@@ -77,8 +77,9 @@ class TrialLog:
         """The columns of a record sequence, in its order, from the first record's index.
 
         As in a file, lambda_id must be None on every record or on none, every
-        record must carry the first one's model tag and record k must have
-        index first + k, checked in that order; no records give the tag "".
+        record must carry the first one's model tag, record k must have index
+        first + k and each outcome must be the integer 1 or -1 (not a bool),
+        checked in that order; no records give the tag "".
         """
         recs = list(records)
         lambda_ids: Optional[np.ndarray] = None
@@ -93,6 +94,11 @@ class TrialLog:
         for k, rec in enumerate(recs):
             if rec.index != first + k:
                 raise ValueError(f"record {k} has index {rec.index}, not {first + k}; a log's trials are consecutive")
+        for k, rec in enumerate(recs):
+            for name in ("s_first", "s_second"):
+                outcome = getattr(rec, name)
+                if not (_is_integer(outcome) and outcome in (1, -1)):
+                    raise ValueError(f"record {k} has {name} {outcome!r}, not 1 or -1")
         columns = (
             np.array([r.pair.code for r in recs], dtype=np.uint8),
             np.array([r.s_first for r in recs], dtype=np.int8),
@@ -531,9 +537,12 @@ def _check_tag(tag: str) -> None:
 
 
 def _plus_minus_one(outcomes: np.ndarray) -> bool:
+    """True if every outcome is 1 or -1, as the row encoder can write it."""
     if outcomes.dtype.kind in "iu":
         # with no temporary per row: within [-1, 1] and never 0
-        return outcomes.min() >= -1 and outcomes.max() <= 1 and np.count_nonzero(outcomes) == len(outcomes)
+        return not len(outcomes) or (
+            outcomes.min() >= -1 and outcomes.max() <= 1 and np.count_nonzero(outcomes) == len(outcomes)
+        )
     return outcomes.dtype.kind in "bf" and bool(np.all(np.abs(outcomes) == 1))
 
 

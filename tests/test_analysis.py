@@ -300,35 +300,56 @@ def test_quantum_run_stabilizes(magic_binding, spacelike_geometry):
         assert p.n_star <= 100_000
 
 
-def _log_with_code(code, dtype, first_index=0):
-    """Ten trials of valid pairs, but trial 5 has the given pair code."""
-    codes = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0], dtype=dtype)
-    codes[5] = code
-    plus = np.ones(10, dtype=np.int8)
-    return TrialLog(codes, plus, plus.copy(), None, "test", first_index)
+def _log_with(column, value, dtype, first_index=0):
+    """Ten trials of valid pairs and outcomes, but trial 5 has the given value
+    in the given column, which has the given dtype."""
+    columns = {
+        "pair_codes": np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0], dtype=np.uint8),
+        "s_first": np.ones(10, dtype=np.int8),
+        "s_second": -np.ones(10, dtype=np.int8),
+    }
+    columns[column] = columns[column].astype(dtype)
+    columns[column][5] = value
+    return TrialLog(*columns.values(), None, "test", first_index)
 
 
-BAD_CODES = [(3, np.uint8), (255, np.uint8), (-1, np.int8), (7, np.int64)]
+# (column, value, dtype, the refusal); an outcome is refused where the
+# trial-log writer refuses it
+BAD_CODES = [
+    ("pair_codes", 3, np.uint8, "pair code 3 at trial 5 is not 0, 1 or 2"),
+    ("pair_codes", 255, np.uint8, "pair code 255 at trial 5 is not 0, 1 or 2"),
+    ("pair_codes", -1, np.int8, "pair code -1 at trial 5 is not 0, 1 or 2"),
+    ("pair_codes", 7, np.int64, "pair code 7 at trial 5 is not 0, 1 or 2"),
+    ("s_first", 0, np.int8, "outcome 0 at trial 5 is not 1 or -1"),
+    ("s_second", 7, np.int8, "outcome 7 at trial 5 is not 1 or -1"),
+    ("s_first", 255, np.uint8, "outcome 255 at trial 5 is not 1 or -1"),
+    ("s_second", 1.5, np.float64, "outcome 1.5 at trial 5 is not 1 or -1"),
+    ("s_first", False, np.bool_, "outcome False at trial 5 is not 1 or -1"),
+    ("s_second", 1, np.complex128, "outcomes must be 1 or -1, got dtype complex128"),
+]
 
 
-@pytest.mark.parametrize("code, dtype", BAD_CODES)
-def test_estimate_pairs_refuses_a_pair_code_outside_0_to_2(code, dtype):
-    with pytest.raises(ValueError, match=f"^pair code {code} at trial 5 is not 0, 1 or 2"):
-        estimate_pairs(_log_with_code(code, dtype))
+@pytest.mark.parametrize("column, value, dtype, refusal", BAD_CODES)
+def test_estimate_pairs_refuses_a_pair_code_outside_0_to_2(column, value, dtype, refusal):
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        estimate_pairs(_log_with(column, value, dtype))
 
 
-@pytest.mark.parametrize("code, dtype", BAD_CODES)
-def test_stabilization_refuses_a_pair_code_outside_0_to_2(code, dtype):
-    with pytest.raises(ValueError, match=f"^pair code {code} at trial 5 is not 0, 1 or 2"):
-        stabilization(_log_with_code(code, dtype), checkpoint_stride=1)
+@pytest.mark.parametrize("column, value, dtype, refusal", BAD_CODES)
+def test_stabilization_refuses_a_pair_code_outside_0_to_2(column, value, dtype, refusal):
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        stabilization(_log_with(column, value, dtype), checkpoint_stride=1)
 
 
+@pytest.mark.parametrize(
+    "column, value, dtype, refusal", [("pair_codes", 3, np.uint8, "pair code 3"), ("s_second", 0, np.int8, "outcome 0")]
+)
 @pytest.mark.parametrize("stride", [None, 1, 4])
-def test_a_chunk_with_a_bad_pair_code_is_named_by_run_index_and_not_folded(stride):
-    fold = LogFold(stride).add(_log_with_code(0, np.uint8))
+def test_a_chunk_with_a_bad_pair_code_is_named_by_run_index_and_not_folded(stride, column, value, dtype, refusal):
+    fold = LogFold(stride).add(_log_with("pair_codes", 0, np.uint8))
     before = [list(c) for c in fold.counts], fold.stabilization() if stride else None
-    with pytest.raises(ValueError, match="^pair code 3 at trial 15 "):
-        fold.add(_log_with_code(3, np.uint8, first_index=10))
+    with pytest.raises(ValueError, match=f"^{refusal} at trial 15 "):
+        fold.add(_log_with(column, value, dtype, first_index=10))
     assert ([list(c) for c in fold.counts], fold.stabilization() if stride else None) == before
 
 

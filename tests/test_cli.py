@@ -132,6 +132,8 @@ _EVENT = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
         (None, "cannot read config file"),
         ("{", "config is not valid JSON"),
         ({"schema": 2}, "schema"),
+        ({"schema": True}, "schema"),
+        ({"schema": 1.0}, "schema"),
         ({"times": [1.0, 2.0]}, "times"),
         ({"times": [1.0, 3.0, 2.0]}, "times"),
         ({"master_seed": 1 << 64}, "master_seed"),
@@ -156,6 +158,8 @@ _EVENT = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
         "unreadable_path",
         "invalid_json",
         "schema_2",
+        "schema_true",
+        "schema_float",
         "times_not_three",
         "times_not_increasing",
         "master_seed_out_of_range",

@@ -411,9 +411,19 @@ def test_from_records_refuses_records_out_of_order(indexes, k):
         TrialLog.from_records(records)
 
 
+@pytest.mark.parametrize("name", ["s_first", "s_second"])
+@pytest.mark.parametrize("outcome", [0, 1.5, True, 300])
+def test_from_records_refuses_an_outcome_that_is_not_the_integer_1_or_minus_1(name, outcome):
+    ok = TrialRecord(4, PAIR_ORDER[0], 1, -1, None, "quantum")
+    with pytest.raises(ValueError, match=f"^record 1 has {name} {outcome!r}, not 1 or -1$"):
+        TrialLog.from_records([ok, dataclasses.replace(ok, index=5, **{name: outcome})])
+
+
 def test_from_records_checks_lambdas_then_tags_then_indexes():
     ok = TrialRecord(0, PAIR_ORDER[0], 1, -1, 3, "table")
     with pytest.raises(ValueError, match="mixes empty and non-empty"):
         TrialLog.from_records([ok, dataclasses.replace(ok, index=7, lambda_id=None, model_tag="rotor")])
     with pytest.raises(ValueError, match="^record 1 has model tag 'rotor'"):
         TrialLog.from_records([ok, dataclasses.replace(ok, index=7, model_tag="rotor")])
+    with pytest.raises(ValueError, match="^record 1 has index 7,"):
+        TrialLog.from_records([ok, dataclasses.replace(ok, index=7, s_first=0)])

@@ -84,6 +84,17 @@ def test_derive_trial_generator_is_reproducible_and_distinct():
         assert int(states[i]) == derive_trial_generator(7, i).state
 
 
+@pytest.mark.parametrize(
+    "seed, index",
+    [(2**64 - 1, np.uint64(2**64 - 1)), (2**63, np.uint64(2**63 + 5)), (0, np.uint64(0)), (2**64 - 1, 2**64 - 1), (7, 3)],
+)
+def test_derive_states_of_a_scalar_index_wraps_as_the_scalar_derivation_does(seed, index):
+    # a scalar index gives a scalar state, and the seed's add wraps mod 2^64
+    # with no overflow warning, which the test settings turn into an error
+    state = derive_states(seed, index)
+    assert np.ndim(state) == 0 and int(state) == derive_trial_generator(seed, int(index)).state
+
+
 def test_derive_matches_splitmix_finalizer_by_hand():
     seed, index = 42, 3
     z = (seed + index * 0x9E3779B97F4A7C15) & MASK64

@@ -90,3 +90,26 @@ def test_only_the_two_stream_derivations_name_the_stream_constant():
                 users.add(getattr(top, "name", type(top).__name__))
         expected = {"derive_trial_generator", "derive_states"} if path.name == "rng.py" else set()
         assert users == expected, path.name
+
+
+def test_only_the_bootstrap_names_numpy_random():
+    # every draw comes from the seed through rng.py's streams; the bootstrap's
+    # pinned numpy generator is the one other random source
+    def random_module(name):
+        return name.split(".")[0] == "random" or name.split(".")[:2] == ["numpy", "random"]
+
+    users = set()
+    for path in sorted(Path(lglab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("np", "numpy"):
+                    names = [f"numpy.{node.attr}"]
+                else:
+                    continue
+                if any(map(random_module, names)):
+                    users.add(f"{path.stem}.{getattr(top, 'name', type(top).__name__)}")
+    assert users == {"analysis._bootstrap_lhs_std_error"}

@@ -357,7 +357,8 @@ def test_records_reach_a_file_only_as_a_log_the_reader_can_take_back(tmp_path):
     with pytest.raises(ValueError, match="mixes empty and non-empty"):
         TrialLog.from_records([ok, dataclasses.replace(ok, index=1, lambda_id=None)])
     _refused(TrialLog.from_records([ok, dataclasses.replace(ok, index=1, lambda_id=2**64)]), tmp_path, "lambda_id")
-    _refused(TrialLog.from_records([ok, dataclasses.replace(ok, index=1, s_first=7)]), tmp_path, "outcomes")
+    with pytest.raises(ValueError, match="^record 1 has s_first 7, not 1 or -1$"):
+        TrialLog.from_records([ok, dataclasses.replace(ok, index=1, s_first=7)])
     path = tmp_path / "log.csv"
     write_trial_log(TrialLog.from_records([ok, dataclasses.replace(ok, index=1, lambda_id=2**63 - 1)]), path)
     assert path.read_bytes() == f"{TRIAL_LOG_HEADER}\n0,12,1,-1,3,table\n1,12,1,-1,{2**63 - 1},table\n".encode()
