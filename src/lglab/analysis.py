@@ -17,7 +17,7 @@ import numpy as np
 
 from .hidden_vars import PAIR_ORDER, PairChoice
 from .rng import _is_finite_real, _is_integer, mix64
-from .triallog import TrialLog, _plus_minus_one
+from .triallog import TrialLog, _check_chunk
 
 DEFAULT_SIGNIFICANCE = 3.0
 DEFAULT_EPSILON = 0.01
@@ -314,13 +314,12 @@ class LogFold:
         return fold
 
     def add(self, chunk: TrialLog) -> "LogFold":
-        """Fold one chunk in. A chunk with a pair code outside 0..2, or an
-        outcome that is not 1 or -1, is refused before anything is folded."""
+        """Fold one chunk in. A pair code or outcome the trial-log writers
+        refuse is refused in their words before anything is folded."""
+        _check_chunk(chunk)
         codes, same = chunk.pair_codes, chunk.s_first == chunk.s_second
         in_pair = [codes == code for code in range(3)]
         n_pair = [int(np.count_nonzero(mask)) for mask in in_pair]
-        _check_codes(chunk, sum(n_pair))
-        _check_outcomes(chunk)
         if self.checkpoint_stride is not None:
             for code, mask in enumerate(in_pair):
                 # several times faster than same[mask]
@@ -390,29 +389,6 @@ class LogFold:
                 )
             )
         return StabilizationReport(epsilon=epsilon, checkpoint_stride=self.checkpoint_stride, pairs=tuple(reports))
-
-
-def _check_codes(chunk: TrialLog, n_coded: int) -> None:
-    """Refuse a chunk of which only n_coded trials have a pair code 0, 1 or 2."""
-    if n_coded != len(chunk):
-        codes = chunk.pair_codes
-        at = int(np.flatnonzero(~np.isin(codes, (0, 1, 2)))[0])
-        raise ValueError(f"pair code {codes[at].item()!r} at trial {chunk.first_index + at} is not 0, 1 or 2")
-
-
-def _check_outcomes(chunk: TrialLog) -> None:
-    """Refuse a chunk with an outcome that the trial-log writer refuses,
-    naming the first trial that has one."""
-    columns = (chunk.s_first, chunk.s_second)
-    if all(map(_plus_minus_one, columns)):
-        return
-    for column in columns:
-        if column.dtype.kind not in "biuf":
-            raise ValueError(f"outcomes must be 1 or -1, got dtype {column.dtype}")
-    bad = [np.abs(column) != 1 for column in columns]
-    at = int(np.flatnonzero(bad[0] | bad[1])[0])
-    value = columns[0][at] if bad[0][at] else columns[1][at]
-    raise ValueError(f"outcome {value.item()!r} at trial {chunk.first_index + at} is not 1 or -1")
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -42,7 +42,7 @@ from .experiment import (
     spacelike_separated,
 )
 from .hidden_vars import RotorModel, TableModel, World, conspiracy_from_quantum
-from .jsonutil import dump_stable, dumps_stable
+from .jsonutil import dump_stable
 from .quantum import Direction, sequential_correlation_exact
 from .rng import MASK64, _is_finite_real, _is_integer
 from .triallog import TrialLogFormatError, TrialLogWriter, fold_trial_log, write_trial_log
@@ -340,7 +340,7 @@ def cmd_exact(theta_ab: float, theta_bc: float) -> int:
         },
         "lhs": quantum_lhs(theta_ab, theta_bc),
     }
-    sys.stdout.write(dumps_stable(out))
+    dump_stable(out, sys.stdout)
     return EXIT_OK
 
 
@@ -366,7 +366,7 @@ def cmd_bound() -> int:
             "within_bound": bool(max_lhs <= 1.0 + 1e-12),
         },
     }
-    sys.stdout.write(dumps_stable(out))
+    dump_stable(out, sys.stdout)
     return EXIT_OK
 
 
@@ -385,13 +385,11 @@ def cmd_optimize(grid_step: float, tolerance: float) -> int:
         "theta_bc": theta_bc,
         "lhs_max": lhs_max,
     }
-    sys.stdout.write(dumps_stable(out))
+    dump_stable(out, sys.stdout)
     return EXIT_OK
 
 
-def cmd_analyze(
-    trials_path, significance: float, epsilon: float, checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE
-) -> int:
+def cmd_analyze(trials_path, significance: float, epsilon: float, checkpoint_stride: int) -> int:
     if not math.isfinite(significance):
         raise ConfigError(f"--significance: expected a finite number, got {significance}")
     if not (math.isfinite(epsilon) and epsilon > 0):

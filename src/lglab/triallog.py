@@ -546,6 +546,29 @@ def _plus_minus_one(outcomes: np.ndarray) -> bool:
     return outcomes.dtype.kind in "bf" and bool(np.all(np.abs(outcomes) == 1))
 
 
+def _check_chunk(chunk: TrialLog) -> None:
+    """Refuse a chunk with a pair code other than the integer 0, 1 or 2, or
+    an outcome other than 1 or -1, naming the value and its first trial: the
+    one rule of the writers and the estimators' fold."""
+    codes = chunk.pair_codes
+    if codes.dtype.kind not in "biu":
+        raise ValueError(f"pair codes must be integers 0, 1 or 2, got dtype {codes.dtype}")
+    if len(codes) and (codes.min() < 0 or codes.max() > 2):
+        at = int(np.flatnonzero((codes < 0) | (codes > 2))[0])
+        raise ValueError(f"pair code {codes[at].item()!r} at trial {chunk.first_index + at} is not 0, 1 or 2")
+    # the row encoder would write any outcome that is not positive as -1
+    columns = (chunk.s_first, chunk.s_second)
+    if all(map(_plus_minus_one, columns)):
+        return
+    for column in columns:
+        if column.dtype.kind not in "biuf":
+            raise ValueError(f"outcomes must be 1 or -1, got dtype {column.dtype}")
+    bad = [np.abs(column) != 1 for column in columns]
+    at = int(np.flatnonzero(bad[0] | bad[1])[0])
+    value = columns[0][at] if bad[0][at] else columns[1][at]
+    raise ValueError(f"outcome {value.item()!r} at trial {chunk.first_index + at} is not 1 or -1")
+
+
 # how the reader reads each lambda kind
 _LAMBDA_DTYPES = {"int": np.int64, "float": np.float64}
 
@@ -564,11 +587,7 @@ def _check_columns(log: TrialLog) -> None:
     _check_tag(log.model_tag)
     if not len(log):
         raise ValueError("the trial log is empty; a trial log file holds at least one trial")
-    if log.pair_codes.dtype.kind not in "biu" or log.pair_codes.min() < 0 or log.pair_codes.max() > 2:
-        raise ValueError("pair codes must be integers 0, 1 or 2")
-    # the row encoder writes any outcome that is not positive as -1
-    if not (_plus_minus_one(log.s_first) and _plus_minus_one(log.s_second)):
-        raise ValueError("outcomes must be 1 or -1")
+    _check_chunk(log)
     lambdas = log.lambda_ids
     kind = _lambda_kind(lambdas)
     if kind is None:
@@ -634,8 +653,10 @@ def write_trial_log(log: TrialLog, path) -> None:
     trailing whitespace. A log no reader could take back is refused with
     ValueError before the file is made: an empty one, one whose first_index
     is not 0 (a file holds a whole run), one whose model tag holds ',', a
-    line break or NUL or is not UTF-8 text, or one whose lambda_ids are not
-    bool, integer or float, or do not fit in int64, or are not finite.
+    line break or NUL or is not UTF-8 text, one with a pair code or outcome
+    the estimators refuse (named with its first trial, in their words), or
+    one whose lambda_ids are not bool, integer or float, or do not fit in
+    int64, or are not finite.
     Records go to a file as TrialLog.from_records(records).
 
     A TrialLog may also go to a TrialLogWriter: its rows are then the file's

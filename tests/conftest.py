@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lglab import Direction, SlotBinding, SpacetimeEvent, triallog
+from lglab import Direction, SlotBinding, SpacetimeEvent, TrialLog, triallog
 
 # property tests draw the same examples on every run, and their timing on a
 # loaded machine does not fail them
@@ -87,3 +87,34 @@ def no_block_scanned():
     """Fail the test if the trial-log reader scans a block line by line."""
     with layout_scan_only():
         yield
+
+
+def log_with(column, value, dtype, first_index=0):
+    """Ten trials of valid pairs and outcomes, but trial 5 has the given value
+    in the given column, which has the given dtype."""
+    columns = {
+        "pair_codes": np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0], dtype=np.uint8),
+        "s_first": np.ones(10, dtype=np.int8),
+        "s_second": -np.ones(10, dtype=np.int8),
+    }
+    columns[column] = columns[column].astype(dtype)
+    columns[column][5] = value
+    return TrialLog(*columns.values(), None, "test", first_index)
+
+
+# (column, value, dtype, the refusal) of a log_with chunk that the estimators'
+# fold and both trial-log writers refuse, in the same words
+BAD_CODES = [
+    ("pair_codes", 3, np.uint8, "pair code 3 at trial 5 is not 0, 1 or 2"),
+    ("pair_codes", 255, np.uint8, "pair code 255 at trial 5 is not 0, 1 or 2"),
+    ("pair_codes", -1, np.int8, "pair code -1 at trial 5 is not 0, 1 or 2"),
+    ("pair_codes", 7, np.int64, "pair code 7 at trial 5 is not 0, 1 or 2"),
+    # every code is valid, but a float column is not a column of codes
+    ("pair_codes", 1, np.float64, "pair codes must be integers 0, 1 or 2, got dtype float64"),
+    ("s_first", 0, np.int8, "outcome 0 at trial 5 is not 1 or -1"),
+    ("s_second", 7, np.int8, "outcome 7 at trial 5 is not 1 or -1"),
+    ("s_first", 255, np.uint8, "outcome 255 at trial 5 is not 1 or -1"),
+    ("s_second", 1.5, np.float64, "outcome 1.5 at trial 5 is not 1 or -1"),
+    ("s_first", False, np.bool_, "outcome False at trial 5 is not 1 or -1"),
+    ("s_second", 1, np.complex128, "outcomes must be 1 or -1, got dtype complex128"),
+]

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lglab import (
@@ -33,6 +33,8 @@ from lglab.hidden_vars import (
 )
 from lglab import cli
 from lglab.jsonutil import dump_stable, dumps_stable, format_float
+
+from conftest import BAD_CODES, log_with
 
 
 def records_from_products(products_by_pair):
@@ -300,45 +302,16 @@ def test_quantum_run_stabilizes(magic_binding, spacelike_geometry):
         assert p.n_star <= 100_000
 
 
-def _log_with(column, value, dtype, first_index=0):
-    """Ten trials of valid pairs and outcomes, but trial 5 has the given value
-    in the given column, which has the given dtype."""
-    columns = {
-        "pair_codes": np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0], dtype=np.uint8),
-        "s_first": np.ones(10, dtype=np.int8),
-        "s_second": -np.ones(10, dtype=np.int8),
-    }
-    columns[column] = columns[column].astype(dtype)
-    columns[column][5] = value
-    return TrialLog(*columns.values(), None, "test", first_index)
-
-
-# (column, value, dtype, the refusal); an outcome is refused where the
-# trial-log writer refuses it
-BAD_CODES = [
-    ("pair_codes", 3, np.uint8, "pair code 3 at trial 5 is not 0, 1 or 2"),
-    ("pair_codes", 255, np.uint8, "pair code 255 at trial 5 is not 0, 1 or 2"),
-    ("pair_codes", -1, np.int8, "pair code -1 at trial 5 is not 0, 1 or 2"),
-    ("pair_codes", 7, np.int64, "pair code 7 at trial 5 is not 0, 1 or 2"),
-    ("s_first", 0, np.int8, "outcome 0 at trial 5 is not 1 or -1"),
-    ("s_second", 7, np.int8, "outcome 7 at trial 5 is not 1 or -1"),
-    ("s_first", 255, np.uint8, "outcome 255 at trial 5 is not 1 or -1"),
-    ("s_second", 1.5, np.float64, "outcome 1.5 at trial 5 is not 1 or -1"),
-    ("s_first", False, np.bool_, "outcome False at trial 5 is not 1 or -1"),
-    ("s_second", 1, np.complex128, "outcomes must be 1 or -1, got dtype complex128"),
-]
-
-
 @pytest.mark.parametrize("column, value, dtype, refusal", BAD_CODES)
 def test_estimate_pairs_refuses_a_pair_code_outside_0_to_2(column, value, dtype, refusal):
     with pytest.raises(ValueError, match=f"^{refusal}$"):
-        estimate_pairs(_log_with(column, value, dtype))
+        estimate_pairs(log_with(column, value, dtype))
 
 
 @pytest.mark.parametrize("column, value, dtype, refusal", BAD_CODES)
 def test_stabilization_refuses_a_pair_code_outside_0_to_2(column, value, dtype, refusal):
     with pytest.raises(ValueError, match=f"^{refusal}$"):
-        stabilization(_log_with(column, value, dtype), checkpoint_stride=1)
+        stabilization(log_with(column, value, dtype), checkpoint_stride=1)
 
 
 @pytest.mark.parametrize(
@@ -346,10 +319,10 @@ def test_stabilization_refuses_a_pair_code_outside_0_to_2(column, value, dtype, 
 )
 @pytest.mark.parametrize("stride", [None, 1, 4])
 def test_a_chunk_with_a_bad_pair_code_is_named_by_run_index_and_not_folded(stride, column, value, dtype, refusal):
-    fold = LogFold(stride).add(_log_with("pair_codes", 0, np.uint8))
+    fold = LogFold(stride).add(log_with("pair_codes", 0, np.uint8))
     before = [list(c) for c in fold.counts], fold.stabilization() if stride else None
     with pytest.raises(ValueError, match=f"^{refusal} at trial 15 "):
-        fold.add(_log_with(column, value, dtype, first_index=10))
+        fold.add(log_with(column, value, dtype, first_index=10))
     assert ([list(c) for c in fold.counts], fold.stabilization() if stride else None) == before
 
 
@@ -361,12 +334,14 @@ def test_a_chunk_with_a_bad_pair_code_is_named_by_run_index_and_not_folded(strid
     cuts=st.lists(st.integers(0, 300), max_size=8),
     stride=st.none() | st.integers(1, 5),
 )
+@example(seed=0, n=3, present={0}, cuts=[0, 3], stride=1)
 def test_fold_counts_equal_a_bincount_over_any_chunk_split(seed, n, present, cuts, stride):
-    # logs that lack a pair, and small chunks, give chunks in which a pair is absent
+    # logs that lack a pair, and small chunks, give chunks in which a pair is
+    # absent; a cut at 0, at n or repeated gives an empty chunk, which folds
     rng = np.random.default_rng(seed)
     codes = rng.choice(np.array(sorted(present), dtype=np.uint8), n)
     s_first, s_second = (rng.choice(np.array([-1, 1], dtype=np.int8), n) for _ in range(2))
-    edges = sorted({0, n, *(c for c in cuts if c < n)})
+    edges = sorted([0, n, *(c for c in cuts if c <= n)])
     chunks = [
         TrialLog(codes[lo:hi], s_first[lo:hi], s_second[lo:hi], None, "test", lo) for lo, hi in zip(edges, edges[1:])
     ]

@@ -75,6 +75,31 @@ def test_only_rng_holds_the_number_rule():
         assert ("numbers" in imported, defined) == (False, []), path.name
 
 
+def test_only_triallog_holds_the_chunk_rule():
+    # the trial-log writers and the estimators' fold take a chunk's pair codes
+    # and outcomes by triallog._check_chunk alone, so they refuse the same
+    # chunks in the same words
+    def refuses(node):
+        if not (isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "ValueError"):
+            return False
+        words = " ".join(n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+        return "pair code" in words or "outcome" in words
+
+    for path in sorted(Path(lglab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+        def users(name):
+            return {f.name for f in functions if any(getattr(n, "id", None) == name for n in ast.walk(f))}
+
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        rule = {"_check_chunk"} if path.name == "triallog.py" else set()
+        callers = {"triallog.py": {"_check_columns"}, "analysis.py": {"add"}}.get(path.name, set())
+        raising = {f.name for f in functions if any(map(refuses, ast.walk(f)))}
+        found = (raising, users("_plus_minus_one"), "_plus_minus_one" in imported, users("_check_chunk"))
+        assert found == (rule, rule, False, callers), path.name
+
+
 def test_only_the_two_stream_derivations_name_the_stream_constant():
     # a trial's stream is mix64(seed + i * STREAM_GOLDEN) in one scalar and one
     # array form, so no third derivation can drift from them

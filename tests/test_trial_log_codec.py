@@ -41,7 +41,7 @@ from lglab.triallog import (
     _RowCodec,
 )
 
-from conftest import BlockScanned, layout_scan_only
+from conftest import BAD_CODES, BlockScanned, layout_scan_only, log_with
 
 BINDING = SlotBinding(
     t1=1.0, t2=2.0, t3=3.0, a=Direction(0.0), b=Direction(math.pi / 6), c=Direction(math.pi / 3)
@@ -325,6 +325,11 @@ def test_writers_refuse_columns_that_are_not_integer_codes_or_real_outcomes(tmp_
     _refused(TrialLog(codes, s_first, np.ones(3, np.int8), None, "quantum"), tmp_path, match)
 
 
+@pytest.mark.parametrize("column, value, dtype, refusal", BAD_CODES)
+def test_writers_refuse_a_bad_pair_code_or_outcome_as_the_estimators_do(tmp_path, column, value, dtype, refusal):
+    _refused(log_with(column, value, dtype), tmp_path, f"^{refusal}$")
+
+
 def test_writers_refuse_an_empty_log(tmp_path):
     empty = np.zeros(0, np.int8)
     _refused(TrialLog(empty.view(np.uint8), empty, empty, None, "quantum"), tmp_path, "empty")
@@ -408,7 +413,7 @@ def test_writer_refuses_outcomes_other_than_plus_minus_one(tmp_path):
     log = _run("quantum", 3, 10)
     s_first = log.s_first.copy()
     s_first[4] = 0
-    with pytest.raises(ValueError, match="outcomes"):
+    with pytest.raises(ValueError, match="^outcome 0 at trial 4 is not 1 or -1$"):
         write_trial_log(TrialLog(log.pair_codes, s_first, log.s_second, None, "quantum"), tmp_path / "x.csv")
 
 
