@@ -242,8 +242,8 @@ def load_run_config(path) -> RunConfig:
 
     world = _parse_world(raw["world"], binding, raw.get("initial_state"))
 
-    significance = _number(raw, "config", "significance", DEFAULT_SIGNIFICANCE)
-    epsilon = _number(raw, "config", "epsilon", DEFAULT_EPSILON)
+    significance = _finite(raw.get("significance", DEFAULT_SIGNIFICANCE), "significance")
+    epsilon = _finite(raw.get("epsilon", DEFAULT_EPSILON), "epsilon")
     if epsilon <= 0:
         raise ConfigError(f"epsilon: must be > 0, got {epsilon}")
     stride = raw.get("checkpoint_stride", DEFAULT_CHECKPOINT_STRIDE)

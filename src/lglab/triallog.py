@@ -65,21 +65,24 @@ class TrialLog:
             raise ValueError("column lengths disagree")
         if lambda_ids is not None and len(lambda_ids) != n:
             raise ValueError("column lengths disagree")
+        if not (_is_integer(first_index) and 0 <= first_index < 1 << 64):
+            raise ValueError(f"first_index must be an integer in [0, 2^64), got {first_index!r}")
         self.pair_codes = pair_codes
         self.s_first = s_first
         self.s_second = s_second
         self.lambda_ids = lambda_ids
         self.model_tag = model_tag
-        self.first_index = first_index
+        self.first_index = int(first_index)
 
     @classmethod
     def from_records(cls, records: Iterable[TrialRecord]) -> "TrialLog":
         """The columns of a record sequence, in its order, from the first record's index.
 
         As in a file, lambda_id must be None on every record or on none, every
-        record must carry the first one's model tag, record k must have index
-        first + k and each outcome must be the integer 1 or -1 (not a bool),
-        checked in that order; no records give the tag "".
+        record must carry the first one's model tag, record k must have the
+        integer index first + k, each outcome must be the integer 1 or -1 (not
+        a bool) and each pair must be one PairChoice.of takes, checked in that
+        order; no records give the tag "".
         """
         recs = list(records)
         lambda_ids: Optional[np.ndarray] = None
@@ -92,6 +95,9 @@ class TrialLog:
             if rec.model_tag != tag:
                 raise ValueError(f"record {k} has model tag {rec.model_tag!r}, but record 0 has {tag!r}")
         for k, rec in enumerate(recs):
+            # record 0 comes first, so first is an integer before first + k is formed
+            if not _is_integer(rec.index):
+                raise ValueError(f"record {k} has index {rec.index!r}, not an integer")
             if rec.index != first + k:
                 raise ValueError(f"record {k} has index {rec.index}, not {first + k}; a log's trials are consecutive")
         for k, rec in enumerate(recs):
@@ -99,8 +105,14 @@ class TrialLog:
                 outcome = getattr(rec, name)
                 if not (_is_integer(outcome) and outcome in (1, -1)):
                     raise ValueError(f"record {k} has {name} {outcome!r}, not 1 or -1")
+        codes = np.empty(len(recs), dtype=np.uint8)
+        for k, rec in enumerate(recs):
+            try:
+                codes[k] = PairChoice.of(rec.pair).code
+            except ValueError as exc:
+                raise ValueError(f"record {k}: {exc}") from None
         columns = (
-            np.array([r.pair.code for r in recs], dtype=np.uint8),
+            codes,
             np.array([r.s_first for r in recs], dtype=np.int8),
             np.array([r.s_second for r in recs], dtype=np.int8),
         )
@@ -521,13 +533,16 @@ class _RowCodec:
 
 
 def _check_tag(tag: str) -> None:
-    """Refuse a model tag that no row can carry.
+    """Refuse a model tag that no row can carry: the one tag rule of the
+    writers and the reader.
 
     Rows are assembled as fixed-width uint8 cells, one per row, in which a
     field shorter than its column is padded with NUL; deleting every NUL from
-    the joined cells leaves the rows. A model tag may therefore hold no NUL,
-    nor the ',' and newlines that would split its row.
+    the joined cells leaves the rows. A model tag is therefore a str that
+    holds no NUL, nor the ',' and newlines that would split its row.
     """
+    if not isinstance(tag, str):
+        raise ValueError(f"model tag {tag!r} is not a str, which a trial log cannot carry")
     if not frozenset(",\n\r\0").isdisjoint(tag):
         raise ValueError(f"model tag {tag!r} holds ',', a line break or NUL, which a trial log cannot carry")
     try:
@@ -536,37 +551,27 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"model tag {tag!r} is not valid UTF-8 text, which a trial log cannot carry") from None
 
 
-def _plus_minus_one(outcomes: np.ndarray) -> bool:
-    """True if every outcome is 1 or -1, as the row encoder can write it."""
-    if outcomes.dtype.kind in "iu":
-        # with no temporary per row: within [-1, 1] and never 0
-        return not len(outcomes) or (
-            outcomes.min() >= -1 and outcomes.max() <= 1 and np.count_nonzero(outcomes) == len(outcomes)
-        )
-    return outcomes.dtype.kind in "bf" and bool(np.all(np.abs(outcomes) == 1))
-
-
 def _check_chunk(chunk: TrialLog) -> None:
-    """Refuse a chunk with a pair code other than the integer 0, 1 or 2, or
-    an outcome other than 1 or -1, naming the value and its first trial: the
-    one rule of the writers and the estimators' fold."""
+    """Refuse a chunk whose pair codes or outcomes are not integer columns,
+    or with a pair code other than 0, 1 or 2 or an outcome other than 1 or
+    -1, naming the value and its first trial: the one rule of the writers
+    and the estimators' fold."""
     codes = chunk.pair_codes
-    if codes.dtype.kind not in "biu":
+    if codes.dtype.kind not in "iu":
         raise ValueError(f"pair codes must be integers 0, 1 or 2, got dtype {codes.dtype}")
     if len(codes) and (codes.min() < 0 or codes.max() > 2):
         at = int(np.flatnonzero((codes < 0) | (codes > 2))[0])
         raise ValueError(f"pair code {codes[at].item()!r} at trial {chunk.first_index + at} is not 0, 1 or 2")
-    # the row encoder would write any outcome that is not positive as -1
     columns = (chunk.s_first, chunk.s_second)
-    if all(map(_plus_minus_one, columns)):
-        return
     for column in columns:
-        if column.dtype.kind not in "biuf":
+        if column.dtype.kind not in "iu":
             raise ValueError(f"outcomes must be 1 or -1, got dtype {column.dtype}")
-    bad = [np.abs(column) != 1 for column in columns]
-    at = int(np.flatnonzero(bad[0] | bad[1])[0])
-    value = columns[0][at] if bad[0][at] else columns[1][at]
-    raise ValueError(f"outcome {value.item()!r} at trial {chunk.first_index + at} is not 1 or -1")
+    # with no temporary per row: within [-1, 1] and never 0
+    if len(codes) and not all(c.min() >= -1 and c.max() <= 1 and np.count_nonzero(c) == len(c) for c in columns):
+        bad = [(column != 1) & (column != -1) for column in columns]
+        at = int(np.flatnonzero(bad[0] | bad[1])[0])
+        value = columns[0][at] if bad[0][at] else columns[1][at]
+        raise ValueError(f"outcome {value.item()!r} at trial {chunk.first_index + at} is not 1 or -1")
 
 
 # how the reader reads each lambda kind
@@ -652,9 +657,10 @@ def write_trial_log(log: TrialLog, path) -> None:
     as 12|13|23 and lambda_id empty for the quantum world. Unix newlines, no
     trailing whitespace. A log no reader could take back is refused with
     ValueError before the file is made: an empty one, one whose first_index
-    is not 0 (a file holds a whole run), one whose model tag holds ',', a
-    line break or NUL or is not UTF-8 text, one with a pair code or outcome
-    the estimators refuse (named with its first trial, in their words), or
+    is not 0 (a file holds a whole run), one whose model tag is not a str,
+    holds ',', a line break or NUL or is not UTF-8 text, one with pair codes
+    or outcomes the estimators refuse (in their words: a column that is not
+    an integer one, or a bad value named with its first trial), or
     one whose lambda_ids are not bool, integer or float, or do not fit in
     int64, or are not finite.
     Records go to a file as TrialLog.from_records(records).
@@ -763,6 +769,10 @@ def _chunks(f) -> Iterator[TrialLog]:
         if start < stop:
             if codec is None:
                 row = _scan_lines(_decode_text(data[start : data.index(b"\n", start) + 1], 2))
+                try:
+                    _check_tag(row.model_tag)
+                except ValueError as exc:
+                    raise TrialLogFormatError(f"line 2: {exc}") from None
                 lambda_kind = _lambda_kind(row.lambda_ids)
                 # no canonical row is shorter than "0,12,1,1," + lambda_id + ",model_tag\n"
                 shortest = len(f"0,12,1,1,{'0' if lambda_kind else ''},{row.model_tag}\n".encode("utf-8"))

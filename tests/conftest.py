@@ -109,12 +109,16 @@ BAD_CODES = [
     ("pair_codes", 255, np.uint8, "pair code 255 at trial 5 is not 0, 1 or 2"),
     ("pair_codes", -1, np.int8, "pair code -1 at trial 5 is not 0, 1 or 2"),
     ("pair_codes", 7, np.int64, "pair code 7 at trial 5 is not 0, 1 or 2"),
-    # every code is valid, but a float column is not a column of codes
+    # every code is valid, but a float or bool column is not a column of codes
     ("pair_codes", 1, np.float64, "pair codes must be integers 0, 1 or 2, got dtype float64"),
+    ("pair_codes", True, np.bool_, "pair codes must be integers 0, 1 or 2, got dtype bool"),
     ("s_first", 0, np.int8, "outcome 0 at trial 5 is not 1 or -1"),
     ("s_second", 7, np.int8, "outcome 7 at trial 5 is not 1 or -1"),
     ("s_first", 255, np.uint8, "outcome 255 at trial 5 is not 1 or -1"),
-    ("s_second", 1.5, np.float64, "outcome 1.5 at trial 5 is not 1 or -1"),
-    ("s_first", False, np.bool_, "outcome False at trial 5 is not 1 or -1"),
+    # outcomes, too, are an integer column, whatever its values
+    ("s_second", 1.5, np.float64, "outcomes must be 1 or -1, got dtype float64"),
+    ("s_first", -1.0, np.float64, "outcomes must be 1 or -1, got dtype float64"),
+    ("s_first", False, np.bool_, "outcomes must be 1 or -1, got dtype bool"),
+    ("s_second", True, np.bool_, "outcomes must be 1 or -1, got dtype bool"),
     ("s_second", 1, np.complex128, "outcomes must be 1 or -1, got dtype complex128"),
 ]

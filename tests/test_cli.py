@@ -314,6 +314,14 @@ def test_analyze_truncated_line_exits_1(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_analyze_a_tag_no_writer_writes_exits_1(tmp_path, capsys):
+    path = tmp_path / "nul.csv"
+    path.write_bytes(f"{TRIAL_LOG_HEADER}\n0,12,1,1,,q\0\n".encode())
+    code = main(["analyze", "--trials", str(path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: line 2: model tag 'q\\x00' holds")
+
+
 def test_analyze_missing_file_exits_1(tmp_path):
     assert main(["analyze", "--trials", str(tmp_path / "nope.csv")]) == EXIT_CONFIG
 
@@ -531,8 +539,8 @@ BEYOND_FLOAT = 10**400  # a JSON integer literal no float holds
 @pytest.mark.parametrize(
     "overrides, field",
     [
-        ({"epsilon": BEYOND_FLOAT}, "config.epsilon"),
-        ({"significance": -BEYOND_FLOAT}, "config.significance"),
+        ({"epsilon": BEYOND_FLOAT}, "epsilon"),
+        ({"significance": -BEYOND_FLOAT}, "significance"),
         ({"times": [1.0, 2.0, BEYOND_FLOAT]}, "times[2]"),
         (
             {

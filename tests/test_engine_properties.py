@@ -419,6 +419,34 @@ def test_from_records_refuses_an_outcome_that_is_not_the_integer_1_or_minus_1(na
         TrialLog.from_records([ok, dataclasses.replace(ok, index=5, **{name: outcome})])
 
 
+@pytest.mark.parametrize("first_index", [0.0, "0", True, np.True_, None, -1, 2**64])
+def test_a_log_takes_its_first_index_by_the_integer_rule(first_index):
+    columns = np.zeros(2, np.uint8), np.ones(2, np.int8), -np.ones(2, np.int8)
+    with pytest.raises(ValueError, match=r"^first_index must be an integer in \[0, 2\^64\), got "):
+        TrialLog(*columns, None, "quantum", first_index)
+    log = TrialLog(*columns, None, "quantum", np.uint64(2**64 - 2))
+    assert type(log.first_index) is int and log[-1].index == 2**64 - 1
+
+
+@pytest.mark.parametrize("index", [0.0, "0", True])
+def test_from_records_refuses_an_index_that_is_not_an_integer(index):
+    ok = TrialRecord(0, PAIR_ORDER[0], 1, -1, None, "quantum")
+    with pytest.raises(ValueError, match=f"^record 0 has index {index!r}, not an integer$"):
+        TrialLog.from_records([dataclasses.replace(ok, index=index), dataclasses.replace(ok, index=1)])
+    with pytest.raises(ValueError, match=f"^record 1 has index {index!r}, not an integer$"):
+        TrialLog.from_records([ok, dataclasses.replace(ok, index=index)])
+
+
+def test_from_records_takes_pairs_by_the_pair_rule():
+    ok = TrialRecord(0, PAIR_ORDER[0], 1, -1, None, "quantum")
+    slots = [dataclasses.replace(ok, index=k, pair=p.slots) for k, p in enumerate(PAIR_ORDER)]
+    members = [dataclasses.replace(ok, index=k, pair=p) for k, p in enumerate(PAIR_ORDER)]
+    assert TrialLog.from_records(slots) == TrialLog.from_records(members)
+    for pair in ["12", PAIR_ORDER[0].slots[::-1], 0, None]:
+        with pytest.raises(ValueError, match="^record 1: .* is not one of the protocol pairs"):
+            TrialLog.from_records([ok, dataclasses.replace(ok, index=1, pair=pair)])
+
+
 def test_from_records_checks_lambdas_then_tags_then_indexes():
     ok = TrialRecord(0, PAIR_ORDER[0], 1, -1, 3, "table")
     with pytest.raises(ValueError, match="mixes empty and non-empty"):

@@ -445,6 +445,10 @@ def test_reader_rejects_bad_header_and_values(tmp_path):
     path.write_text(TRIAL_LOG_HEADER + "\n0,12,1,1,3,x\n1,12,1,1,99999999999999999999,x\n", encoding="utf-8")
     with pytest.raises(TrialLogFormatError, match="line 3: lambda_id 99999999999999999999 does not fit"):
         read_trial_log(path)
+    # a tag the writers refuse, so that every log read can be written back
+    path.write_bytes(TRIAL_LOG_HEADER.encode() + b"\n0,12,1,1,,x\0\n1,12,1,1,,x\0\n")
+    with pytest.raises(TrialLogFormatError, match="^line 2: model tag 'x\\\\x00' holds ',', a line break or NUL"):
+        read_trial_log(path)
 
 
 def test_ufunc_values_do_not_depend_on_array_position():

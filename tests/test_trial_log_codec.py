@@ -312,19 +312,6 @@ def _refused(log: TrialLog, tmp_path, match: str) -> None:
     assert out.getvalue() == b""
 
 
-@pytest.mark.parametrize(
-    "codes, s_first, match",
-    [
-        (np.array([0.0, 1.5, 2.0]), np.ones(3, np.int8), "pair codes"),
-        (np.zeros(3, np.uint8), np.array([1j, 1, -1]), "outcomes"),
-    ],
-    ids=["float_codes", "complex_outcomes"],
-)
-def test_writers_refuse_columns_that_are_not_integer_codes_or_real_outcomes(tmp_path, codes, s_first, match):
-    # each was written as a row of other values
-    _refused(TrialLog(codes, s_first, np.ones(3, np.int8), None, "quantum"), tmp_path, match)
-
-
 @pytest.mark.parametrize("column, value, dtype, refusal", BAD_CODES)
 def test_writers_refuse_a_bad_pair_code_or_outcome_as_the_estimators_do(tmp_path, column, value, dtype, refusal):
     _refused(log_with(column, value, dtype), tmp_path, f"^{refusal}$")
@@ -407,6 +394,32 @@ def test_every_log_the_writer_accepts_reads_back_equal(codec_dir, log):
         # bool and integer columns read back as int64, float ones as float64
         lambdas = lambdas.astype(np.float64 if lambdas.dtype.kind == "f" else np.int64)
     _assert_same_log(read_trial_log(path), TrialLog(log.pair_codes, log.s_first, log.s_second, lambdas, log.model_tag))
+
+
+@st.composite
+def hand_written_logs(draw):
+    """A header, then rows with valid fields and one TAGS tag, as UTF-8 bytes
+    (a lone surrogate as the bytes of its code point)."""
+    tag = draw(st.just("synthetic") | TAGS)
+    rows = [
+        f"{i},{draw(st.sampled_from(['12', '13', '23']))},{draw(st.sampled_from(['1', '-1']))},1,,{tag}"
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    return "\n".join([TRIAL_LOG_HEADER, *rows, ""]).encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=300)
+@given(data=hand_written_logs())
+@example(data=f"{TRIAL_LOG_HEADER}\n0,12,1,1,,\0\n".encode())
+def test_every_file_the_reader_accepts_the_writers_accept(codec_dir, data):
+    path = codec_dir / "hand.csv"
+    path.write_bytes(data)
+    try:
+        log = read_trial_log(path)
+    except TrialLogFormatError:
+        return
+    write_trial_log(log, path)
+    _assert_same_log(read_trial_log(path), log)
 
 
 def test_writer_refuses_outcomes_other_than_plus_minus_one(tmp_path):
@@ -496,7 +509,7 @@ def test_index_widths_change_inside_a_chunk(tmp_path):
     _check_codec(tmp_path, _run("table", 5, 100_001))
 
 
-@pytest.mark.parametrize("tag", ["a,b", "a\nb", "a\rb", "a\0b", ","])
+@pytest.mark.parametrize("tag", ["a,b", "a\nb", "a\rb", "a\0b", ",", 5, b"quantum"])
 def test_writer_refuses_tags_it_cannot_round_trip(tmp_path, tag):
     log = _run("quantum", 3, 5)
     log = TrialLog(log.pair_codes, log.s_first, log.s_second, None, tag)
