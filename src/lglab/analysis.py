@@ -283,6 +283,14 @@ class StabilizationReport:
 
 
 _NO_COUNTS, _NO_MEANS = np.zeros(0, np.int64), np.zeros(0)
+# LogFold.add finds the marks of a chunk of at least _PACKED_ROWS trials, at
+# a stride of at least _PACKED_STRIDE, in packed words; shorter chunks and
+# denser strides take np.compress, which costs less there
+_PACKED_ROWS, _PACKED_STRIDE = 1 << 14, 256
+# a column of the pair codes, which broadcasts one chunk's codes to its three masks
+_PAIR_CODES = np.arange(3, dtype=np.uint8)[:, None]
+# _THROUGH_BIT[k] has bits 0 to k set
+_THROUGH_BIT = ~np.uint64(0) >> np.arange(63, -1, -1, dtype=np.uint64)
 
 
 class LogFold:
@@ -317,10 +325,18 @@ class LogFold:
         """Fold one chunk in. A pair code or outcome the trial-log writers
         refuse is refused in their words before anything is folded."""
         _check_chunk(chunk)
-        codes, same = chunk.pair_codes, chunk.s_first == chunk.s_second
-        in_pair = [codes == code for code in range(3)]
+        rows, stride = len(chunk), self.checkpoint_stride
+        packed = stride is not None and stride >= _PACKED_STRIDE and rows >= _PACKED_ROWS
+        # rows: the three pair masks, then whether the outcomes agree; packed,
+        # each row runs on to a whole number of 64-trial words
+        flags = np.empty((4, -(-rows // 64) * 64 if packed else rows), dtype=bool)
+        np.equal(chunk.pair_codes, _PAIR_CODES, out=flags[:3, :rows])
+        same = np.equal(chunk.s_first, chunk.s_second, out=flags[3, :rows])
+        in_pair = list(flags[:3, :rows])
         n_pair = [int(np.count_nonzero(mask)) for mask in in_pair]
-        if self.checkpoint_stride is not None:
+        if packed:
+            self._checkpoint_packed(flags, rows, n_pair)
+        elif stride is not None:
             for code, mask in enumerate(in_pair):
                 # several times faster than same[mask]
                 self._checkpoint(code, np.compress(mask, same))
@@ -336,20 +352,58 @@ class LogFold:
         """Record the marks that fall among pair_same, the pair's
         outcomes-agree flags in this chunk, before the chunk is counted."""
         stride = self.checkpoint_stride
-        n_before, agree_before = sum(self.counts[code]), self.counts[code][1]
         # where the pair's stride multiples fall in this chunk
-        at = np.arange(stride - 1 - n_before % stride, len(pair_same), stride)
+        at = np.arange(stride - 1 - sum(self.counts[code]) % stride, len(pair_same), stride)
         if len(at):
             # agreements up to each checkpoint: the sums of the segments that
             # end at the checkpoints, then a cumsum over one sum per checkpoint
             starts = at - (stride - 1)
             starts[0] = 0
-            running = np.add.reduceat(pair_same[: at[-1] + 1], starts, dtype=np.int64).cumsum()
-            counts, means = self._marks[code]
-            counts.append(at + (n_before + 1))
-            # the running product sum after k samples is 2 * (agreements so far) - k,
-            # an exact integer, so the division matches a float cumsum's bit for bit
-            means.append((2 * (running + agree_before) - counts[-1]) / counts[-1])
+            self._mark(code, at, np.add.reduceat(pair_same[: at[-1] + 1], starts, dtype=np.int64).cumsum())
+
+    def _checkpoint_packed(self, flags: np.ndarray, rows: int, n_pair: list[int]) -> None:
+        """Record the marks of all three pairs in this chunk, as _checkpoint
+        does, by rank and select over flags packed 64 trials to a word
+        (Jacobson, FOCS 1989), before the chunk is counted. flags are add's
+        rows for the chunk's trials, run on to whole words, and n_pair counts
+        each pair's trials."""
+        stride = self.checkpoint_stride
+        # where each pair's stride multiples fall among its trials in this chunk
+        ats = [np.arange(stride - 1 - sum(counts) % stride, k, stride) for counts, k in zip(self.counts, n_pair)]
+        if not any(len(at) for at in ats):
+            return
+        flags[:, rows:] = False
+        # bit k of word w in a row is trial 64 * w + k
+        words = np.packbits(flags, axis=1, bitorder="little").view("<u8")
+        pair_words, agree_words = words[:3].ravel(), (words[:3] & words[3]).ravel()
+        # rank: the pair trials in each word and through it, the three rows end to end
+        in_word = np.bitwise_count(pair_words)
+        through = np.cumsum(in_word, dtype=np.int64)
+        ranks = np.concatenate([at + offset for at, offset in zip(ats, (0, n_pair[0], n_pair[0] + n_pair[1]))])
+        hit = np.searchsorted(through, ranks, side="right")
+        nth = ranks - (through[hit] - in_word[hit])
+        # select: the nth set bit of each mark's word, among just those words' bits
+        set_bits = np.flatnonzero(np.unpackbits(pair_words[hit].view(np.uint8), bitorder="little"))
+        bit = set_bits[np.cumsum(in_word[hit], dtype=np.int64) - in_word[hit] + nth] % 64
+        # agreements in the pair's row before each mark's word, then through its bit
+        agree_in_word = np.bitwise_count(agree_words).reshape(3, -1)
+        agree_before_word = (np.cumsum(agree_in_word, axis=1, dtype=np.int64) - agree_in_word).ravel()
+        running = agree_before_word[hit] + np.bitwise_count(agree_words[hit] & _THROUGH_BIT[bit])
+        ends = np.cumsum([len(at) for at in ats])
+        for code, at in enumerate(ats):
+            if len(at):
+                self._mark(code, at, running[ends[code] - len(at) : ends[code]])
+
+    def _mark(self, code: int, at: np.ndarray, running: np.ndarray) -> None:
+        """Append the pair's marks at its at-th trials in this chunk, before
+        the chunk is counted; running[i] counts its agreements in this chunk
+        up to and including trial at[i]."""
+        n_before, agree_before = sum(self.counts[code]), self.counts[code][1]
+        counts, means = self._marks[code]
+        counts.append(at + (n_before + 1))
+        # the running product sum after k samples is 2 * (agreements so far) - k,
+        # an exact integer, so the division matches a float cumsum's bit for bit
+        means.append((2 * (running + agree_before) - counts[-1]) / counts[-1])
 
     def estimates(self) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
         return estimates_from_counts(self.counts)

@@ -67,8 +67,10 @@ class PairChoice(Enum):
             if member.slots == pair:
                 return member
         if isinstance(pair, tuple) and all(isinstance(s, TimeSlot) for s in pair):
-            pair = "(" + ", ".join(s.name for s in pair) + ")"
-        raise ValueError(f"{pair} is not one of the protocol pairs (T1, T2), (T1, T3), (T2, T3)")
+            shown = "(" + ", ".join(s.name for s in pair) + ")"
+        else:
+            shown = repr(pair)
+        raise ValueError(f"{shown} is not one of the protocol pairs (T1, T2), (T1, T3), (T2, T3)")
 
 
 PAIR_ORDER: tuple[PairChoice, ...] = tuple(PairChoice)

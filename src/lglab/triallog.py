@@ -67,6 +67,8 @@ class TrialLog:
             raise ValueError("column lengths disagree")
         if not (_is_integer(first_index) and 0 <= first_index < 1 << 64):
             raise ValueError(f"first_index must be an integer in [0, 2^64), got {first_index!r}")
+        if int(first_index) + n > 1 << 64:
+            raise ValueError(f"a log of {n} trials from first_index {first_index} runs past trial 2^64 - 1")
         self.pair_codes = pair_codes
         self.s_first = s_first
         self.s_second = s_second

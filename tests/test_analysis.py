@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +26,11 @@ from lglab import (
     run_experiment,
     stabilization,
 )
+from lglab import analysis, triallog
 from lglab.analysis import VIOLATION_ARGMAX_ORBIT, LogFold, _bootstrap_lhs_std_error
 from lglab.hidden_vars import (
+    RotorModel,
+    conspiracy_from_quantum,
     deterministic_strategy_values,
     expectation_exact,
     random_table_model,
@@ -347,6 +351,101 @@ def test_fold_counts_equal_a_bincount_over_any_chunk_split(seed, n, present, cut
     ]
     keys = codes.astype(np.intp) * 2 + (s_first == s_second)
     assert LogFold.over(chunks, stride).counts == np.bincount(keys, minlength=6).reshape(3, 2).tolist()
+
+
+# -- checkpoint marks: packed words against np.compress -------------------------
+
+
+def _marks(fold):
+    """Each pair's checkpoint counts and means so far, as two arrays."""
+    return [tuple(np.concatenate(part) for part in marks) for marks in fold._marks]
+
+
+def _folds_agree(a, b):
+    assert a.counts == b.counts
+    for (counts_a, means_a), (counts_b, means_b) in zip(_marks(a), _marks(b)):
+        assert counts_a.dtype == counts_b.dtype and np.array_equal(counts_a, counts_b)
+        assert means_a.dtype == means_b.dtype and np.array_equal(means_a, means_b)
+    assert a.stabilization() == b.stabilization()
+
+
+def _fold_by(path, chunks, stride):
+    """The fold of chunks with every chunk's marks found one way:
+    "packed" (rank and select) or "compress" (np.compress)."""
+    rows, least_stride = {"packed": (0, 1), "compress": (1 << 64, 1 << 64)}[path]
+    with mock.patch.multiple(analysis, _PACKED_ROWS=rows, _PACKED_STRIDE=least_stride):
+        return LogFold.over(chunks, stride)
+
+
+def _random_log(rng, n, first_index=0, codes=(0, 1, 2), p_same=0.5):
+    return TrialLog(
+        rng.choice(np.array(codes, dtype=np.uint8), n),
+        np.ones(n, dtype=np.int8),
+        np.where(rng.random(n) < p_same, 1, -1).astype(np.int8),
+        None,
+        "test",
+        first_index,
+    )
+
+
+def test_engine_worlds_fold_alike_as_packed_chunks_and_as_short_compressed_ones(magic_binding, spacelike_geometry):
+    worlds = [
+        QuantumWorld(policy="fresh_uniform"),
+        TableModel([(0.5, (1, 1, 1)), (0.5, (1, 1, -1))]),
+        RotorModel(magic_binding.directions),
+        conspiracy_from_quantum(magic_binding.a, magic_binding.b, magic_binding.c),
+    ]
+    taken = {"packed": 0, "compress": 0}
+    packed, compress = LogFold._checkpoint_packed, LogFold._checkpoint
+
+    def counting(path, method):
+        def call(self, *args):
+            taken[path] += 1
+            return method(self, *args)
+
+        return call
+
+    with mock.patch.multiple(
+        LogFold, _checkpoint_packed=counting("packed", packed), _checkpoint=counting("compress", compress)
+    ):
+        for seed, world in enumerate(worlds):
+            log = run_experiment(magic_binding, world, 300_001, seed, spacelike_geometry)
+            # the log's own chunks are 2^16 rows, beyond the packed path's least length
+            as_run = LogFold.over(log.chunks(), 1000)
+            short = LogFold.over((triallog._rows(log, lo, lo + 10_000) for lo in range(0, len(log), 10_000)), 1000)
+            _folds_agree(as_run, short)
+            assert as_run.stabilization() == stabilization(log)
+    # both folds of a run's own chunks pack all 5, the 37,857-row tail too,
+    # and each of its 31 short chunks compresses its three pairs
+    assert taken == {"packed": 4 * 2 * 5, "compress": 4 * 31 * 3}
+
+
+@pytest.mark.parametrize("stride", [1, 63, 255, 256, 257, 999, 1000, 4096, 10**6])
+@pytest.mark.parametrize("n", [2**14 - 1, 2**14, 2**14 + 1, 65_535, 65_536, 65_537, 300_001])
+def test_packed_marks_equal_compressed_marks(n, stride):
+    rng = np.random.default_rng(n * 7 + stride)
+    prefix = _random_log(rng, 777)
+    chunks = [prefix, _random_log(rng, n, len(prefix))]
+    _folds_agree(_fold_by("packed", chunks, stride), _fold_by("compress", chunks, stride))
+    # with the module's own thresholds, whichever path a chunk takes
+    _folds_agree(LogFold.over(chunks, stride), _fold_by("compress", chunks, stride))
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.integers(0, 3000),
+    n=st.integers(0, 3000),
+    stride=st.integers(1, 700),
+    codes=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    p_same=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_packed_marks_equal_compressed_marks_after_any_prefix(seed, prefix, n, stride, codes, p_same):
+    # the prefix puts the next mark of each pair at any offset into the
+    # chunk, and a repeated or missing code makes a pair dense, rare or absent
+    rng = np.random.default_rng(seed)
+    chunks = [_random_log(rng, prefix, 0, codes, p_same), _random_log(rng, n, prefix, codes, p_same)]
+    _folds_agree(_fold_by("packed", chunks, stride), _fold_by("compress", chunks, stride))
 
 
 def test_stabilization_validates_arguments():

@@ -437,6 +437,19 @@ def test_from_records_refuses_an_index_that_is_not_an_integer(index):
         TrialLog.from_records([ok, dataclasses.replace(ok, index=index)])
 
 
+@pytest.mark.parametrize("n, first_index", [(2, 2**64 - 1), (3, 2**64 - 2), (70_000, 2**64 - 69_999)])
+def test_a_log_that_runs_past_trial_2_to_the_64_minus_1_is_refused(n, first_index):
+    # a log of n trials from 2^64 - n, the last that fits, is taken above
+    columns = np.zeros(n, np.uint8), np.ones(n, np.int8), -np.ones(n, np.int8)
+    refusal = f"^a log of {n} trials from first_index {first_index} runs past trial 2\\^64 - 1$"
+    for first in (first_index, np.uint64(first_index)):
+        with pytest.raises(ValueError, match=refusal):
+            TrialLog(*columns, None, "quantum", first)
+    ok = TrialRecord(first_index, PAIR_ORDER[0], 1, -1, None, "quantum")
+    with pytest.raises(ValueError, match=refusal):
+        TrialLog.from_records([dataclasses.replace(ok, index=first_index + k) for k in range(n)])
+
+
 def test_from_records_takes_pairs_by_the_pair_rule():
     ok = TrialRecord(0, PAIR_ORDER[0], 1, -1, None, "quantum")
     slots = [dataclasses.replace(ok, index=k, pair=p.slots) for k, p in enumerate(PAIR_ORDER)]

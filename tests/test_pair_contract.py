@@ -69,6 +69,15 @@ def test_pair_choice_of_names_a_non_protocol_pair(pair):
         PairChoice.of(pair)
 
 
+@pytest.mark.parametrize(
+    "pair, shown",
+    [("12", "'12'"), (12, "12"), (None, "None"), ((1, 2), r"\(1, 2\)"), ((T1, "T2"), r"\(<TimeSlot.T1: 0>, 'T2'\)")],
+)
+def test_pair_choice_of_names_any_other_pair_by_its_repr(pair, shown):
+    with pytest.raises(ValueError, match=f"^{shown} is not one of the protocol pairs"):
+        PairChoice.of(pair)
+
+
 @pytest.mark.parametrize("pair", NON_PROTOCOL_PAIRS, ids=str)
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_non_protocol_pairs_are_refused_everywhere(name, pair):

@@ -364,15 +364,15 @@ TAGS = st.text(st.characters(exclude_categories=()) | st.sampled_from(",\n\r\0")
 
 @st.composite
 def any_logs(draw):
+    # integer columns, as the writers take them; BAD_CODES covers the dtypes they refuse
     n = draw(st.integers(0, 40))
-    codes = draw(st.sampled_from([np.uint8, np.int64, np.float64]))
-    outcomes = draw(st.sampled_from([np.int8, np.int64, np.float64, np.complex128, np.bool_]))
-    outcome = st.sampled_from({np.complex128: [1, -1, 1j], np.bool_: [True, False]}.get(outcomes, [1, -1]))
+    codes = draw(st.sampled_from([np.uint8, np.int64]))
+    outcomes = draw(st.sampled_from([np.int8, np.int64]))
     dtype = draw(st.sampled_from([None] + LAMBDA_DTYPES))
     return TrialLog(
-        draw(arrays(codes, n, elements=st.sampled_from([0, 1, 2, 1.5] if codes is np.float64 else [0, 1, 2]))),
-        draw(arrays(outcomes, n, elements=outcome)),
-        draw(arrays(outcomes, n, elements=outcome)),
+        draw(arrays(codes, n, elements=st.sampled_from([0, 1, 2]))),
+        draw(arrays(outcomes, n, elements=st.sampled_from([1, -1]))),
+        draw(arrays(outcomes, n, elements=st.sampled_from([1, -1]))),
         None if dtype is None else draw(arrays(dtype, n)),
         draw(st.just("synthetic") | TAGS),
         first_index=draw(st.just(0) | st.integers(0, 3)),
