@@ -286,7 +286,7 @@ def cmd_run(config_path, report_path, trials_path) -> int:
     fold = LogFold(config.checkpoint_stride)
     try:
         # sample -> fold -> encode -> write, one chunk at a time; del frees
-        # the writer's workspace before the report is built
+        # the writer's cell matrix before the report is built
         with open(trials_path, "wb") as out:
             writer = TrialLogWriter(out)
             for chunk in chunks:

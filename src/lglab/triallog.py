@@ -60,6 +60,11 @@ class TrialLog:
         model_tag: str,
         first_index: int = 0,
     ):
+        columns = {"pair_codes": pair_codes, "s_first": s_first, "s_second": s_second, "lambda_ids": lambda_ids}
+        for name, column in columns.items():
+            if not ((column is None and name == "lambda_ids") or (isinstance(column, np.ndarray) and column.ndim == 1)):
+                got = f"a {column.ndim}-D array" if isinstance(column, np.ndarray) else type(column).__name__
+                raise ValueError(f"{name} must be a 1-D numpy array, got {got}")
         n = len(pair_codes)
         if len(s_first) != n or len(s_second) != n:
             raise ValueError("column lengths disagree")
@@ -235,9 +240,6 @@ _INT64_MAX = 2**63 - 1
 
 # the reader reads a file in blocks of this many bytes (1 MiB)
 _READ_BLOCK = 1 << 20
-# and looks for newlines in slices of this many bytes, so the offsets found
-# at once take less than a column of a full chunk
-_NEWLINE_SLICE = 1 << 15
 
 
 def _format_lambda(value) -> str:
@@ -276,19 +278,17 @@ def _index_groups(groups: np.ndarray, first: int) -> None:
 
 
 class _RowCodec:
-    """The row-codec workspace of one stream of trial-log rows.
+    """The row codec of one stream of trial-log rows.
 
     A stream's model tag and lambda kind (see _lambda_kind) are fixed when it
     starts, so its ",model_tag\\n" cells and its middles table are made once.
-    Every chunk it writes, and every block it reads, is encoded and parsed
-    through the same scratch arrays, made for up to `rows` rows. Columns only
-    widen within a stream, so after its first chunk a stream allocates no
-    temporary per row, save the repr of float lambda_ids; a parsed chunk's
-    own columns are the one allocation per row a read makes.
+    Its cell matrix, a bytearray that translate turns into rows, is the one
+    array it keeps from chunk to chunk: columns only widen within a stream,
+    so a later chunk of no more rows reuses it. Every other array of an
+    encode or a parse is the chunk's own.
     """
 
-    def __init__(self, rows: int, model_tag: str, lambda_kind: Optional[str]):
-        self.rows = rows
+    def __init__(self, model_tag: str, lambda_kind: Optional[str]):
         self.model_tag = model_tag
         self.lambda_kind = lambda_kind
         self._tail = f",{model_tag}\n".encode("utf-8")
@@ -298,29 +298,12 @@ class _RowCodec:
         middle_width = 11 if lambda_kind == "int" else 10
         middles = np.ascontiguousarray(_ROW_MIDDLES[:, :middle_width])
         self._middles = middles.view(f"V{middle_width}").ravel()
-        self._middle = np.empty(rows, dtype=self._middles.dtype)
         # the column widths, in cells, of the index and the lambda_id
         self._index_width = self._lambda_width = 0
         # the cell matrix, which numpy views only while a chunk is filled in,
         # as a bytearray can change size only while no array views it
         self._cells = bytearray()
         self._tail_rows = 0  # rows whose tail cells are filled
-        # encoder scratch
-        self._small_keys = np.empty(rows, dtype=np.int8)
-        self._keys = np.empty(rows, dtype=np.intp)
-        self._rest = np.empty(rows, dtype=np.uint64)
-        self._above = np.empty(rows, dtype=np.uint64)
-        self._key = np.empty(rows, dtype=np.uint64)
-        self._group = np.empty(rows, dtype=np.uint32)
-        self._mask = np.empty(rows, dtype=np.bool_)
-        self._mask2 = np.empty(rows, dtype=np.bool_)
-        # parser scratch
-        self._newline = np.empty(_NEWLINE_SLICE, dtype=np.bool_)
-        self._ends = np.empty(rows, dtype=np.intp)
-        self._pos = np.empty(rows, dtype=np.intp)
-        self._widths = np.empty(rows, dtype=np.intp)
-        self._byte = np.empty(rows, dtype=np.uint8)
-        self._text = np.empty(0, dtype=np.uint8)
 
     # -- encoding ---------------------------------------------------------------
 
@@ -350,26 +333,21 @@ class _RowCodec:
 
         _index_groups(cells[:, : self._index_width].view(np.uint32), chunk.first_index)
         # the keys are summed in int8, where no operand needs a cast buffer
-        small_keys = self._small_keys[:n]
-        np.multiply(chunk.pair_codes, 8, out=small_keys, casting="unsafe")
-        for outcome, weight in ((chunk.s_first, 2), (chunk.s_second, 1)):
-            for _ in range(weight):
-                np.add(small_keys, outcome, out=small_keys, casting="unsafe")
-        np.add(small_keys, 3, out=small_keys)
+        keys = chunk.pair_codes.astype(np.int8)
+        keys *= 8
+        keys += chunk.s_first
+        keys += chunk.s_first
+        keys += chunk.s_second
+        keys += 3
         if self.lambda_kind == "int":
-            negative = self._mask[:n]
-            np.less(lambdas, 0, out=negative)
-            np.add(small_keys, 1, out=small_keys, where=negative)
-        keys = self._keys[:n]
-        np.copyto(keys, small_keys)
-        np.take(self._middles, keys, out=self._middle[:n], mode="clip")
-        np.copyto(cells.view(self._middle_field)[:, 0]["middle"], self._middle[:n])
+            negative = lambdas < 0
+            keys += negative
+        cells.view(self._middle_field)[:, 0]["middle"] = self._middles[keys]
         lambda_cells = cells[:, lambda_start : lambda_start + self._lambda_width]
         if self.lambda_kind == "int":
-            magnitudes = self._rest[:n]
-            np.copyto(magnitudes, lambdas, casting="unsafe")
+            magnitudes = lambdas.astype(np.uint64)
             np.negative(magnitudes, out=magnitudes, where=negative)  # exact for -2**63 too
-            self._digit_groups(lambda_cells.view(np.uint32))
+            _digit_groups(lambda_cells.view(np.uint32), magnitudes)
         elif self.lambda_kind == "float":
             lambda_cells[:, : text.itemsize] = text.view(np.uint8).reshape(n, -1)
             lambda_cells[:, text.itemsize :] = 0
@@ -399,22 +377,6 @@ class _RowCodec:
             self._tail_rows = n
         return cells
 
-    def _digit_groups(self, groups: np.ndarray) -> None:
-        """Write self._rest, magnitudes, into the rows of groups as digit
-        groups, as _index_groups writes indexes; clobbers the magnitudes."""
-        n = len(groups)
-        rest, above, key = self._rest[:n], self._above[:n], self._key[:n]
-        has_above, cell = self._mask[:n], self._group[:n]
-        table = _LOW_GROUPS
-        for g in range(groups.shape[1] - 1, -1, -1):
-            np.divmod(rest, 10_000, out=(above, key))
-            np.not_equal(above, 0, out=has_above)
-            np.add(key, 10_000, out=key, where=has_above)
-            np.take(table, key.view(np.int64), out=cell, mode="clip")
-            np.copyto(groups[:, g], cell)
-            rest, above = above, rest
-            table = _DIGIT_GROUPS
-
     # -- parsing ----------------------------------------------------------------
 
     def parse(self, rows, first: int) -> TrialLog:
@@ -427,111 +389,95 @@ class _RowCodec:
         chunk's columns are allocated for it, so it is the caller's to keep.
         """
         block = np.frombuffer(rows, dtype=np.uint8)
-        n = self._newlines(block)
-        lambdas = None if self.lambda_kind is None else np.empty(n, _LAMBDA_DTYPES[self.lambda_kind])
-        columns = np.empty(n, np.uint8), np.empty(n, np.int8), np.empty(n, np.int8), lambdas
-        chunk = TrialLog(*columns, self.model_tag, first)
-        self._columns(block, chunk)
+        chunk = TrialLog(*self._columns(block, first), self.model_tag, first)
         if self.encode(chunk) != rows:
             raise _NotCanonical
         return chunk
 
-    def _columns(self, block: np.ndarray, chunk: TrialLog) -> None:
-        """Fill chunk's columns from the rows of block, whose newlines are in self._ends."""
-        n, first = len(chunk), chunk.first_index
-        ends, pos, byte, mask = self._ends[:n], self._pos[:n], self._byte[:n], self._mask[:n]
+    def _columns(self, block: np.ndarray, first: int) -> tuple:
+        """The pair codes, outcomes and lambda_ids of the rows of block, numbered from first."""
+        ends = np.flatnonzero(block == ord("\n"))
+        n = len(ends)
         # each row's pair starts after its index and a comma
-        pos[0] = 0
-        np.add(ends[:-1], 1, out=pos[1:])
+        pos = np.concatenate(([-1], ends[:-1]))
         digits = len(str(first))
-        np.add(pos, digits + 1, out=pos)
+        pos += digits + 2
         power = 10**digits
         while power < first + n:
             pos[power - first :] += 1
             power *= 10
         # "12", "13", "23" -> 0, 1, 2 from the sum of the two digits
-        pair_codes = chunk.pair_codes
-        np.take(block, pos, out=pair_codes, mode="clip")
-        np.add(pos, 1, out=pos)
-        np.take(block, pos, out=byte, mode="clip")
-        np.add(pair_codes, byte, out=pair_codes)
-        np.subtract(pair_codes, ord("1") + ord("2"), out=pair_codes)
+        pair_codes = np.take(block, pos, mode="clip") + np.take(block, pos + 1, mode="clip")
+        pair_codes -= ord("1") + ord("2")
         if pair_codes.max() > 2:
             raise _NotCanonical
         # each outcome starts two bytes after the field before it ends; "1" is
         # one byte wide, "-1" two
-        for outcome in (chunk.s_first, chunk.s_second):
-            np.add(pos, 2, out=pos)
-            np.take(block, pos, out=byte, mode="clip")
-            np.equal(byte, ord("-"), out=mask)
-            outcome.fill(1)
-            np.copyto(outcome, -1, where=mask)
-            np.add(pos, 1, out=pos, where=mask)
+        pos += 1
+        outcomes = []
+        for _ in range(2):
+            pos += 2
+            negative = np.take(block, pos, mode="clip") == ord("-")
+            outcomes.append(np.where(negative, np.int8(-1), np.int8(1)))
+            pos += negative
+        lambdas = None
         if self.lambda_kind is not None:
-            np.add(pos, 2, out=pos)
+            pos += 2
             # lambda_id runs from pos up to the comma of ",model_tag\n"
-            widths = self._widths[:n]
-            np.subtract(ends, len(self._tail) - 1, out=widths)
-            np.subtract(widths, pos, out=widths)
+            widths = ends - pos
+            widths -= len(self._tail) - 1
             if widths.min() < 1 or widths.max() > _LAMBDA_MAX_WIDTH:
                 raise _NotCanonical
-            parse_lambdas = self._parse_floats if self.lambda_kind == "float" else self._parse_ints
-            parse_lambdas(block, pos, widths, chunk.lambda_ids)
+            parse_lambdas = _parse_floats if self.lambda_kind == "float" else _parse_ints
+            lambdas = parse_lambdas(block, pos, widths)
+        return pair_codes, *outcomes, lambdas
 
-    def _newlines(self, block: np.ndarray) -> int:
-        """Put the offsets of the newlines in block into self._ends; return how many."""
-        n = 0
-        for lo in range(0, len(block), _NEWLINE_SLICE):
-            piece = block[lo : lo + _NEWLINE_SLICE]
-            at = np.flatnonzero(np.equal(piece, ord("\n"), out=self._newline[: len(piece)]))
-            if n + len(at) > self.rows:  # rows shorter than a canonical row can be
-                raise _NotCanonical
-            np.add(at, lo, out=self._ends[n : n + len(at)])
-            n += len(at)
-        return n
 
-    def _parse_ints(self, block: np.ndarray, starts: np.ndarray, widths: np.ndarray, out: np.ndarray) -> None:
-        n = len(starts)
-        byte, negative, is_digit = self._byte[:n], self._mask[:n], self._mask2[:n]
-        np.take(block, starts, out=byte, mode="clip")
-        np.equal(byte, ord("-"), out=negative)
-        # the digits run back from the field's end; widths becomes their count
-        at = starts
-        np.add(at, widths, out=at)  # the field's end
-        np.subtract(widths, 1, out=widths, where=negative)
-        if widths.min() < 1 or widths.max() > _LAMBDA_MAX_DIGITS:
-            raise _NotCanonical
-        values, term = out.view(np.uint64), self._key[:n]
-        values.fill(0)
-        for j in range(int(widths.max())):
-            np.subtract(at, 1, out=at)
-            np.take(block, at, out=byte, mode="clip")
-            np.subtract(byte, ord("0"), out=byte)
-            np.copyto(term, byte)
-            np.multiply(term, 10**j, out=term)
-            np.greater(widths, j, out=is_digit)
-            np.add(values, term, out=values, where=is_digit)
-        np.negative(values, out=values, where=negative)
+def _digit_groups(groups: np.ndarray, magnitudes: np.ndarray) -> None:
+    """Write magnitudes, uint64, into the rows of groups as digit groups, as
+    _index_groups writes indexes."""
+    table = _LOW_GROUPS
+    for g in range(groups.shape[1] - 1, -1, -1):
+        # // and - rather than np.divmod, which is several times slower on uint64
+        above = magnitudes // 10_000
+        keys = magnitudes - above * 10_000
+        np.add(keys, 10_000, out=keys, where=above != 0)
+        groups[:, g] = table[keys]
+        magnitudes, table = above, _DIGIT_GROUPS
 
-    def _parse_floats(self, block: np.ndarray, starts: np.ndarray, widths: np.ndarray, out: np.ndarray) -> None:
-        n, width = len(starts), int(widths.max())
-        if len(self._text) < self.rows * _LAMBDA_MAX_WIDTH:
-            self._text = np.empty(self.rows * _LAMBDA_MAX_WIDTH, dtype=np.uint8)
-        # one fixed-width, NUL-padded byte string per row
-        text = self._text[: n * width].reshape(n, width)
-        byte, inside = self._byte[:n], self._mask[:n]
-        for j in range(width):
-            np.take(block, starts, out=byte, mode="clip")
-            np.greater(widths, j, out=inside)
-            np.multiply(byte, inside, out=text[:, j])
-            np.add(starts, 1, out=starts)
-        try:
-            np.copyto(out, text.view(f"S{width}")[:, 0], casting="unsafe")
-        except (ValueError, OverflowError):
-            raise _NotCanonical from None
-        # the scanner rejects "inf" and "nan", which repr writes for non-finite floats
-        if not np.isfinite(out, out=inside).all():
-            raise _NotCanonical
+
+def _parse_ints(block: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The int64 values of the fields of block at starts, of widths bytes each."""
+    negative = np.take(block, starts, mode="clip") == ord("-")
+    # the digits run back from the field's end
+    ends = starts + widths
+    digits = widths - negative
+    if digits.min() < 1 or digits.max() > _LAMBDA_MAX_DIGITS:
+        raise _NotCanonical
+    values = np.zeros(len(starts), np.uint64)
+    for j in range(int(digits.max())):
+        ends -= 1
+        term = np.take(block, ends, mode="clip") - np.uint8(ord("0"))
+        np.add(values, term * np.uint64(10**j), out=values, where=digits > j)
+    np.negative(values, out=values, where=negative)
+    return values.view(np.int64)
+
+
+def _parse_floats(block: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The float64 values of the fields of block at starts, of widths bytes each."""
+    width = int(widths.max())
+    # one fixed-width, NUL-padded byte string per row
+    text = np.empty((len(starts), width), np.uint8)
+    for j in range(width):
+        text[:, j] = np.take(block, starts + j, mode="clip") * (widths > j)
+    try:
+        values = text.view(f"S{width}")[:, 0].astype(np.float64)
+    except (ValueError, OverflowError):
+        raise _NotCanonical from None
+    # the scanner rejects "inf" and "nan", which repr writes for non-finite floats
+    if not np.isfinite(values).all():
+        raise _NotCanonical
+    return values
 
 
 def _check_tag(tag: str) -> None:
@@ -613,16 +559,15 @@ def _check_columns(log: TrialLog) -> None:
 
 
 class TrialLogWriter:
-    """A binary file open for writing, with the row-codec workspace that every
-    TrialLog written to it goes through.
+    """A binary file open for writing, with the row codec that every TrialLog
+    written to it goes through.
 
     write(chunk) for each chunk of a run, in order, writes the bytes of the
-    whole log, and no chunk after the first allocates its own encoding
-    temporaries. The header comes with the first chunk, which must start at
-    trial 0 and fixes the file's model tag and lambda kind; every later
-    chunk must start where the one before it ended and carry the same tag
-    and kind. A chunk that does not is refused with ValueError before a byte
-    of it is written.
+    whole log. The header comes with the first chunk, which must start at
+    trial 0 and fixes the file's model tag and lambda kind, and so its row
+    codec; every later chunk must start where the one before it ended and
+    carry the same tag and kind. A chunk that does not is refused with
+    ValueError before a byte of it is written.
     """
 
     def __init__(self, file):
@@ -632,14 +577,18 @@ class TrialLogWriter:
 
     def write(self, log: TrialLog) -> None:
         _check_columns(log)
+        self._write_checked(log)
+
+    def _write_checked(self, log: TrialLog) -> None:
+        """write(log), for a log that _check_columns has passed."""
         if log.first_index != self.next_index:
             raise ValueError(
                 f"the next row of this trial log is trial {self.next_index}, but the chunk starts at trial "
                 f"{log.first_index}; write the chunks of a run in order, from trial 0"
             )
         schema = (log.model_tag, _lambda_kind(log.lambda_ids))
-        if self._codec is None:  # an empty chunk was refused above
-            self._codec = _RowCodec(_CHUNK_ROWS, *schema)
+        if self._codec is None:  # _check_columns refused an empty chunk
+            self._codec = _RowCodec(*schema)
             self.file.write(_HEADER_LINE)
         elif schema != (self._codec.model_tag, self._codec.lambda_kind):
             raise ValueError(
@@ -684,7 +633,7 @@ def write_trial_log(log: TrialLog, path) -> None:
         )
     _check_columns(log)
     with open(path, "wb") as out:
-        TrialLogWriter(out).write(log)
+        TrialLogWriter(out)._write_checked(log)
 
 
 def _record_row(rec: TrialRecord) -> str:
@@ -775,10 +724,7 @@ def _chunks(f) -> Iterator[TrialLog]:
                     _check_tag(row.model_tag)
                 except ValueError as exc:
                     raise TrialLogFormatError(f"line 2: {exc}") from None
-                lambda_kind = _lambda_kind(row.lambda_ids)
-                # no canonical row is shorter than "0,12,1,1," + lambda_id + ",model_tag\n"
-                shortest = len(f"0,12,1,1,{'0' if lambda_kind else ''},{row.model_tag}\n".encode("utf-8"))
-                codec = _RowCodec(len(buf) // shortest, row.model_tag, lambda_kind)
+                codec = _RowCodec(row.model_tag, _lambda_kind(row.lambda_ids))
             try:
                 chunk = codec.parse(memoryview(data)[start:stop], first)
             except _NotCanonical:

@@ -484,16 +484,20 @@ def test_analyze_peak_does_not_grow_with_n_trials_on_a_padded_log(tmp_path, caps
 
 
 def _traced_peaks(monkeypatch, method: str) -> list:
-    """Patch _RowCodec.method to record, for each call, the most memory that
-    its allocations held at once."""
+    """Patch _RowCodec.method to record, for each call, its rows and the most
+    memory that its allocations, its result among them, held at once. A call
+    made while another is traced is part of that call's peak."""
     peaks = []
     real = getattr(triallog._RowCodec, method)
 
     def traced(self, *args):
+        if tracemalloc.is_tracing():
+            return real(self, *args)
         tracemalloc.start()
         try:
             result = real(self, *args)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            rows = result.count(b"\n") if method == "encode" else len(result)
+            peaks.append((rows, tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
         return result
@@ -504,22 +508,24 @@ def _traced_peaks(monkeypatch, method: str) -> list:
 
 # the rotor's float lambda_ids still go through repr, one Python string per row
 @pytest.mark.parametrize("world", ["quantum", "table", "conspiracy"])
-def test_no_chunk_after_the_first_allocates_a_temporary_per_row(tmp_path, capsys, monkeypatch, world):
-    # Every buffer numpy allocates is traced, so a peak below 64 KiB, the size
-    # of an int8 column of a full chunk, bounds each of them. A stream that
-    # allocates its temporaries per chunk faults them in again per chunk.
-    # The first chunk of a stream sizes its workspace, and a shorter last one
-    # may hand back the memory its rows no longer need.
-    fills, columns = _traced_peaks(monkeypatch, "_fill"), _traced_peaks(monkeypatch, "_columns")
+def test_every_full_chunk_after_the_first_traces_the_same_bounded_peak(tmp_path, capsys, monkeypatch, world):
+    # Every buffer numpy allocates is traced, the encoded rows and the parsed
+    # columns too. The codec keeps only its cell matrix from chunk to chunk,
+    # made for the first chunk of a stream, so every later chunk allocates its
+    # own temporaries, but only a few columns of them: at most 80 bytes per
+    # row. The writer's full chunks all hold 2^16 rows, and each traces the
+    # same peak; the reader's full blocks hold whole lines of 1 MiB, so their
+    # row counts, and with them their peaks, differ.
+    encoded, parsed = _traced_peaks(monkeypatch, "encode"), _traced_peaks(monkeypatch, "parse")
     code, _, trials = _run(tmp_path, _config(tmp_path, world, 5 * _CHUNK_ROWS + 7, 3))
-    assert code == EXIT_OK and len(fills) == 6
-    encoded = fills[1:-1]
-    del fills[:]
+    assert code == EXIT_OK
+    assert [rows for rows, _ in encoded] == [_CHUNK_ROWS] * 5 + [7]
     assert main(["analyze", "--trials", str(trials)]) == EXIT_OK
     capsys.readouterr()
-    assert len(columns) == len(fills) > 5
-    for peaks in (encoded, fills[1:-1], columns[1:-1]):
-        assert max(peaks) < 64 * 1024, peaks
+    assert len(parsed) > 5
+    assert len({peak for _, peak in encoded[1:-1]}) == 1, encoded
+    for rows, peak in encoded[1:-1] + parsed[1:-1]:
+        assert peak <= 80 * rows, (rows, peak)
 
 
 # -- index ranges -----------------------------------------------------------------

@@ -322,6 +322,33 @@ def test_writers_refuse_an_empty_log(tmp_path):
     _refused(TrialLog(empty.view(np.uint8), empty, empty, None, "quantum"), tmp_path, "empty")
 
 
+def test_write_trial_log_checks_a_log_once(tmp_path, monkeypatch):
+    calls = []
+    real = triallog._check_chunk
+    monkeypatch.setattr(triallog, "_check_chunk", lambda chunk: calls.append(len(chunk)) or real(chunk))
+    log = _run("table", 5, _CHUNK_ROWS + 5)
+    write_trial_log(log, tmp_path / "log.csv")
+    assert calls == [len(log)]
+    _assert_same_log(read_trial_log(tmp_path / "log.csv"), log)
+
+
+@pytest.mark.parametrize("shape", ["list", "2-D", "0-D"])
+@pytest.mark.parametrize("name", ["pair_codes", "s_first", "s_second", "lambda_ids"])
+def test_a_log_refuses_a_column_that_is_not_a_1d_array(name, shape):
+    columns = {
+        "pair_codes": np.zeros(4, np.uint8),
+        "s_first": np.ones(4, np.int8),
+        "s_second": -np.ones(4, np.int8),
+        "lambda_ids": np.arange(4),
+    }
+    column = columns[name]
+    # a column of one row per trial, so only its type or shape is wrong
+    columns[name] = {"list": column.tolist(), "2-D": column[:, None], "0-D": column[0, ...]}[shape]
+    got = "list" if shape == "list" else f"a {shape} array"
+    with pytest.raises(ValueError, match=f"^{name} must be a 1-D numpy array, got {got}$"):
+        TrialLog(*columns.values(), "table")
+
+
 @pytest.mark.parametrize(
     "lambdas",
     [np.array([1 + 2j, 0.5, 1.0]), np.array([1, 2, 3], dtype=object), np.array(["1", "2", "3"])],
@@ -434,10 +461,10 @@ def test_writer_refuses_outcomes_other_than_plus_minus_one(tmp_path):
 
 
 def _int_text(values: np.ndarray) -> list:
-    """The lambda_id field of each row the workspace encodes for values."""
+    """The lambda_id field of each row the row codec encodes for values."""
     n = len(values)
     log = TrialLog(np.zeros(n, np.uint8), np.ones(n, np.int8), -np.ones(n, np.int8), values, "t")
-    return [row.split(",")[4] for row in _RowCodec(n, "t", "int").encode(log).decode().splitlines()]
+    return [row.split(",")[4] for row in _RowCodec("t", "int").encode(log).decode().splitlines()]
 
 
 INT64_EDGES = (
@@ -530,11 +557,11 @@ INDEX_EDGES = [0, 1, 9_998, 9_999, 99_999_998, 10**12 - 2, 10**16 - 1, 2**63 - 1
 @pytest.mark.parametrize("first", INDEX_EDGES)
 def test_index_cells_match_str(first):
     log = TrialLog(np.zeros(3, np.uint8), np.ones(3, np.int8), np.ones(3, np.int8), None, "t", first_index=first)
-    rows = _RowCodec(3, "t", None).encode(log).decode().splitlines()
+    rows = _RowCodec("t", None).encode(log).decode().splitlines()
     assert [row.split(",")[0] for row in rows] == [str(first + k) for k in range(3)]
 
 
-# -- one workspace for a stream of chunks ------------------------------------------
+# -- one row codec for a stream of chunks ------------------------------------------
 
 LAMBDA_KINDS = ("none", "int64", "uint64", "float")
 # a stream crosses 9 999 -> 10 000 or 99 999 999 -> 100 000 000, where the
@@ -576,14 +603,14 @@ def _synthetic_chunk(rng, first: int, n: int, kind: str) -> TrialLog:
     last=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chunks_through_one_workspace_match_the_record_oracle(kind, start, lengths, last, seed):
+def test_chunks_through_one_codec_match_the_record_oracle(kind, start, lengths, last, seed):
     # full or short chunks, then a short last one
     rng = np.random.default_rng(seed)
     chunks, first = [], start
     for n in [*lengths, last]:
         chunks.append(_synthetic_chunk(rng, first, n, kind))
         first += n
-    codec = _RowCodec(_CHUNK_ROWS, "synthetic", _lambda_kind(chunks[0].lambda_ids))
+    codec = _RowCodec("synthetic", _lambda_kind(chunks[0].lambda_ids))
     rows = b"".join(codec.encode(chunk) for chunk in chunks)
     assert rows == _oracle_rows(rec for chunk in chunks for rec in chunk)
     if start == 0 and kind == "uint64":
@@ -593,7 +620,7 @@ def test_chunks_through_one_workspace_match_the_record_oracle(kind, start, lengt
             TrialLogWriter(out).write(chunks[0])
         assert out.getvalue() == b""
     elif start == 0:
-        # a writer is such a workspace behind the header
+        # a writer is such a codec behind the header
         out = io.BytesIO()
         writer = TrialLogWriter(out)
         for chunk in chunks:
@@ -713,6 +740,22 @@ def test_blocks_of_a_single_row_stream(tmp_path, world, no_block_scanned):
         _assert_same_log(read_trial_log(path), log)
 
 
+def test_a_later_block_of_more_lines_than_rows_could_fill_is_refused_by_its_first_bad_line(tmp_path):
+    # 4 KiB blocks hold at most 4096 // 18 canonical quantum rows, and one
+    # of bare newlines holds 4096 lines
+    log = _run("quantum", 17, 1_000)
+    path = tmp_path / "log.csv"
+    write_trial_log(log, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[601:601] = [b""] * 10_000  # after line 601, row 599
+    path.write_bytes(b"\n".join(lines))
+    with mock.patch.object(triallog, "_READ_BLOCK", 4096):
+        with open(path, "rb") as f:
+            assert len(next(_chunks(f))) < 599  # the bare lines come in a later block
+        with pytest.raises(TrialLogFormatError, match="^line 602: expected 6 fields, got 1$"):
+            read_trial_log(path)
+
+
 @pytest.mark.parametrize("first", [9_990, 99_999_990, 10**12 - 20])
 @pytest.mark.parametrize("kind", ["none", "int64", "float"])
 def test_a_block_parses_where_the_index_gains_a_digit(first, kind):
@@ -720,5 +763,5 @@ def test_a_block_parses_where_the_index_gains_a_digit(first, kind):
     # 10^8 rows; parse such a block directly
     chunk = _synthetic_chunk(np.random.default_rng(first), first, 40, kind)
     buf = bytearray(_oracle_rows(chunk))
-    parsed = _RowCodec(len(buf) // 11, "synthetic", _lambda_kind(chunk.lambda_ids)).parse(buf, first)
+    parsed = _RowCodec("synthetic", _lambda_kind(chunk.lambda_ids)).parse(buf, first)
     _assert_same_log(parsed, chunk)
