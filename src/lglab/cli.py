@@ -135,9 +135,14 @@ def _parse_event(obj: dict, path: str) -> SpacetimeEvent:
 def _parse_world(obj: dict, binding: SlotBinding, initial_state: Optional[dict]) -> World:
     _require_keys(obj, "world", ("kind",), ("rows", "strength"))
     kind = obj["kind"]
+    if kind not in ("quantum", "table", "rotor", "conspiracy"):
+        raise ConfigError(f"world.kind: expected quantum|table|rotor|conspiracy, got {kind!r}")
+    # each payload field belongs to one world
+    if "rows" in obj and kind != "table":
+        raise ConfigError("world.rows: only meaningful for the table world")
+    if "strength" in obj and kind != "conspiracy":
+        raise ConfigError("world.strength: only meaningful for the conspiracy world")
     if kind == "quantum":
-        if "rows" in obj or "strength" in obj:
-            raise ConfigError("world: quantum takes no payload fields")
         policy, angle = "fixed", 0.0
         if initial_state is not None:
             _require_keys(initial_state, "initial_state", ("policy",), ("angle",))
@@ -151,11 +156,11 @@ def _parse_world(obj: dict, binding: SlotBinding, initial_state: Optional[dict])
         return QuantumWorld(policy=policy, initial_angle=angle)
     if initial_state is not None:
         raise ConfigError("initial_state: only meaningful for the quantum world")
+    if kind == "rotor":
+        return RotorModel(binding.directions)
     if kind == "table":
         if "rows" not in obj:
             raise ConfigError("world.rows: required for the table world")
-        if "strength" in obj:
-            raise ConfigError("world.strength: only meaningful for the conspiracy world")
         rows = obj["rows"]
         if not isinstance(rows, list) or not rows:
             raise ConfigError("world.rows: expected a non-empty list of [weight, s1, s2, s3] rows")
@@ -168,19 +173,11 @@ def _parse_world(obj: dict, binding: SlotBinding, initial_state: Optional[dict])
             return TableModel(parsed)
         except ValueError as exc:
             raise ConfigError(f"world.rows: {exc}") from None
-    if kind == "rotor":
-        if "rows" in obj or "strength" in obj:
-            raise ConfigError("world: rotor takes no payload fields")
-        return RotorModel(binding.directions)
-    if kind == "conspiracy":
-        if "rows" in obj:
-            raise ConfigError("world.rows: only meaningful for the table world")
-        strength = _number(obj, "world", "strength", 1.0)
-        try:
-            return conspiracy_from_quantum(binding.a, binding.b, binding.c, strength=strength)
-        except ValueError as exc:
-            raise ConfigError(f"world.strength: {exc}") from None
-    raise ConfigError(f"world.kind: expected quantum|table|rotor|conspiracy, got {kind!r}")
+    strength = _number(obj, "world", "strength", 1.0)
+    try:
+        return conspiracy_from_quantum(binding.a, binding.b, binding.c, strength=strength)
+    except ValueError as exc:
+        raise ConfigError(f"world.strength: {exc}") from None
 
 
 def load_run_config(path) -> RunConfig:

@@ -29,6 +29,7 @@ from .rng import (
     SeededGenerator,
     _is_finite_real,
     _is_integer,
+    angles,
     derive_states,
     derive_trial_generator,
     draw_integers,
@@ -157,7 +158,9 @@ class QuantumWorld(World):
         first_angle, p1_limits, p2_limits = _quantum_tables(_slot_binding(binding), self.initial_angle)
         if self.policy == "fresh_uniform":
             # the initial angle is drawn before u, as in the scalar path
-            o1 = _cos_squared_above(_fresh_angle(uniforms(states), first_angle.take(codes)), uniforms(states))
+            y = angles(states)
+            y -= first_angle.take(codes)
+            o1 = _cos_squared_above(y, uniforms(states))
         else:
             o1 = draw_integers(states) < p1_limits.take(codes)
         at = np.multiply(codes, 2, dtype=np.intp)
@@ -181,25 +184,6 @@ def _slot_binding(binding) -> SlotBinding:
 _SCREEN_MARGIN = 2.0**-12
 
 
-def _fresh_angle(initial: np.ndarray, first_angle) -> np.ndarray:
-    """initial * pi - first_angle in initial's buffer: the angle between the
-    first direction and the states that the uniforms initial draw.
-
-    A uniform is at most 1 - 2^-53, and fl((1 - 2^-53) * pi) is below pi, so
-    every initial * pi is already in [0, pi), where the scalar path's
-    reduce_direction_angle returns it unchanged.
-    """
-    initial *= np.pi
-    initial -= first_angle
-    return initial
-
-
-def _cos_squared_lanes(y: np.ndarray) -> np.ndarray:
-    """cos_squared on every lane, in y's buffer."""
-    np.cos(y, out=y)
-    return np.multiply(y, y, out=y)  # as cos_squared squares
-
-
 def _cos_squared_above(y: np.ndarray, u: np.ndarray) -> np.ndarray:
     """cos_squared(y) > u on every lane, exactly, for y in (-pi, pi).
 
@@ -212,7 +196,7 @@ def _cos_squared_above(y: np.ndarray, u: np.ndarray) -> np.ndarray:
     d = np.subtract(c, u)
     above = d > 0.0
     near = np.flatnonzero(np.abs(d, out=d) <= _SCREEN_MARGIN)
-    above[near] = _cos_squared_lanes(y[near]) > u[near]
+    above[near] = cos_squared(y[near]) > u[near]
     return above
 
 

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .rng import SeededGenerator, UnitUniformSource, _is_finite_real, _is_integer, draw_integers, thresholds, uniforms
+from .rng import SeededGenerator, UnitUniformSource, _is_finite_real, _is_integer, angles, draw_integers, thresholds
 
 # lambda identifiers: a row index for discrete models, an angle for continuous ones
 HiddenVariable = Union[int, float]
@@ -267,7 +267,7 @@ class RotorModel(ResponseModel):
         return 1 if c >= 0.0 else -1
 
     def sample_lanes(self, binding, codes, states: np.ndarray):
-        lam = uniforms(states) * np.pi
+        lam = angles(states)
         s_first = signs(_cos_nonnegative(lam, self._first_angle.take(codes)))
         s_second = signs(_cos_nonnegative(lam, self._second_angle.take(codes)))
         return s_first, s_second, lam

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -31,14 +32,16 @@ def reduce_direction_angle(theta: float) -> float:
     return a
 
 
-def cos_squared(x: float) -> float:
-    """cos^2 x, squared by one correctly rounded product.
+def cos_squared(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """cos^2 x, of a float or of every element of an array, squared by one
+    correctly rounded product.
 
     The one squaring of the scalar oracle and the lane kernels: Python's
     x ** 2 is libm pow, which rounds some squares differently from x * x.
-    np.cos keeps the scalar path bit-identical to the vectorized engine.
+    np.cos keeps the scalar path bit-identical to the vectorized engine; a
+    float x gives a numpy float64, which is a float.
     """
-    c = float(np.cos(x))
+    c = np.cos(x)
     return c * c
 
 

@@ -32,6 +32,7 @@ MIX_MULT_2 = 0x94D049BB133111EB
 
 _TWO53 = float(1 << 53)
 _TWO_MINUS53 = 2.0**-53
+_PI_TWO_MINUS53 = np.pi * _TWO_MINUS53
 
 
 def _is_integer(value) -> bool:
@@ -192,6 +193,17 @@ def uniforms(states: np.ndarray) -> np.ndarray:
     float64 through an int64 view, which converts faster than uint64.
     """
     return np.multiply(draw_integers(states).view(np.int64), _TWO_MINUS53)
+
+
+def angles(states: np.ndarray) -> np.ndarray:
+    """Advance every lane one step and return its uniform angle, next_uniform() * pi.
+
+    One product, k * (pi * 2^-53): scaling the float pi by 2^-53 is exact, so
+    that is the real number (k * 2^-53) * pi and rounds to the same float.
+    The largest k, 2^53 - 1, gives the float below pi, so every angle is
+    already in [0, pi), where reduce_direction_angle returns it unchanged.
+    """
+    return np.multiply(draw_integers(states).view(np.int64), _PI_TWO_MINUS53)
 
 
 def draw_integers(states: np.ndarray) -> np.ndarray:

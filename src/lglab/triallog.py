@@ -294,7 +294,7 @@ class _RowCodec:
         self._tail = f",{model_tag}\n".encode("utf-8")
         # an integer lambda_id's sign rides at the end of the middle; each
         # middle is one opaque value, taken by key and copied into its column
-        # through a view of each row as a record
+        # through a view of the column as one such value per row
         middle_width = 11 if lambda_kind == "int" else 10
         middles = np.ascontiguousarray(_ROW_MIDDLES[:, :middle_width])
         self._middles = middles.view(f"V{middle_width}").ravel()
@@ -342,7 +342,7 @@ class _RowCodec:
         if self.lambda_kind == "int":
             negative = lambdas < 0
             keys += negative
-        cells.view(self._middle_field)[:, 0]["middle"] = self._middles[keys]
+        cells[:, self._index_width : lambda_start].view(self._middles.dtype)[:, 0] = self._middles[keys]
         lambda_cells = cells[:, lambda_start : lambda_start + self._lambda_width]
         if self.lambda_kind == "int":
             magnitudes = lambdas.astype(np.uint64)
@@ -361,9 +361,6 @@ class _RowCodec:
             self._index_width, self._lambda_width = index_width, lambda_width
             self._cells = bytearray(n * width)
             self._tail_rows = 0
-            self._middle_field = np.dtype(
-                {"names": ["middle"], "formats": [self._middles.dtype], "offsets": [index_width], "itemsize": width}
-            )
         # exactly n rows, so that translate sees no row of an earlier chunk
         size = n * width
         if size < len(self._cells):

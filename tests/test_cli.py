@@ -119,8 +119,10 @@ _EVENT = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
         ("[]", "config"),
         ({"geometry": {"preparation": {"x": 0.0, "y": 0.0, "z": 0.0}, "choice": _EVENT}}, "geometry.preparation"),
         ({"angles": [MAGIC, MAGIC]}, "angles"),
-        ({"world": {"kind": "quantum", "rows": []}}, "world"),
-        ({"world": {"kind": "rotor", "strength": 1.0}}, "world"),
+        ({"world": {"kind": "quantum", "rows": []}}, "world.rows"),
+        ({"world": {"kind": "quantum", "strength": 1.0}}, "world.strength"),
+        ({"world": {"kind": "rotor", "strength": 1.0}}, "world.strength"),
+        ({"world": {"kind": "rotor", "rows": []}}, "world.rows"),
         ({"world": {"kind": "table"}}, "world.rows"),
         ({"world": {"kind": "table", "rows": [[1.0, 1, 1, 1]], "strength": 1.0}}, "world.strength"),
         ({"world": {"kind": "table", "rows": []}}, "world.rows"),
@@ -146,7 +148,9 @@ _EVENT = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
         "event_without_t",
         "angles_not_an_object",
         "quantum_with_rows",
+        "quantum_with_strength",
         "rotor_with_strength",
+        "rotor_with_rows",
         "table_without_rows",
         "table_with_strength",
         "table_with_no_rows",

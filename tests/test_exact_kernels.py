@@ -7,8 +7,9 @@ evaluating the cosine; stabilization sums segments between checkpoints
 instead of a cumsum over every trial. Each property puts lanes exactly on
 the edges (k = t - 1 and k = t, y on an edge and its float neighbours), so
 a kernel that is off by one threshold step or one ULP fails it. The
-fresh-uniform kernel screens cos^2 with a float32 cosine and recomputes the
-float64 one only near u; its properties put u on and beside both values.
+fresh-uniform kernel draws its angle as one product k * (pi * 2^-53), and
+screens cos^2 with a float32 cosine and recomputes the float64 one only near
+u; its properties put k on its edges and u on and beside both values.
 SeededGenerator.next_integers jumps ahead instead of stepping, and the
 mixture check built on it rejects a zero draw as the scalar weights do; the
 last properties plant that zero on the group and round edges.
@@ -28,8 +29,6 @@ from lglab.experiment import (
     QuantumWorld,
     SlotBinding,
     _cos_squared_above,
-    _cos_squared_lanes,
-    _fresh_angle,
     _quantum_tables,
 )
 from lglab.hidden_vars import (
@@ -56,6 +55,7 @@ from lglab.rng import (
     LCG_MULT,
     MASK64,
     SeededGenerator,
+    angles,
     derive_states,
     draw_integers,
     thresholds,
@@ -215,11 +215,18 @@ def test_conspiracy_lanes_on_every_draw_edge_match_sample_pair(m12, m13, m23, st
 
 # -- quantum, fixed initial state ----------------------------------------------------
 
-angles = st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi / 6]) | st.floats(0.0, 3.2)
+direction_angles = st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi / 6]) | st.floats(0.0, 3.2)
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=angles, b=angles, c=angles, initial=angles, draw=st.integers(1, 2), low=low_bits)
+@given(
+    a=direction_angles,
+    b=direction_angles,
+    c=direction_angles,
+    initial=direction_angles,
+    draw=st.integers(1, 2),
+    low=low_bits,
+)
 def test_quantum_fixed_lanes_on_every_threshold_match_the_scalar_trial(a, b, c, initial, draw, low):
     binding = SlotBinding(1.0, 2.0, 3.0, Direction(a), Direction(b), Direction(c))
     world = QuantumWorld(initial_angle=initial)
@@ -262,7 +269,9 @@ class _Draw:
 def test_fresh_uniform_oracle_squares_the_cosine_as_the_kernel_does(initial, first_angle):
     # one lane's state fixes both its draws, so a stub draws the first outcome
     # at exactly the kernel's probability, between the two squarings
-    p1 = float(_cos_squared_lanes(_fresh_angle(np.array([initial]), first_angle))[0])
+    k = int(initial * 2.0**53)
+    assert k * 2.0**-53 == initial
+    p1 = float(cos_squared(angles(_pinned_states([k], 1, [0])) - first_angle)[0])
     c = float(np.cos(initial * math.pi - first_angle))
     assert c**2 > p1 == c * c
     u = p1
@@ -365,17 +374,18 @@ def test_the_fallback_takes_few_lanes_and_the_kernel_stays_exact(monkeypatch):
     states = derive_states(7, np.arange(n, dtype=np.uint64))
     codes = np.random.default_rng(7).integers(0, 3, n).astype(np.intp)
     exact_states = states.copy()
-    p1 = _cos_squared_lanes(_fresh_angle(uniforms(exact_states), first_angle.take(codes)))
+    p1 = cos_squared(angles(exact_states) - first_angle.take(codes))
     want = np.where(p1 > uniforms(exact_states), 1, -1)
 
     calls = []
-    real = experiment._cos_squared_lanes
+    real = experiment.cos_squared
 
     def counting(y):
-        calls.append(len(y))
+        if isinstance(y, np.ndarray):  # the run's tables square floats
+            calls.append(len(y))
         return real(y)
 
-    monkeypatch.setattr(experiment, "_cos_squared_lanes", counting)
+    monkeypatch.setattr(experiment, "cos_squared", counting)
     for lo in range(0, n, lanes):
         s_first, _, _ = world.sample_lanes(binding, codes[lo : lo + lanes], states[lo : lo + lanes])
         assert np.array_equal(s_first, want[lo : lo + lanes])
@@ -398,12 +408,25 @@ def test_uniforms_equal_next_uniform(ks, low):
     assert states.tolist() == [g.state for g in gens]
 
 
+@settings(max_examples=100)
+@given(ks=st.lists(st.sampled_from(EDGE_KS) | st.integers(0, TOP), min_size=1, max_size=8), low=low_bits)
+@example(ks=EDGE_KS, low=0)
+@example(ks=EDGE_KS, low=(1 << 11) - 1)
+def test_angles_equal_next_uniform_times_pi(ks, low):
+    states = _pinned_states(ks, 1, [low] * len(ks))
+    gens = [SeededGenerator(s) for s in states.tolist()]
+    got = angles(states)
+    assert got.dtype == np.float64
+    assert got.tolist() == [g.next_uniform() * math.pi for g in gens] == [k / 2.0**53 * math.pi for k in ks]
+    assert states.tolist() == [g.state for g in gens]
+
+
 @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 3, math.nextafter(math.pi, 0.0)])
 def test_fresh_angles_need_no_reduction_at_the_seam(theta):
     ks = [0, 1, 1 << 52, TOP]
     states = _pinned_states(ks, 1, [(1 << 11) - 1] * len(ks))
     starts = states.tolist()
-    y = _fresh_angle(uniforms(states), np.full(len(ks), theta))
+    y = angles(states) - theta
     prepared = [SeededGenerator(s).next_uniform() * math.pi for s in starts]
     assert y.tolist() == [reduce_direction_angle(a) - theta for a in prepared]
     assert prepared == [reduce_direction_angle(a) for a in prepared]

@@ -23,6 +23,8 @@ importlib.import_module(sys.argv[2])
 """
 
 
+PI_MODULES = ("math", "np", "numpy")
+
 MODULES = [
     "lglab.rng",
     "lglab.quantum",
@@ -113,6 +115,46 @@ def test_only_the_two_stream_derivations_name_the_stream_constant():
                 users.add(getattr(top, "name", type(top).__name__))
         expected = {"derive_trial_generator", "derive_states"} if path.name == "rng.py" else set()
         assert users == expected, path.name
+
+
+def test_only_rng_scales_a_lane_draw_by_pi():
+    # a uniform angle is next_uniform() * pi in the scalar oracle and
+    # rng.angles on lanes, so no kernel builds its own angle from a draw: a
+    # product with pi takes a number or one scalar draw, and only rng.py
+    # names numpy's pi
+    def is_pi(node):
+        return isinstance(node, ast.Attribute) and node.attr == "pi" and getattr(node.value, "id", None) in PI_MODULES
+
+    def is_number_or_draw(node):
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "attr", None) == "next_uniform" and not node.args
+        try:
+            return isinstance(ast.literal_eval(node), (int, float))
+        except ValueError:
+            return False
+
+    def factors(node):
+        """The two factors of a product, or none for any other node."""
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return [node.left, node.right]
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            return [node.target, node.value]
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "multiply":
+            return node.args[:2]
+        return []
+
+    def scales_by_pi(node):
+        if is_pi(node) and node.value.id != "math":
+            return True
+        pair = factors(node)
+        return any(is_pi(a) and not is_number_or_draw(b) for a, b in zip(pair, pair[::-1]))
+
+    for path in sorted(Path(lglab.__file__).parent.glob("*.py")):
+        users = set()
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(map(scales_by_pi, ast.walk(top))):
+                users.add(getattr(top, "name", None) or ast.unparse(getattr(top, "targets", [top])[0]))
+        assert users == ({"_PI_TWO_MINUS53"} if path.name == "rng.py" else set()), path.name
 
 
 def test_only_the_bootstrap_names_numpy_random():
