@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .hidden_vars import PAIR_ORDER, PairChoice
-from .rng import _is_finite_real, _is_integer, mix64
+from .rng import _integer, _real, mix64
 from .triallog import TrialLog, _check_chunk
 
 DEFAULT_SIGNIFICANCE = 3.0
@@ -148,8 +148,7 @@ def evaluate_lg(
     one-sided z-test: violated iff (lhs - 1)/se exceeds the significance,
     which must be a finite real number (not a bool).
     """
-    if not _is_finite_real(significance):
-        raise ValueError(f"significance must be a finite real number, got {significance!r}")
+    _real(significance, "significance")
     got = {e.pair for e in estimates}
     missing = [p.value for p in PAIR_ORDER if p not in got]
     if missing or len(estimates) != 3:
@@ -216,10 +215,8 @@ def maximize_violation(
     (theta_ab, theta_bc, lhs_max); the maximum is 1.5, reached at
     theta_ab = theta_bc = pi/6 and its symmetry-equivalent points.
     """
-    if not (_is_finite_real(grid_step) and 0.0 < grid_step <= math.pi / 64):
-        raise ValueError(f"grid step must be a number in (0, pi/64], got {grid_step!r}")
-    if not (_is_finite_real(refine_tolerance) and refine_tolerance > 0.0):
-        raise ValueError(f"refine tolerance must be a finite number > 0, got {refine_tolerance!r}")
+    _real(grid_step, "grid step", 0, math.pi / 64, above=True)
+    _real(refine_tolerance, "refine tolerance", 0, above=True)
 
     axis = np.arange(0.0, math.pi, grid_step)
     a_grid, b_grid = np.meshgrid(axis, axis, indexing="ij")
@@ -305,9 +302,9 @@ class LogFold:
     """
 
     def __init__(self, checkpoint_stride: Optional[int] = None):
-        if checkpoint_stride is not None and not (_is_integer(checkpoint_stride) and checkpoint_stride >= 1):
-            raise ValueError(f"checkpoint_stride must be an integer >= 1, got {checkpoint_stride!r}")
-        self.checkpoint_stride = None if checkpoint_stride is None else int(checkpoint_stride)
+        if checkpoint_stride is not None:
+            checkpoint_stride = _integer(checkpoint_stride, "checkpoint_stride", 1)
+        self.checkpoint_stride = checkpoint_stride
         self.counts = [[0, 0], [0, 0], [0, 0]]
         # per pair: the checkpoints' trial counts and running means, each
         # starting empty and growing by one array per chunk
@@ -410,7 +407,7 @@ class LogFold:
 
     def stabilization(self, epsilon: float = DEFAULT_EPSILON) -> StabilizationReport:
         """The settling report of stabilization() for the trials folded so far."""
-        _check_epsilon(epsilon)
+        _real(epsilon, "epsilon", 0, above=True)
         if self.checkpoint_stride is None:
             raise ValueError("stabilization needs a fold with a checkpoint stride")
         reports = []
@@ -445,11 +442,6 @@ class LogFold:
         return StabilizationReport(epsilon=epsilon, checkpoint_stride=self.checkpoint_stride, pairs=tuple(reports))
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (_is_finite_real(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be a finite real number > 0, got {epsilon!r}")
-
-
 def stabilization(
     log: TrialLog,
     epsilon: float = DEFAULT_EPSILON,
@@ -462,5 +454,5 @@ def stabilization(
     which every later checkpoint stays within epsilon of the final mean. An
     empty pair is flagged not-stabilized with no n_star.
     """
-    _check_epsilon(epsilon)
+    _real(epsilon, "epsilon", 0, above=True)
     return LogFold.over(log.chunks(), checkpoint_stride).stabilization(epsilon)

@@ -27,8 +27,8 @@ from .quantum import Direction, PolarizationState, cos_squared, reduce_direction
 from .rng import (
     MASK64,
     SeededGenerator,
-    _is_finite_real,
-    _is_integer,
+    _integer,
+    _real,
     angles,
     derive_states,
     derive_trial_generator,
@@ -75,8 +75,7 @@ class SlotBinding:
 
     def __post_init__(self) -> None:
         for name in ("t1", "t2", "t3"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"time {name} must be finite, got {getattr(self, name)!r}")
+            _real(getattr(self, name), f"time {name}")
         if not (self.t1 < self.t2 < self.t3):
             raise ValueError(f"times must strictly increase, got {self.t1}, {self.t2}, {self.t3}")
 
@@ -100,8 +99,7 @@ class SpacetimeEvent:
 
     def __post_init__(self) -> None:
         for name in ("t", "x", "y", "z"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"event coordinate {name} must be finite, got {getattr(self, name)!r}")
+            _real(getattr(self, name), f"event coordinate {name}")
 
 
 def spacelike_separated(e1: SpacetimeEvent, e2: SpacetimeEvent) -> bool:
@@ -133,9 +131,7 @@ class QuantumWorld(World):
     def __post_init__(self) -> None:
         if self.policy not in ("fixed", "fresh_uniform"):
             raise ValueError(f"unknown initial-state policy {self.policy!r}")
-        if not _is_finite_real(self.initial_angle):
-            raise ValueError(f"initial_angle must be finite, got {self.initial_angle!r}")
-        object.__setattr__(self, "initial_angle", reduce_direction_angle(self.initial_angle))
+        object.__setattr__(self, "initial_angle", reduce_direction_angle(_real(self.initial_angle, "initial_angle")))
 
     def sample_pair(self, binding: SlotBinding, pair, rand) -> tuple[int, int, None]:
         """Two consecutive measurements on one photon along the pair's
@@ -276,19 +272,15 @@ def run_chunks(
     are None where the first chunk's were not, or the reverse, or that have
     another dtype, is refused with ValueError.
     """
-    if not (_is_integer(n_trials) and 1 <= n_trials <= 1 << 64):
-        raise ValueError(f"n_trials must be an integer in [1, 2^64], as trial indexes fit in 64 bits, got {n_trials!r}")
-    if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
-        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
+    n_trials = _integer(n_trials, "n_trials", 1, 1 << 64)
+    master_seed = _integer(master_seed, "master_seed", 0, MASK64)
     prep, choice = geometry
     if not spacelike_separated(prep, choice) and not override_foc:
         raise FreedomOfChoiceError(
             "preparation and pair-choice events are not space-like separated; "
             "freedom of choice is not guaranteed (set the override to run anyway)"
         )
-    if not _is_integer(n_shards) or n_shards < 1:
-        raise ValueError(f"n_shards must be an integer >= 1, got {n_shards!r}")
-    return _chunk_stream(binding, world, int(n_trials), int(master_seed), int(n_shards))
+    return _chunk_stream(binding, world, n_trials, master_seed, _integer(n_shards, "n_shards", 1))
 
 
 def _shards(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:

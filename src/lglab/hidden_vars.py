@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .rng import SeededGenerator, UnitUniformSource, _is_finite_real, _is_integer, angles, draw_integers, thresholds
+from .rng import SeededGenerator, UnitUniformSource, _integer, _is_finite_real, _real, angles, draw_integers, thresholds
 
 # lambda identifiers: a row index for discrete models, an angle for continuous ones
 HiddenVariable = Union[int, float]
@@ -198,8 +198,7 @@ class TableModel(ResponseModel):
                 w, triple = row
             except (TypeError, ValueError):
                 raise ValueError(f"row {k}: expected a (weight, responses) pair, got {row!r}") from None
-            if not (_is_finite_real(w) and w > 0.0):
-                raise ValueError(f"row {k}: weight must be a finite number > 0, got {w!r}")
+            _real(w, f"row {k}: weight", 0, above=True)
             if (
                 not hasattr(triple, "__len__")
                 or len(triple) != 3
@@ -325,10 +324,8 @@ class ConspiracyModel(World):
         if set(self.target_means) != set(PAIR_ORDER):
             raise ValueError("conspiracy model needs a target mean keyed by each of the three PairChoice members")
         for pair, m in self.target_means.items():
-            if not (_is_finite_real(m) and -1.0 <= m <= 1.0):
-                raise ValueError(f"target mean for {pair} must be a number in [-1, 1], got {m!r}")
-        if not (_is_finite_real(self.strength) and 0.0 <= self.strength <= 1.0):
-            raise ValueError(f"strength must be a number in [0, 1], got {self.strength!r}")
+            _real(m, f"target mean for {pair}", -1, 1)
+        _real(self.strength, "strength", 0, 1)
         # the lane kernel's match probabilities, by pair code
         p_same = [(1.0 + self.target_means[p]) / 2.0 for p in PAIR_ORDER]
         object.__setattr__(self, "_same_limits", thresholds(p_same))
@@ -480,8 +477,7 @@ def _mixture_lhs(trials: int, gen: SeededGenerator) -> np.ndarray:
 
 def mixture_bound_check(trials: int, gen: SeededGenerator) -> float:
     """Max exact inequality LHS over random strategy mixtures; must stay <= 1."""
-    if not (_is_integer(trials) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = _integer(trials, "trials", 1)
     if not isinstance(gen, SeededGenerator):
         raise ValueError(f"gen must be a SeededGenerator, got {gen!r}")
-    return float(np.max(_mixture_lhs(int(trials), gen)))
+    return float(np.max(_mixture_lhs(trials, gen)))

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .rng import UnitUniformSource, _is_finite_real
+from .rng import UnitUniformSource, _real
 
 # Outcomes of a dichotomic polarization measurement are normalized to +1/-1.
 Outcome = int
@@ -45,13 +45,6 @@ def cos_squared(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return c * c
 
 
-def _reduced_angle(angle, name: str) -> float:
-    """reduce_direction_angle(angle), if angle is a finite real number."""
-    if not _is_finite_real(angle):
-        raise ValueError(f"{name} must be a finite number, got {angle!r}")
-    return reduce_direction_angle(angle)
-
-
 @dataclass(frozen=True)
 class Direction:
     """A polarization direction: an angle in [0, pi), reduced on construction."""
@@ -59,7 +52,7 @@ class Direction:
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _reduced_angle(self.angle, "direction angle"))
+        object.__setattr__(self, "angle", reduce_direction_angle(_real(self.angle, "direction angle")))
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class PolarizationState:
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _reduced_angle(self.angle, "state angle"))
+        object.__setattr__(self, "angle", reduce_direction_angle(_real(self.angle, "state angle")))
 
 
 def measure_polarization(

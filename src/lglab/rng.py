@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -33,6 +33,8 @@ MIX_MULT_2 = 0x94D049BB133111EB
 _TWO53 = float(1 << 53)
 _TWO_MINUS53 = 2.0**-53
 _PI_TWO_MINUS53 = np.pi * _TWO_MINUS53
+# the 64-bit bounds as a refusal writes them
+_BOUND_TEXT = {MASK64: "2^64 - 1", 1 << 64: "2^64"}
 
 
 def _is_integer(value) -> bool:
@@ -42,12 +44,33 @@ def _is_integer(value) -> bool:
 
 def _is_finite_real(value) -> bool:
     """True for a finite int, float or numpy real scalar, False for a bool, any other
-    value or an int beyond the float range: with _is_integer, the library's number rule."""
+    value or an int beyond the float range: the predicate of _real, as _is_integer is _integer's."""
     try:  # a float skips the ABC check
         real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
         return real and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _integer(value, name: str, low: int, high: Optional[int] = None) -> int:
+    """int(value), if value is an integer in [low, high] (or >= low, with no
+    high); else a ValueError naming it. With _real, the library's number rule."""
+    if _is_integer(value) and low <= value and (high is None or value <= high):
+        return int(value)
+    bounds = f">= {low}" if high is None else f"in [{low}, {_BOUND_TEXT.get(high, high)}]"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _real(value, name: str, low=-math.inf, high=math.inf, *, above: bool = False):
+    """value, unchanged, if it is a finite real number in [low, high] (in
+    (low, high] if above); else a ValueError naming it."""
+    if _is_finite_real(value) and (low < value if above else low <= value) and value <= high:
+        return value
+    if high < math.inf:
+        bounds = f" in {'(' if above else '['}{low}, {high}]"
+    else:
+        bounds = "" if low == -math.inf else f" {'>' if above else '>='} {low}"
+    raise ValueError(f"{name} must be a finite number{bounds}, got {value!r}")
 
 
 class UnitUniformSource(Protocol):
@@ -70,9 +93,7 @@ class SeededGenerator:
     state: int
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.state) and 0 <= self.state <= MASK64):
-            raise ValueError(f"generator state must be a 64-bit unsigned integer, got {self.state!r}")
-        self.state = int(self.state)
+        self.state = _integer(self.state, "generator state", 0, MASK64)
 
     def step(self) -> int:
         """Advance one step and return the new state."""
@@ -95,9 +116,7 @@ class SeededGenerator:
         i after step m, so ceil(log2 n) doubling rounds of array products
         build them all (Brown, Trans. Am. Nucl. Soc. 71, 202, 1994).
         """
-        if not (_is_integer(n) and n >= 0):
-            raise ValueError(f"n must be an integer >= 0, got {n!r}")
-        n = int(n)
+        n = _integer(n, "n", 0)
         if n == 0:
             return np.zeros(0, dtype=np.uint64)
         mult = np.empty(n, dtype=np.uint64)
@@ -135,11 +154,9 @@ def derive_trial_generator(master_seed: int, trial_index: int) -> SeededGenerato
     Distinct indexes land in well-separated streams, and the derivation does
     not depend on any other trial, so serial and sharded runs agree.
     """
-    if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
-        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
-    if not (_is_integer(trial_index) and 0 <= trial_index <= MASK64):
-        raise ValueError(f"trial index must be an integer in [0, 2^64), got {trial_index!r}")
-    return SeededGenerator(mix64((int(master_seed) + int(trial_index) * STREAM_GOLDEN) & MASK64))
+    master_seed = _integer(master_seed, "master seed", 0, MASK64)
+    trial_index = _integer(trial_index, "trial index", 0, MASK64)
+    return SeededGenerator(mix64((master_seed + trial_index * STREAM_GOLDEN) & MASK64))
 
 
 # -- vectorized counterparts ------------------------------------------------
@@ -157,8 +174,7 @@ _U64_MIX2 = np.uint64(MIX_MULT_2)
 
 def derive_states(master_seed: int, indexes: np.ndarray) -> np.ndarray:
     """Vectorized derive_trial_generator: one uint64 state per index."""
-    if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
-        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
+    master_seed = _integer(master_seed, "master seed", 0, MASK64)
     indexes = np.asarray(indexes, dtype=np.uint64)
     # made before the states, so that the block it frees on return lies below
     # them, where the caller's next temporaries reuse it, and not at the top
@@ -167,7 +183,7 @@ def derive_states(master_seed: int, indexes: np.ndarray) -> np.ndarray:
     # one product, into an array even for a scalar index, so the seed's add
     # wraps as array arithmetic does, without an overflow warning
     z = np.multiply(indexes, _U64_GOLDEN, out=np.empty_like(scratch))
-    z += np.uint64(int(master_seed))
+    z += np.uint64(master_seed)
     # mix64 on every lane, in place
     for shift, mult in ((30, _U64_MIX1), (27, _U64_MIX2)):
         np.right_shift(z, np.uint64(shift), out=scratch)

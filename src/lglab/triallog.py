@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 import numpy as np
 
 from .hidden_vars import PAIR_ORDER, PairChoice
-from .rng import _is_integer
+from .rng import MASK64, _integer, _is_integer
 
 # The engine samples, the estimators fold and the trial-log writer encodes in
 # chunks of this many trials, so no step holds a temporary per trial for the
@@ -70,16 +70,15 @@ class TrialLog:
             raise ValueError("column lengths disagree")
         if lambda_ids is not None and len(lambda_ids) != n:
             raise ValueError("column lengths disagree")
-        if not (_is_integer(first_index) and 0 <= first_index < 1 << 64):
-            raise ValueError(f"first_index must be an integer in [0, 2^64), got {first_index!r}")
-        if int(first_index) + n > 1 << 64:
+        first_index = _integer(first_index, "first_index", 0, MASK64)
+        if first_index + n > 1 << 64:
             raise ValueError(f"a log of {n} trials from first_index {first_index} runs past trial 2^64 - 1")
         self.pair_codes = pair_codes
         self.s_first = s_first
         self.s_second = s_second
         self.lambda_ids = lambda_ids
         self.model_tag = model_tag
-        self.first_index = int(first_index)
+        self.first_index = first_index
 
     @classmethod
     def from_records(cls, records: Iterable[TrialRecord]) -> "TrialLog":

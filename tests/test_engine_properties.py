@@ -422,7 +422,7 @@ def test_from_records_refuses_an_outcome_that_is_not_the_integer_1_or_minus_1(na
 @pytest.mark.parametrize("first_index", [0.0, "0", True, np.True_, None, -1, 2**64])
 def test_a_log_takes_its_first_index_by_the_integer_rule(first_index):
     columns = np.zeros(2, np.uint8), np.ones(2, np.int8), -np.ones(2, np.int8)
-    with pytest.raises(ValueError, match=r"^first_index must be an integer in \[0, 2\^64\), got "):
+    with pytest.raises(ValueError, match=r"^first_index must be an integer in \[0, 2\^64 - 1\], got "):
         TrialLog(*columns, None, "quantum", first_index)
     log = TrialLog(*columns, None, "quantum", np.uint64(2**64 - 2))
     assert type(log.first_index) is int and log[-1].index == 2**64 - 1

@@ -8,6 +8,7 @@ from lglab import (
     Direction,
     FreedomOfChoiceError,
     PairChoice,
+    PairEstimate,
     PolarizationState,
     QuantumWorld,
     SeededGenerator,
@@ -17,16 +18,20 @@ from lglab import (
     TrialLog,
     TrialRecord,
     derive_trial_generator,
+    evaluate_lg,
     maximize_violation,
+    mixture_bound_check,
     read_trial_log,
     run_chunks,
     run_experiment,
     select_pair,
     spacelike_separated,
+    stabilization,
     write_trial_log,
 )
-from lglab.experiment import run_trial_scalar
-from lglab.hidden_vars import RotorModel, conspiracy_from_quantum
+from lglab import experiment
+from lglab.experiment import SELECT_PAIR_MAX_ATTEMPTS, run_trial_scalar
+from lglab.hidden_vars import RotorModel, TimeSlot, conspiracy_from_quantum
 from lglab.rng import MASK64, derive_states, mix64
 from lglab.triallog import TRIAL_LOG_HEADER, TrialLogFormatError
 
@@ -74,6 +79,43 @@ def test_pair_selection_is_uniform():
         assert 0.332 <= k / n <= 0.335, (p, k / n)
 
 
+class _TopBits:
+    """A generator whose steps have the given top two bits, in order."""
+
+    def __init__(self, bits):
+        self.bits = iter(bits)
+
+    def top_two_bits(self) -> int:
+        return next(self.bits)
+
+
+@pytest.mark.parametrize("last", [0, 3], ids=["accepted_on_the_last_attempt", "rejected_on_every_attempt"])
+def test_pair_selection_takes_at_most_its_cap_of_attempts(monkeypatch, last):
+    # the value 3 is rejected on every attempt but the last one allowed, where
+    # last is drawn: the scalar and lane selections keep the same lane or
+    # refuse it, and neither steps past the cap
+    bits = [3] * (SELECT_PAIR_MAX_ATTEMPTS - 1) + [last]
+
+    def step_states(states):
+        states &= np.uint64(MASK64 >> 2)
+        states |= np.uint64(bits[len(steps)] << 62)
+        steps.append(len(states))
+        return states
+
+    steps = []
+    monkeypatch.setattr(experiment, "step_states", step_states)
+    if last == 3:
+        refused = f"^pair selection failed {SELECT_PAIR_MAX_ATTEMPTS} rejections in a row$"
+        with pytest.raises(RuntimeError, match=refused):
+            select_pair(_TopBits(bits))
+        with pytest.raises(RuntimeError, match=refused):
+            experiment._select_pairs_batch(np.zeros(4, np.uint64))
+    else:
+        assert select_pair(_TopBits(bits)) is PairChoice.P12
+        assert experiment._select_pairs_batch(np.zeros(4, np.uint64)).tolist() == [0] * 4
+    assert steps == [4] * SELECT_PAIR_MAX_ATTEMPTS
+
+
 def test_derive_trial_generator_is_reproducible_and_distinct():
     assert derive_trial_generator(7, 0).state == derive_trial_generator(7, 0).state
     assert derive_trial_generator(7, 0).state != derive_trial_generator(7, 1).state
@@ -106,13 +148,6 @@ def test_derive_matches_splitmix_finalizer_by_hand():
     assert derive_trial_generator(seed, index).state == z == mix64(seed + index * 0x9E3779B97F4A7C15)
 
 
-def test_generator_rejects_bad_state():
-    with pytest.raises(ValueError):
-        SeededGenerator(-1)
-    with pytest.raises(ValueError):
-        derive_trial_generator(2**64, 0)
-
-
 # -- spacetime geometry ----------------------------------------------------------
 
 
@@ -124,11 +159,6 @@ def test_spacelike_separation_cases():
     assert spacelike_separated(origin, SpacetimeEvent(1, 1, 0, 0)) is False
 
 
-def test_event_coordinates_must_be_finite():
-    with pytest.raises(ValueError):
-        SpacetimeEvent(0, math.inf, 0, 0)
-
-
 def test_binding_requires_increasing_times():
     d = Direction(0)
     with pytest.raises(ValueError):
@@ -137,6 +167,10 @@ def test_binding_requires_increasing_times():
 
 _MEANS = {p: 0.5 for p in PairChoice}
 _BINDING = SlotBinding(1.0, 2.0, 3.0, Direction(0), Direction(0), Direction(0))
+_GEOMETRY = (SpacetimeEvent(0, 0, 0, 0), SpacetimeEvent(0, 1, 0, 0))
+_ESTIMATES = tuple(PairEstimate(p, 100, m, math.sqrt((1 - m * m) / 100)) for p, m in zip(PairChoice, (0.5, -0.5, 0.5)))
+# two trials of each pair, every product 1
+_LOG = TrialLog(np.repeat(np.arange(3, dtype=np.uint8), 2), np.ones(6, np.int8), np.ones(6, np.int8), None, "test")
 
 
 @pytest.mark.parametrize(
@@ -167,6 +201,29 @@ _BINDING = SlotBinding(1.0, 2.0, 3.0, Direction(0), Direction(0), Direction(0))
         (lambda: run_trial_scalar(_BINDING, QuantumWorld(), 2**64, 42), "trial index"),
         (lambda: derive_states("7", np.arange(4, dtype=np.uint64)), "master seed"),
         (lambda: derive_states(1.5, np.arange(4, dtype=np.uint64)), "master seed"),
+        (lambda: SeededGenerator(-1), "generator state"),
+        (lambda: derive_trial_generator(2**64, 0), "master seed"),
+        (lambda: SpacetimeEvent(0, math.inf, 0, 0), "event coordinate x"),
+        (lambda: run_experiment(_BINDING, QuantumWorld(), 0, 1, _GEOMETRY), "n_trials"),
+        (lambda: QuantumWorld(initial_angle=math.nan), "initial_angle"),
+        (lambda: QuantumWorld(initial_angle=math.inf), "initial_angle"),
+        (lambda: QuantumWorld(initial_angle=-math.inf), "initial_angle"),
+        (lambda: mixture_bound_check(0, SeededGenerator(1)), "trials"),
+        (lambda: maximize_violation(grid_step=0.1), "grid step"),
+        (lambda: maximize_violation(grid_step=-0.01), "grid step"),
+        (lambda: maximize_violation(refine_tolerance=0.0), "refine tolerance"),
+        (lambda: maximize_violation(refine_tolerance=math.nan), "refine tolerance"),
+        (lambda: maximize_violation(refine_tolerance=math.inf), "refine tolerance"),
+        (lambda: stabilization(_LOG, epsilon=0.0), "epsilon"),
+        (lambda: stabilization(_LOG, epsilon=0.1, checkpoint_stride=0), "checkpoint_stride"),
+        (lambda: stabilization(_LOG, epsilon=math.nan), "epsilon"),
+        (lambda: stabilization(_LOG, epsilon=math.inf), "epsilon"),
+        (lambda: stabilization(_LOG, epsilon=-math.inf), "epsilon"),
+        (lambda: evaluate_lg(_ESTIMATES, math.nan), "significance"),
+        (lambda: evaluate_lg(_ESTIMATES, math.inf), "significance"),
+        (lambda: evaluate_lg(_ESTIMATES, -math.inf), "significance"),
+        (lambda: PairEstimate(PairChoice.P12, 0, 0.0, 0.0), "estimate for pair 12"),
+        (lambda: PairEstimate(PairChoice.P12, 10, 1.5, 0.0), "pair 12:"),
     ],
     ids=[
         "direction_beyond_float_range",
@@ -194,6 +251,29 @@ _BINDING = SlotBinding(1.0, 2.0, 3.0, Direction(0), Direction(0), Direction(0))
         "scalar_trial_index_2_64",
         "derive_states_str_seed",
         "derive_states_float_seed",
+        "generator_negative_state",
+        "trial_generator_seed_2_64",
+        "event_infinite_coordinate",
+        "run_zero_trials",
+        "quantum_world_nan_angle",
+        "quantum_world_infinite_angle",
+        "quantum_world_minus_infinite_angle",
+        "mixture_zero_trials",
+        "optimize_grid_step_above_pi_64",
+        "optimize_negative_grid_step",
+        "optimize_zero_tolerance",
+        "optimize_nan_tolerance",
+        "optimize_infinite_tolerance",
+        "stabilization_zero_epsilon",
+        "stabilization_zero_stride",
+        "stabilization_nan_epsilon",
+        "stabilization_infinite_epsilon",
+        "stabilization_minus_infinite_epsilon",
+        "evaluate_lg_nan_significance",
+        "evaluate_lg_infinite_significance",
+        "evaluate_lg_minus_infinite_significance",
+        "pair_estimate_without_samples",
+        "pair_estimate_mean_beyond_1",
     ],
 )
 def test_value_types_refuse_a_bad_number_with_a_value_error_naming_it(build, field):
@@ -204,23 +284,30 @@ def test_value_types_refuse_a_bad_number_with_a_value_error_naming_it(build, fie
 # -- run_experiment ---------------------------------------------------------------
 
 
+_NOT_A_STRATEGY = "conspiracy lambda must index one of the 8 strategies, got"
+
+
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (lambda: QuantumWorld(policy="x"), "unknown initial-state policy 'x'"),
+        (lambda: RotorModel((Direction(0), Direction(1))), "rotor model needs exactly three directions, got 2"),
+        (lambda: ConspiracyModel(_MEANS).respond(8, TimeSlot.T1), f"{_NOT_A_STRATEGY} 8"),
+        (lambda: ConspiracyModel(_MEANS).respond(-1, TimeSlot.T1), f"{_NOT_A_STRATEGY} -1"),
+    ],
+    ids=["quantum_policy", "rotor_two_directions", "conspiracy_lambda_8", "conspiracy_lambda_minus_1"],
+)
+def test_a_world_refuses_what_it_cannot_read_with_a_value_error(build, refusal):
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        build()
+
+
 def test_quantum_world_tag_is_not_a_parameter():
     assert QuantumWorld("fixed", 0.0).tag == "quantum"
     with pytest.raises(TypeError):
         QuantumWorld("fixed", 0.0, "x")
     with pytest.raises(TypeError):
         QuantumWorld(tag="x")
-
-
-def test_run_refuses_zero_trials(magic_binding, spacelike_geometry):
-    with pytest.raises(ValueError):
-        run_experiment(magic_binding, QuantumWorld(), 0, 1, spacelike_geometry)
-
-
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
-def test_quantum_world_refuses_a_non_finite_initial_angle(angle):
-    with pytest.raises(ValueError, match="initial_angle"):
-        QuantumWorld(initial_angle=angle)
 
 
 @pytest.mark.parametrize("run", [run_chunks, run_experiment])

@@ -271,11 +271,6 @@ def test_one_mixture_sums_its_terms_as_its_table_model_does():
         assert mixture_bound_check(1, SeededGenerator(seed)) == expected, seed
 
 
-def test_mixture_bound_check_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        mixture_bound_check(0, SeededGenerator(1))
-
-
 @pytest.mark.parametrize("trials", [True, False, 2.5, 10.0, "10", None, 0, -1])
 def test_mixture_bound_check_refuses_trials_that_are_not_an_integer_at_least_1(trials):
     with pytest.raises(ValueError, match="^trials must be an integer >= 1"):

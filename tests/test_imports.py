@@ -65,16 +65,45 @@ def test_cli_imports_no_private_name_of_the_trial_log():
 
 
 def test_only_rng_holds_the_number_rule():
-    # the number predicates live in rng.py, which every other module imports,
-    # so that each module reads a number by the same rule
+    # the number rule, its predicates, ranges and refusals, lives in rng.py:
+    # every number argument goes through rng._integer or rng._real. Only the
+    # config reader, which names JSON paths in its own words, and the checks of
+    # a record, an index and a table response, which are not number
+    # arguments, use a predicate themselves
+    predicates = {"_is_integer", "_is_finite_real"}
+    predicate_users = {
+        "triallog.py": {"TrialLog.from_records", "TrialLog.__getitem__"},
+        "hidden_vars.py": {"TableModel.__init__"},
+    }
+
+    def refuses_a_number(node):
+        if not (isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "ValueError"):
+            return False
+        words = "".join(n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+        return "must be an integer" in words or "must be a finite number" in words
+
     for path in sorted(Path(lglab.__file__).parent.glob("*.py")):
         if path.name == "rng.py":
             continue
-        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
         imported = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
         imported += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level]
         defined = [node.name for node in nodes if isinstance(node, ast.FunctionDef) and node.name.startswith("_is_")]
         assert ("numbers" in imported, defined) == (False, []), path.name
+        assert not any(map(refuses_a_number, nodes)), path.name
+        if path.name == "cli.py":
+            continue
+        # each top-level function, or method by its class, that names a predicate
+        tops = [(f"{top.name}.", top.body) if isinstance(top, ast.ClassDef) else ("", [top]) for top in tree.body]
+        users = {
+            prefix + getattr(node, "name", type(node).__name__)
+            for prefix, body in tops
+            for node in body
+            if not isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(getattr(n, "id", None) in predicates for n in ast.walk(node))
+        }
+        assert users == predicate_users.get(path.name, set()), path.name
 
 
 def test_only_triallog_holds_the_chunk_rule():

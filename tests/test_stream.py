@@ -386,8 +386,9 @@ def test_a_log_without_a_header_or_trials_is_refused(tmp_path, data, message):
     [
         (b"index\n0,12,1,1,,q\xff\n", "line 1: expected header"),
         (triallog._HEADER_LINE + b"0,12,1,0,,q\n1,12,1,1,,q\xff\n", "line 2: outcomes must be 1 or -1"),
+        (triallog._HEADER_LINE + b"x,12,1,1,,q\n1,12,1,1,,q\xff\n", "line 2: index 'x' is not an integer"),
     ],
-    ids=["wrong_header", "bad_first_row"],
+    ids=["wrong_header", "bad_first_row", "bad_first_index"],
 )
 def test_the_first_line_breaking_the_schema_is_named_before_a_later_bad_byte(tmp_path, data, message):
     # the header and the first row are read before the rest of their block
@@ -566,5 +567,5 @@ def test_chunks_at_the_top_of_the_index_range_match_the_scalar_trials(
 
 
 def test_a_run_whose_indexes_overflow_64_bits_is_refused(magic_binding, spacelike_geometry):
-    with pytest.raises(ValueError, match="64 bits"):
+    with pytest.raises(ValueError, match=r"2\^64"):
         run_chunks(magic_binding, experiment.QuantumWorld(), 2**64 + 1, 9, spacelike_geometry)

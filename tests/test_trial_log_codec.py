@@ -349,6 +349,28 @@ def test_a_log_refuses_a_column_that_is_not_a_1d_array(name, shape):
         TrialLog(*columns.values(), "table")
 
 
+@pytest.mark.parametrize("name", ["s_first", "s_second", "lambda_ids"])
+def test_a_log_refuses_a_column_shorter_than_the_pair_codes(name):
+    columns = {
+        "pair_codes": np.zeros(4, np.uint8),
+        "s_first": np.ones(4, np.int8),
+        "s_second": -np.ones(4, np.int8),
+        "lambda_ids": np.arange(4),
+    }
+    columns[name] = columns[name][:3]
+    with pytest.raises(ValueError, match="^column lengths disagree$"):
+        TrialLog(*columns.values(), "table")
+
+
+def test_a_log_equals_only_a_log_of_its_tag_and_lambda_column():
+    log = TrialLog(np.zeros(2, np.uint8), np.ones(2, np.int8), -np.ones(2, np.int8), np.arange(2), "table")
+    without_lambdas = TrialLog(log.pair_codes, log.s_first, log.s_second, None, "table")
+    assert log == TrialLog(log.pair_codes.copy(), log.s_first.copy(), log.s_second.copy(), np.arange(2), "table")
+    assert log.__eq__(list(log)) is NotImplemented and log != list(log)
+    assert log != without_lambdas and without_lambdas != log
+    assert log != TrialLog(log.pair_codes, log.s_first, log.s_second, log.lambda_ids, "rotor")
+
+
 @pytest.mark.parametrize(
     "lambdas",
     [np.array([1 + 2j, 0.5, 1.0]), np.array([1, 2, 3], dtype=object), np.array(["1", "2", "3"])],
