@@ -45,10 +45,9 @@ class PairEstimate:
     std_error: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"estimate for pair {self.pair.value} has no samples")
-        if abs(self.mean) > 1.0:
-            raise ValueError(f"pair {self.pair.value}: |mean| must be <= 1, got {self.mean}")
+        object.__setattr__(self, "n", _integer(self.n, f"pair {self.pair.value}: n", 1))
+        _real(self.mean, f"pair {self.pair.value}: mean", -1, 1)
+        _real(self.std_error, f"pair {self.pair.value}: std_error", 0)
 
 
 def estimates_from_counts(counts) -> tuple[PairEstimate, PairEstimate, PairEstimate]:
@@ -93,10 +92,6 @@ class LgReport:
     degenerate: bool
     se_method: str
     config_echo: dict = field(default_factory=dict)
-
-    def recomputed_lhs(self) -> float:
-        e12, e13, e23 = self.estimates
-        return abs(e12.mean - e13.mean) + e23.mean
 
     def to_json_dict(self) -> dict:
         return {

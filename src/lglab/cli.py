@@ -44,7 +44,7 @@ from .experiment import (
 from .hidden_vars import RotorModel, TableModel, World, conspiracy_from_quantum
 from .jsonutil import dump_stable
 from .quantum import Direction, sequential_correlation_exact
-from .rng import MASK64, _is_finite_real, _is_integer
+from .rng import MASK64, _integer, _real
 from .triallog import TrialLogFormatError, TrialLogWriter, fold_trial_log, write_trial_log
 
 SCHEMA_VERSION = 1
@@ -55,6 +55,9 @@ EXIT_FOC = 2
 
 # how many random mixtures `lglab bound` checks against the bound
 BOUND_MIXTURES = 10_000
+
+# the largest angle whose double, which the closed form takes the cosine of, is finite
+_HALF_MAX = sys.float_info.max / 2
 
 DEFAULT_TIMES = (1.0, 2.0, 3.0)
 DEFAULT_GEOMETRY = {
@@ -92,11 +95,18 @@ def _require_keys(obj: dict, path: str, required: tuple[str, ...], optional: tup
             raise ConfigError(f"{path}: missing required field {key!r}")
 
 
+def _read(rule, value, name: str, *bounds, **options):
+    """rule(value, name, *bounds, **options), for rng's _integer or _real,
+    with its refusal raised as a ConfigError of the same text."""
+    try:
+        return rule(value, name, *bounds, **options)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _finite(value, field: str) -> float:
     """value as a float, if it is a JSON number that a finite float holds."""
-    if _is_finite_real(value):
-        return float(value)
-    raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return float(_read(_real, value, field))
 
 
 def _number(obj: dict, path: str, key: str, default=None) -> float:
@@ -110,8 +120,7 @@ def _parse_angles(obj: dict) -> tuple[Direction, Direction, Direction]:
         _require_keys(obj, "angles", ("theta_ab", "theta_bc"))
         theta_ab = _number(obj, "angles", "theta_ab")
         theta_bc = _number(obj, "angles", "theta_bc")
-        if not math.isfinite(theta_ab + theta_bc):
-            raise ConfigError(f"angles: theta_ab + theta_bc must be finite, got {theta_ab + theta_bc}")
+        _read(_real, theta_ab + theta_bc, "angles: theta_ab + theta_bc")
         # coplanar convention: a at 0, c beyond b, so theta_ac = theta_ab + theta_bc
         return Direction(0.0), Direction(theta_ab), Direction(theta_ab + theta_bc)
     _require_keys(obj, "angles", ("a", "b", "c"))
@@ -207,8 +216,8 @@ def load_run_config(path) -> RunConfig:
             "override_foc",
         ),
     )
-    schema = raw.get("schema", SCHEMA_VERSION)
-    if not (_is_integer(schema) and schema == SCHEMA_VERSION):
+    schema = _read(_integer, raw.get("schema", SCHEMA_VERSION), "schema", 0)
+    if schema != SCHEMA_VERSION:
         raise ConfigError(f"schema: this build reads schema {SCHEMA_VERSION}, got {schema!r}")
 
     a, b, c = _parse_angles(raw["angles"])
@@ -222,13 +231,9 @@ def load_run_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"times: {exc}") from None
 
-    n_trials = raw["n_trials"]
     # trial indexes run to n_trials - 1, which must fit in 64 bits
-    if not _is_integer(n_trials) or not 1 <= n_trials <= 1 << 64:
-        raise ConfigError(f"n_trials: expected an integer >= 1 and <= 2^64, got {n_trials!r}")
-    master_seed = raw["master_seed"]
-    if not _is_integer(master_seed) or not 0 <= master_seed <= MASK64:
-        raise ConfigError(f"master_seed: expected a 64-bit unsigned integer, got {master_seed!r}")
+    n_trials = _read(_integer, raw["n_trials"], "n_trials", 1, 1 << 64)
+    master_seed = _read(_integer, raw["master_seed"], "master_seed", 0, MASK64)
 
     geometry_raw = raw.get("geometry", DEFAULT_GEOMETRY)
     _require_keys(geometry_raw, "geometry", ("preparation", "choice"))
@@ -240,12 +245,8 @@ def load_run_config(path) -> RunConfig:
     world = _parse_world(raw["world"], binding, raw.get("initial_state"))
 
     significance = _finite(raw.get("significance", DEFAULT_SIGNIFICANCE), "significance")
-    epsilon = _finite(raw.get("epsilon", DEFAULT_EPSILON), "epsilon")
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon: must be > 0, got {epsilon}")
-    stride = raw.get("checkpoint_stride", DEFAULT_CHECKPOINT_STRIDE)
-    if not _is_integer(stride) or stride < 1:
-        raise ConfigError(f"checkpoint_stride: expected an integer >= 1, got {stride!r}")
+    epsilon = float(_read(_real, raw.get("epsilon", DEFAULT_EPSILON), "epsilon", 0, above=True))
+    stride = _read(_integer, raw.get("checkpoint_stride", DEFAULT_CHECKPOINT_STRIDE), "checkpoint_stride", 1)
     override_foc = raw.get("override_foc", False)
     if not isinstance(override_foc, bool):
         raise ConfigError(f"override_foc: expected true or false, got {override_foc!r}")
@@ -314,16 +315,10 @@ def cmd_run(config_path, report_path, trials_path) -> int:
 
 
 def cmd_exact(theta_ab: float, theta_bc: float) -> int:
-    angles = (("--theta-ab", theta_ab), ("--theta-bc", theta_bc))
-    for flag, value in angles:
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag}: expected a finite angle, got {value}")
-    if not math.isfinite(theta_ab + theta_bc):
-        raise ConfigError(f"--theta-ab + --theta-bc: the sum theta_ac must be finite, got {theta_ab + theta_bc}")
     # the closed-form LHS takes cos(2 * angle) of both angles and of their sum
-    for flag, value in angles + (("--theta-ab + --theta-bc", theta_ab + theta_bc),):
-        if not math.isfinite(2.0 * value):
-            raise ConfigError(f"{flag}: twice the angle must be finite, got {value}")
+    angles = (("--theta-ab", theta_ab), ("--theta-bc", theta_bc), ("--theta-ab + --theta-bc", theta_ab + theta_bc))
+    for flag, value in angles:
+        _read(_real, value, flag, -_HALF_MAX, _HALF_MAX)
     a, b, c = Direction(0.0), Direction(theta_ab), Direction(theta_ab + theta_bc)
     out = {
         "schema": SCHEMA_VERSION,
@@ -368,8 +363,7 @@ def cmd_bound() -> int:
 
 
 def cmd_optimize(grid_step: float, tolerance: float) -> int:
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ConfigError(f"--tol: expected a finite number > 0, got {tolerance}")
+    _read(_real, tolerance, "--tol", 0, above=True)
     try:
         theta_ab, theta_bc, lhs_max = maximize_violation(grid_step, tolerance)
     except ValueError as exc:  # --tol passed above, so it concerns the grid step
@@ -387,12 +381,9 @@ def cmd_optimize(grid_step: float, tolerance: float) -> int:
 
 
 def cmd_analyze(trials_path, significance: float, epsilon: float, checkpoint_stride: int) -> int:
-    if not math.isfinite(significance):
-        raise ConfigError(f"--significance: expected a finite number, got {significance}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"--epsilon: expected a finite number > 0, got {epsilon}")
-    if checkpoint_stride < 1:
-        raise ConfigError(f"--checkpoint-stride: expected an integer >= 1, got {checkpoint_stride}")
+    _read(_real, significance, "--significance")
+    _read(_real, epsilon, "--epsilon", 0, above=True)
+    _read(_integer, checkpoint_stride, "--checkpoint-stride", 1)
     try:
         fold = fold_trial_log(trials_path, lambda chunks: LogFold.over(chunks, checkpoint_stride))
     except OSError as exc:

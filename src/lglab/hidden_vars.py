@@ -227,7 +227,7 @@ class TableModel(ResponseModel):
         return int(min(np.searchsorted(self._cum, u, side="right"), len(self.rows) - 1))
 
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int:
-        return int(self._responses[int(lam), slot.value])
+        return int(self._responses[_integer(lam, "table lambda", 0, len(self.rows) - 1), slot.value])
 
     def sample_lanes(self, binding, codes, states: np.ndarray):
         # cum[j] <= u exactly when row_limits[j] <= k, so lam counts the rows
@@ -332,10 +332,7 @@ class ConspiracyModel(World):
         object.__setattr__(self, "_strength_limit", thresholds(self.strength))
 
     def respond(self, lam: HiddenVariable, slot: TimeSlot) -> int:
-        lam = int(lam)
-        if not 0 <= lam <= 7:
-            raise ValueError(f"conspiracy lambda must index one of the 8 strategies, got {lam}")
-        return 1 if (lam >> slot.value) & 1 else -1
+        return 1 if (_integer(lam, "conspiracy lambda", 0, 7) >> slot.value) & 1 else -1
 
     def sample_pair(self, binding, pair, rand: UnitUniformSource) -> tuple[int, int, int]:
         """Draw one trial for the given pair: (s_first, s_second, lambda).

@@ -120,13 +120,19 @@ def exact_estimates(m12, m13, m23, n=1_000_000):
     )
 
 
+def stored_lhs(report):
+    """The LHS recomputed from the report's own estimates."""
+    e12, e13, e23 = report.estimates
+    return abs(e12.mean - e13.mean) + e23.mean
+
+
 def test_quantum_values_violate():
     report = evaluate_lg(exact_estimates(0.5, -0.5, 0.5), significance=3.0)
     assert report.lhs == pytest.approx(1.5, abs=1e-15)
     assert report.violated
     assert report.z_score > 100
     assert report.se_method == "propagation"
-    assert abs(report.recomputed_lhs() - report.lhs) < 1e-12
+    assert abs(stored_lhs(report) - report.lhs) < 1e-12
 
 
 def test_saturated_estimates_do_not_violate():
@@ -196,7 +202,7 @@ def test_unconditioned_models_never_violate_significantly(magic_binding, spaceli
         assert report.lhs <= 1.0 + 5.0 * report.lhs_std_error
         assert not report.violated
         # recomputation invariant: stored lhs matches the stored estimates
-        assert abs(report.recomputed_lhs() - report.lhs) < 1e-12
+        assert abs(stored_lhs(report) - report.lhs) < 1e-12
 
 
 # -- quantum_lhs and the optimizer ----------------------------------------------

@@ -180,7 +180,8 @@ def test_every_config_refusal_exits_1_naming_its_field(tmp_path, capsys, config,
         path = write_config(tmp_path, **config)
     code, report, trials = run_cli(tmp_path, path)
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    # a wrapped refusal reads "<field>: ...", the number rule's "<field> must be ..."
+    assert capsys.readouterr().err.startswith((f"error: {field}: ", f"error: {field} must be "))
     assert not report.exists() and not trials.exists()
 
 
@@ -205,6 +206,20 @@ def test_run_is_byte_reproducible(tmp_path):
     _, r2, t2 = run_cli(tmp_path, path, "r2.json", "t2.csv")
     assert r1.read_bytes() == r2.read_bytes()
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def test_integer_significance_and_epsilon_are_written_as_floats(tmp_path):
+    # the report's sections hold the numbers as read, floats; only the
+    # config's echo keeps the integers it was given
+    path = write_config(tmp_path, significance=3, epsilon=1)
+    code, report_path, _ = run_cli(tmp_path, path)
+    assert code == EXIT_OK
+    text = report_path.read_text()
+    report = json.loads(text)
+    assert (report["config"]["significance"], report["config"]["epsilon"]) == (3, 1)
+    assert repr(report["lg_report"]["significance"]) == "3.0"
+    assert repr(report["stabilization_report"]["epsilon"]) == "1.0"
+    assert '"significance": 3.0' in text and '"epsilon": 1.0' in text
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--report"])
@@ -504,7 +519,9 @@ def test_optimize_negative_exponent_tolerance_names_tol(capsys, value):
         (["--theta-ab", "nan", "--theta-bc", "0.5"], "--theta-ab"),
         (["--theta-ab", "0.5", "--theta-bc", "inf"], "--theta-bc"),
         (["--theta-ab", "0.5", "--theta-bc", "-inf"], "--theta-bc"),
-        (["--theta-ab", "1e308", "--theta-bc", "1e308"], "--theta-ab + --theta-bc"),
+        # each angle is read first, so one beyond half the float range is named
+        # before the sum, which two angles within it cannot overflow
+        (["--theta-ab", "1e308", "--theta-bc", "1e308"], "--theta-ab must be "),
     ],
 )
 def test_exact_non_finite_angles_name_the_flag(capsys, args, named):
@@ -517,9 +534,9 @@ def test_exact_non_finite_angles_name_the_flag(capsys, args, named):
 @pytest.mark.parametrize(
     "args, named",
     [
-        (["--theta-ab", "1e308", "--theta-bc", "0"], "--theta-ab:"),
-        (["--theta-ab", "0", "--theta-bc", "-1e308"], "--theta-bc:"),
-        (["--theta-ab", "6e307", "--theta-bc", "6e307"], "--theta-ab + --theta-bc:"),
+        (["--theta-ab", "1e308", "--theta-bc", "0"], "--theta-ab must be "),
+        (["--theta-ab", "0", "--theta-bc", "-1e308"], "--theta-bc must be "),
+        (["--theta-ab", "6e307", "--theta-bc", "6e307"], "--theta-ab + --theta-bc must be "),
     ],
 )
 def test_exact_angles_whose_double_overflows_name_the_flag(capsys, args, named):
@@ -575,5 +592,5 @@ def test_n_trials_whose_indexes_overflow_64_bits_is_named(tmp_path, capsys, n_tr
     path = write_config(tmp_path, n_trials=n_trials)
     code, _, trials_path = run_cli(tmp_path, path)
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: n_trials: expected an integer >= 1 and <= 2^64")
+    assert capsys.readouterr().err.startswith("error: n_trials must be an integer in [1, 2^64], got ")
     assert not trials_path.exists()

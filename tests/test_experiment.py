@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,8 +223,12 @@ _LOG = TrialLog(np.repeat(np.arange(3, dtype=np.uint8), 2), np.ones(6, np.int8),
         (lambda: evaluate_lg(_ESTIMATES, math.nan), "significance"),
         (lambda: evaluate_lg(_ESTIMATES, math.inf), "significance"),
         (lambda: evaluate_lg(_ESTIMATES, -math.inf), "significance"),
-        (lambda: PairEstimate(PairChoice.P12, 0, 0.0, 0.0), "estimate for pair 12"),
-        (lambda: PairEstimate(PairChoice.P12, 10, 1.5, 0.0), "pair 12:"),
+        (lambda: PairEstimate(PairChoice.P12, 0, 0.0, 0.0), "pair 12: n"),
+        (lambda: PairEstimate(PairChoice.P12, 10, 1.5, 0.0), "pair 12: mean"),
+        (lambda: PairEstimate(PairChoice.P12, 10, math.nan, 0.0), "pair 12: mean"),
+        (lambda: PairEstimate(PairChoice.P12, 2.5, 0.0, 0.0), "pair 12: n"),
+        (lambda: PairEstimate(PairChoice.P12, True, 0.0, 0.0), "pair 12: n"),
+        (lambda: PairEstimate(PairChoice.P12, 10, 0.0, -1.0), "pair 12: std_error"),
     ],
     ids=[
         "direction_beyond_float_range",
@@ -274,6 +279,10 @@ _LOG = TrialLog(np.repeat(np.arange(3, dtype=np.uint8), 2), np.ones(6, np.int8),
         "evaluate_lg_minus_infinite_significance",
         "pair_estimate_without_samples",
         "pair_estimate_mean_beyond_1",
+        "pair_estimate_nan_mean",
+        "pair_estimate_float_n",
+        "pair_estimate_bool_n",
+        "pair_estimate_negative_std_error",
     ],
 )
 def test_value_types_refuse_a_bad_number_with_a_value_error_naming_it(build, field):
@@ -284,7 +293,9 @@ def test_value_types_refuse_a_bad_number_with_a_value_error_naming_it(build, fie
 # -- run_experiment ---------------------------------------------------------------
 
 
-_NOT_A_STRATEGY = "conspiracy lambda must index one of the 8 strategies, got"
+_NOT_A_STRATEGY = "conspiracy lambda must be an integer in [0, 7], got"
+_NOT_A_ROW = "table lambda must be an integer in [0, 1], got"
+_TWO_ROWS = TableModel([(0.5, (1, 1, 1)), (0.5, (-1, -1, -1))])
 
 
 @pytest.mark.parametrize(
@@ -294,11 +305,28 @@ _NOT_A_STRATEGY = "conspiracy lambda must index one of the 8 strategies, got"
         (lambda: RotorModel((Direction(0), Direction(1))), "rotor model needs exactly three directions, got 2"),
         (lambda: ConspiracyModel(_MEANS).respond(8, TimeSlot.T1), f"{_NOT_A_STRATEGY} 8"),
         (lambda: ConspiracyModel(_MEANS).respond(-1, TimeSlot.T1), f"{_NOT_A_STRATEGY} -1"),
+        (lambda: ConspiracyModel(_MEANS).respond(1.7, TimeSlot.T1), f"{_NOT_A_STRATEGY} 1.7"),
+        (lambda: ConspiracyModel(_MEANS).respond(True, TimeSlot.T1), f"{_NOT_A_STRATEGY} True"),
+        (lambda: _TWO_ROWS.respond(0.9, TimeSlot.T1), f"{_NOT_A_ROW} 0.9"),
+        (lambda: _TWO_ROWS.respond(True, TimeSlot.T1), f"{_NOT_A_ROW} True"),
+        (lambda: _TWO_ROWS.respond(-1, TimeSlot.T1), f"{_NOT_A_ROW} -1"),
+        (lambda: _TWO_ROWS.respond(len(_TWO_ROWS.rows), TimeSlot.T1), f"{_NOT_A_ROW} 2"),
     ],
-    ids=["quantum_policy", "rotor_two_directions", "conspiracy_lambda_8", "conspiracy_lambda_minus_1"],
+    ids=[
+        "quantum_policy",
+        "rotor_two_directions",
+        "conspiracy_lambda_8",
+        "conspiracy_lambda_minus_1",
+        "conspiracy_lambda_1_7",
+        "conspiracy_lambda_bool",
+        "table_lambda_0_9",
+        "table_lambda_bool",
+        "table_lambda_minus_1",
+        "table_lambda_row_count",
+    ],
 )
 def test_a_world_refuses_what_it_cannot_read_with_a_value_error(build, refusal):
-    with pytest.raises(ValueError, match=f"^{refusal}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         build()
 
 

@@ -66,21 +66,26 @@ def test_cli_imports_no_private_name_of_the_trial_log():
 
 def test_only_rng_holds_the_number_rule():
     # the number rule, its predicates, ranges and refusals, lives in rng.py:
-    # every number argument goes through rng._integer or rng._real. Only the
-    # config reader, which names JSON paths in its own words, and the checks of
-    # a record, an index and a table response, which are not number
-    # arguments, use a predicate themselves
+    # every number argument, config field and numeric flag goes through
+    # rng._integer or rng._real. Only the checks of a record, an index and a
+    # table response, which are not number arguments, use a predicate
+    # themselves
     predicates = {"_is_integer", "_is_finite_real"}
     predicate_users = {
         "triallog.py": {"TrialLog.from_records", "TrialLog.__getitem__"},
         "hidden_vars.py": {"TableModel.__init__"},
     }
+    # the rule's words, and those of the config reader's former copy of it
+    number_words = ("must be an integer", "must be a finite number", "expected an integer", "expected a finite")
+    number_words += ("64-bit unsigned",)
 
     def refuses_a_number(node):
-        if not (isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "ValueError"):
+        if not isinstance(node, ast.Raise):
+            return False
+        if getattr(getattr(node.exc, "func", None), "id", None) not in ("ValueError", "ConfigError"):
             return False
         words = "".join(n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str))
-        return "must be an integer" in words or "must be a finite number" in words
+        return any(w in words for w in number_words)
 
     for path in sorted(Path(lglab.__file__).parent.glob("*.py")):
         if path.name == "rng.py":
@@ -92,8 +97,6 @@ def test_only_rng_holds_the_number_rule():
         defined = [node.name for node in nodes if isinstance(node, ast.FunctionDef) and node.name.startswith("_is_")]
         assert ("numbers" in imported, defined) == (False, []), path.name
         assert not any(map(refuses_a_number, nodes)), path.name
-        if path.name == "cli.py":
-            continue
         # each top-level function, or method by its class, that names a predicate
         tops = [(f"{top.name}.", top.body) if isinstance(top, ast.ClassDef) else ("", [top]) for top in tree.body]
         users = {
