@@ -12,11 +12,17 @@ run can be sharded across workers and still produce a byte-identical log.
 The engine works through the index range in fixed chunks: each chunk selects
 one pair per lane and hands every lane to the world's lane kernel at once.
 The chunks form one stream (run_chunks) that `lglab run` samples, folds into
-the estimators and writes one chunk at a time; run_experiment collects it.
+the estimators and writes one chunk at a time, in order. run_experiment
+samples the same chunks into one log: the first alone, the rest on every CPU
+the process may use, since no chunk depends on another.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -264,14 +270,21 @@ def run_chunks(
 ) -> Iterator[TrialLog]:
     """The run of run_experiment as a stream of chunks.
 
-    Chunks are TrialLogs of at most 2^16 trials, in index order; the
-    arguments are checked, and a geometry refused, before the first chunk is
-    drawn. n_shards splits the index range into that many parts, each worked
-    through chunk by chunk; it moves chunk boundaries, never trials. The
-    first chunk's lambda column fixes the run's: a later chunk whose lambdas
-    are None where the first chunk's were not, or the reverse, or that have
-    another dtype, is refused with ValueError.
+    Chunks are TrialLogs of at most 2^16 trials, in index order, each sampled
+    on the calling thread when it is asked for; the arguments are checked,
+    and a geometry refused, before the first chunk is drawn. n_shards splits
+    the index range into that many parts, each worked through chunk by
+    chunk; it moves chunk boundaries, never trials. The first chunk is
+    sampled alone and first, and its lambda column fixes the run's: a later
+    chunk whose lambdas are None where the first chunk's were not, or the
+    reverse, or that have another dtype, is refused with ValueError.
     """
+    n_trials, master_seed, n_shards = _checked_run(n_trials, master_seed, geometry, override_foc, n_shards)
+    return _chunk_stream(binding, world, n_trials, master_seed, n_shards)
+
+
+def _checked_run(n_trials, master_seed, geometry, override_foc, n_shards) -> tuple[int, int, int]:
+    """A run's n_trials, master_seed and n_shards, each checked, with the geometry between them."""
     n_trials = _integer(n_trials, "n_trials", 1, 1 << 64)
     master_seed = _integer(master_seed, "master_seed", 0, MASK64)
     prep, choice = geometry
@@ -280,7 +293,7 @@ def run_chunks(
             "preparation and pair-choice events are not space-like separated; "
             "freedom of choice is not guaranteed (set the override to run anyway)"
         )
-    return _chunk_stream(binding, world, n_trials, master_seed, _integer(n_shards, "n_shards", 1))
+    return n_trials, master_seed, _integer(n_shards, "n_shards", 1)
 
 
 def _shards(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:
@@ -290,32 +303,54 @@ def _shards(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:
     return ((n_trials * k // parts, n_trials * (k + 1) // parts) for k in range(parts))
 
 
-def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed: int, n_shards: int):
-    first = True
+def _chunk_bounds(n_trials: int, n_shards: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each chunk of a run, in index order, made as they are
+    read: a run of 2^64 trials has more chunks than a list could hold."""
     for lo, hi in _shards(n_trials, n_shards):
         for start in range(lo, hi, _CHUNK_ROWS):
-            # an offset from 0 keeps every index exact for any start below 2^64
-            indexes = np.arange(min(_CHUNK_ROWS, hi - start), dtype=np.uint64)
-            indexes += np.uint64(start)
-            states = derive_states(master_seed, indexes)
-            codes = _select_pairs_batch(states)
-            s_first, s_second, lambda_ids = world.sample_lanes(binding, codes, states)
-            dtype = None if lambda_ids is None else lambda_ids.dtype
-            if first:
-                lambda_dtype, first = dtype, False
-            elif (dtype is None) != (lambda_dtype is None) or dtype != lambda_dtype:
-                raise ValueError(
-                    f"world {world.tag!r}: the chunk from trial {start} has lambda dtype {dtype}, but the first "
-                    f"chunk's is {lambda_dtype}; every chunk of a run keeps the first chunk's lambda dtype"
-                )
-            yield TrialLog(
-                codes,
-                s_first.astype(np.int8, copy=False),
-                s_second.astype(np.int8, copy=False),
-                lambda_ids,
-                world.tag,
-                first_index=start,
-            )
+            yield start, min(start + _CHUNK_ROWS, hi)
+
+
+# the lambda dtype that _chunk accepts for a run's first chunk, which fixes the run's
+_FIRST_CHUNK = object()
+
+
+def _chunk(binding: SlotBinding, world: World, master_seed: int, start: int, stop: int, lambda_dtype) -> TrialLog:
+    """Trials start to stop - 1 of a run as one chunk, refused with ValueError
+    if its lambda dtype is not lambda_dtype (None for no lambdas)."""
+    # an offset from 0 keeps every index exact for any start below 2^64
+    indexes = np.arange(stop - start, dtype=np.uint64)
+    indexes += np.uint64(start)
+    states = derive_states(master_seed, indexes)
+    codes = _select_pairs_batch(states)
+    s_first, s_second, lambda_ids = world.sample_lanes(binding, codes, states)
+    dtype = _lambda_dtype(lambda_ids)
+    if lambda_dtype is not _FIRST_CHUNK and ((dtype is None) != (lambda_dtype is None) or dtype != lambda_dtype):
+        raise ValueError(
+            f"world {world.tag!r}: the chunk from trial {start} has lambda dtype {dtype}, but the first "
+            f"chunk's is {lambda_dtype}; every chunk of a run keeps the first chunk's lambda dtype"
+        )
+    return TrialLog(
+        codes,
+        s_first.astype(np.int8, copy=False),
+        s_second.astype(np.int8, copy=False),
+        lambda_ids,
+        world.tag,
+        first_index=start,
+    )
+
+
+def _lambda_dtype(lambda_ids: Optional[np.ndarray]):
+    return None if lambda_ids is None else lambda_ids.dtype
+
+
+def _chunk_stream(binding: SlotBinding, world: World, n_trials: int, master_seed: int, n_shards: int):
+    bounds = _chunk_bounds(n_trials, n_shards)
+    first = _chunk(binding, world, master_seed, *next(bounds), _FIRST_CHUNK)
+    yield first
+    lambda_dtype = _lambda_dtype(first.lambda_ids)
+    for start, stop in bounds:
+        yield _chunk(binding, world, master_seed, start, stop, lambda_dtype)
 
 
 def run_experiment(
@@ -336,27 +371,127 @@ def run_experiment(
     arguments produce identical logs regardless of n_shards. The log holds
     the chunks of run_chunks, which a caller that needs no columns can
     consume one at a time instead.
+
+    The first chunk is sampled alone and first, on the calling thread, and a
+    run of one chunk returns it as the log. A longer run allocates the log,
+    then shares the later chunks out in contiguous runs between the calling
+    thread and a worker thread for each other CPU the process may use, at
+    most one run per chunk; so later chunks may be sampled concurrently and
+    out of index order, each into its own slice of the log. A failing chunk
+    stops the runs after it, and the error raised, once every thread has
+    stopped, is the one run_chunks would raise: the earliest failing chunk's.
     """
-    log: Optional[TrialLog] = None
-    for chunk in run_chunks(
-        binding, world, n_trials, master_seed, geometry, override_foc=override_foc, n_shards=n_shards
-    ):
-        if log is None:
-            lambdas = chunk.lambda_ids
-            log = TrialLog(
-                np.empty(n_trials, dtype=np.uint8),
-                np.empty(n_trials, dtype=np.int8),
-                np.empty(n_trials, dtype=np.int8),
-                None if lambdas is None else np.empty(n_trials, dtype=lambdas.dtype),
-                world.tag,
-            )
-        start, stop = chunk.first_index, chunk.first_index + len(chunk)
-        log.pair_codes[start:stop] = chunk.pair_codes
-        log.s_first[start:stop] = chunk.s_first
-        log.s_second[start:stop] = chunk.s_second
-        if log.lambda_ids is not None:
-            log.lambda_ids[start:stop] = chunk.lambda_ids
+    n_trials, master_seed, n_shards = _checked_run(n_trials, master_seed, geometry, override_foc, n_shards)
+    bounds = _chunk_bounds(n_trials, n_shards)
+    first = _chunk(binding, world, master_seed, *next(bounds), _FIRST_CHUNK)
+    if len(first) == n_trials:
+        return first
+    lambda_dtype = _lambda_dtype(first.lambda_ids)
+    log = TrialLog(
+        np.empty(n_trials, dtype=np.uint8),
+        np.empty(n_trials, dtype=np.int8),
+        np.empty(n_trials, dtype=np.int8),
+        None if lambda_dtype is None else np.empty(n_trials, dtype=lambda_dtype),
+        world.tag,
+    )
+    _put(log, first)
+    fill = _Fill(log, binding, world, master_seed, n_shards, lambda_dtype)
+    try:
+        fill.run(1 + sum(1 for _ in bounds))
+    finally:
+        fill.error = None  # an error raised holds this frame, so the fill: no cycle keeps the log alive
     return log
+
+
+def _put(log: TrialLog, chunk: TrialLog) -> None:
+    """Copy chunk into its slice of log."""
+    at = slice(chunk.first_index, chunk.first_index + len(chunk))
+    log.pair_codes[at] = chunk.pair_codes
+    log.s_first[at] = chunk.s_first
+    log.s_second[at] = chunk.s_second
+    if log.lambda_ids is not None:
+        log.lambda_ids[at] = chunk.lambda_ids
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Fill:
+    """The chunks of a run after its first, sampled into their slices of the
+    run's log by the calling thread and its workers."""
+
+    def __init__(
+        self, log: TrialLog, binding: SlotBinding, world: World, master_seed: int, n_shards: int, lambda_dtype
+    ):
+        self.log = log
+        self.sample = functools.partial(_chunk, binding, world, master_seed)
+        self.n_shards = n_shards
+        self.lambda_dtype = lambda_dtype
+        self.stop = math.inf  # the index of the earliest chunk that failed
+        self.error: Optional[BaseException] = None  # and its error
+        self.ended = 0  # the workers whose runs have ended
+        self._changed = threading.Condition()
+
+    def run(self, n_chunks: int) -> None:
+        """Sample chunks 1 to n_chunks - 1, on this thread and up to one worker
+        per other CPU, and raise the earliest failing chunk's error, if any."""
+        rest = n_chunks - 1
+        workers = min(_cpus(), rest)
+        runs = [(1 + rest * k // workers, 1 + rest * (k + 1) // workers) for k in range(workers)]
+        threads = []
+        try:
+            for lo, hi in runs[1:]:
+                thread = threading.Thread(target=self.work, args=(lo, hi))
+                thread.start()
+                threads.append(thread)
+            self.chunks(*runs[0])
+            self.wait(len(threads))
+        except BaseException as exc:  # an interrupt, or a thread that would not start
+            self.failed(0, exc)  # every worker's chunks come after this thread's
+            self.wait(len(threads))
+            raise
+        finally:
+            # only once the workers' runs have ended: on CPython 3.11 a join
+            # that an interrupt breaks marks a thread still running as stopped
+            for thread in threads:
+                thread.join()
+        if self.error is not None:
+            raise self.error
+
+    def work(self, lo: int, hi: int) -> None:
+        """chunks(lo, hi) on a worker thread, counted in ended as it returns."""
+        try:
+            self.chunks(lo, hi)
+        finally:
+            with self._changed:
+                self.ended += 1
+                self._changed.notify()
+
+    def wait(self, workers: int) -> None:
+        with self._changed:
+            self._changed.wait_for(lambda: self.ended == workers)
+
+    def chunks(self, lo: int, hi: int) -> None:
+        """Sample chunks lo to hi - 1 into the log, in order, until one fails or
+        a chunk before it has."""
+        bounds = itertools.islice(_chunk_bounds(len(self.log), self.n_shards), lo, hi)
+        for index, (start, stop) in enumerate(bounds, lo):
+            if index > self.stop:
+                return
+            try:
+                _put(self.log, self.sample(start, stop, self.lambda_dtype))
+            except BaseException as exc:  # raised by run, on the calling thread
+                self.failed(index, exc)
+                return
+
+    def failed(self, index: int, error: BaseException) -> None:
+        with self._changed:
+            if index < self.stop:
+                self.stop, self.error = index, error
 
 
 def run_trial_scalar(

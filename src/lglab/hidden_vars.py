@@ -134,6 +134,11 @@ class World(ABC):
         first chunk's lambda dtype (the engine refuses a chunk that changes it);
         lambda_ids is None when every lambda is, and a chunk in which some
         lambdas are None and others not is refused with ValueError.
+
+        The engine samples a run's first chunk alone and first; run_experiment
+        may sample the later chunks concurrently, on other threads and out of
+        index order. So a kernel keeps no state between calls: what it returns
+        depends on its arguments alone.
         """
         gens = [SeededGenerator(state) for state in states.tolist()]
         codes = np.broadcast_to(codes, states.shape).tolist()

@@ -5,7 +5,13 @@ operations, so it is the oracle for every lane kernel; a float64 mean and
 cumsum of the outcome products is the oracle for the estimators.
 """
 import dataclasses
+import gc
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +35,7 @@ from lglab import (
     run_experiment,
     stabilization,
 )
+from lglab import experiment
 from lglab.experiment import run_trial_scalar
 from lglab.hidden_vars import PAIR_ORDER, RotorModel, conspiracy_from_quantum
 from lglab.rng import MASK64
@@ -271,7 +278,12 @@ def test_the_default_kernel_refuses_lambdas_that_are_none_on_some_trials(magic_b
 
 
 class SchemaDrift(World):
-    """Lambdas whose column changes after the first chunk."""
+    """Lambdas whose column changes after the first chunk.
+
+    The call counter tells the first chunk from the rest only because the
+    engine samples a run's first chunk alone and first; the later chunks may
+    come concurrently and in any order, and all get the later column.
+    """
 
     tag = "drift"
 
@@ -300,14 +312,249 @@ DRIFTS = {
 @pytest.mark.parametrize(
     "run", [run_experiment, lambda *args: list(run_chunks(*args))], ids=["run_experiment", "run_chunks"]
 )
-def test_a_run_whose_lambdas_change_after_the_first_chunk_is_refused(magic_binding, drift, run):
+def test_a_run_whose_lambdas_change_after_the_first_chunk_is_refused(magic_binding, monkeypatch, drift, run):
     first, later, got, fixed = DRIFTS[drift]
+    # five chunks: run_experiment samples chunks 1-2 on this thread and 3-4 on
+    # a worker, and every one of them is refused; the earliest names the error
+    monkeypatch.setattr(experiment, "_cpus", lambda: 2)
+    before = threading.active_count()
     with pytest.raises(
         ValueError,
         match=rf"^world 'drift': the chunk from trial {_CHUNK_ROWS} has lambda dtype {got}, "
         rf"but the first chunk's is {fixed};",
     ):
-        run(magic_binding, SchemaDrift(first, later), _CHUNK_ROWS + 5, 3, GEOMETRY)
+        run(magic_binding, SchemaDrift(first, later), 4 * _CHUNK_ROWS + 5, 3, GEOMETRY)
+    assert threading.active_count() == before
+
+
+def test_a_refused_run_leaves_no_reference_cycle(magic_binding, monkeypatch):
+    # the error is raised from the fill's record of it, and its traceback
+    # holds the frames that hold the fill and the log: a record kept would
+    # keep the log alive until a gc pass
+    monkeypatch.setattr(experiment, "_cpus", lambda: 2)
+    first, later, _, _ = DRIFTS["int_then_float"]
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ValueError, match="lambda dtype"):
+            run_experiment(magic_binding, SchemaDrift(first, later), 4 * _CHUNK_ROWS + 5, 3, GEOMETRY)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- the log filled on every CPU ---------------------------------------------------
+
+FILL_SIZES = [2 * _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS + 3]
+
+
+class Coin(World):
+    """A world with only sample_pair, so the default lane kernel samples it."""
+
+    tag = "coin"
+
+    def sample_pair(self, binding, pair, rand):
+        lam = int(rand.next_uniform() * 4)
+        return 1 - 2 * (lam & 1), 1 - (lam & 2), lam
+
+
+def _built_in_worlds(binding):
+    return [
+        QuantumWorld(initial_angle=0.3),
+        QuantumWorld(policy="fresh_uniform"),
+        TableModel([(0.25, (1, 1, -1)), (0.75, (-1, 1, 1))]),
+        RotorModel(binding.directions),
+        conspiracy_from_quantum(binding.a, binding.b, binding.c, strength=0.6),
+    ]
+
+
+def _assert_is_the_stream(log, chunks):
+    """log holds the columns of chunks, joined, each with its dtype."""
+    assert (log.model_tag, log.first_index, len(log)) == (chunks[0].model_tag, 0, sum(map(len, chunks)))
+    for name in ("pair_codes", "s_first", "s_second", "lambda_ids"):
+        column = getattr(log, name)
+        if chunks[0].lambda_ids is None and name == "lambda_ids":
+            assert column is None
+            continue
+        joined = np.concatenate([getattr(chunk, name) for chunk in chunks])
+        assert column.dtype == joined.dtype and np.array_equal(column, joined), name
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+@pytest.mark.parametrize("n_trials", FILL_SIZES)
+def test_the_log_is_the_chunk_stream_on_any_number_of_cpus(magic_binding, monkeypatch, n_trials, n_shards, cpus):
+    monkeypatch.setattr(experiment, "_cpus", lambda: cpus)
+    for world in _built_in_worlds(magic_binding):
+        log = run_experiment(magic_binding, world, n_trials, 11, GEOMETRY, n_shards=n_shards)
+        chunks = list(run_chunks(magic_binding, world, n_trials, 11, GEOMETRY, n_shards=n_shards))
+        _assert_is_the_stream(log, chunks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_default_kernel_fills_the_log_on_a_worker_too(magic_binding, monkeypatch, cpus):
+    # three chunks, the later two on this thread and a worker; the default
+    # kernel takes some 2 us a trial, so one size stands for FILL_SIZES here
+    monkeypatch.setattr(experiment, "_cpus", lambda: cpus)
+    n = 2 * _CHUNK_ROWS + 1
+    log = run_experiment(magic_binding, Coin(), n, 11, GEOMETRY, n_shards=3)
+    _assert_is_the_stream(log, list(run_chunks(magic_binding, Coin(), n, 11, GEOMETRY, n_shards=3)))
+
+
+@pytest.mark.parametrize("n_trials", [1, 10_000, _CHUNK_ROWS])
+def test_a_one_chunk_run_is_its_chunk(magic_binding, n_trials):
+    for world in [*_built_in_worlds(magic_binding), Coin()]:
+        [chunk] = run_chunks(magic_binding, world, n_trials, 11, GEOMETRY)
+        _assert_is_the_stream(run_experiment(magic_binding, world, n_trials, 11, GEOMETRY), [chunk])
+
+
+def test_the_cpus_are_those_the_process_may_use(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert experiment._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert experiment._cpus() == (os.cpu_count() or 1)
+
+
+def _counted_threads(monkeypatch):
+    """Patch threading.Thread to count starts and joins, across instances;
+    returns the counts and a condition notified at each join."""
+    counts = {"start": 0, "join": 0}
+    joined = threading.Condition()
+
+    class Counted(threading.Thread):
+        def start(self):
+            counts["start"] += 1
+            super().start()
+
+        def join(self, timeout=None):
+            with joined:
+                counts["join"] += 1
+                joined.notify_all()
+            super().join(timeout)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return counts, joined
+
+
+@pytest.mark.parametrize(
+    "n_trials, cpus, started", [(40 * _CHUNK_ROWS, 2, 1), (40 * _CHUNK_ROWS, 1, 0), (10_000, 2, 0), (10_000, 1, 0)]
+)
+def test_a_run_starts_a_worker_per_other_cpu_never_one_per_chunk(magic_binding, monkeypatch, n_trials, cpus, started):
+    monkeypatch.setattr(experiment, "_cpus", lambda: cpus)
+    counts, _ = _counted_threads(monkeypatch)
+    log = run_experiment(magic_binding, QuantumWorld(), n_trials, 3, GEOMETRY)
+    assert len(log) == n_trials
+    assert counts == {"start": started, "join": started}
+
+
+def _scripted_chunks(monkeypatch, script):
+    """Patch the engine to call script(k) as it begins chunk k of a run with
+    n_shards=1, on whichever thread samples it; returns the chunks begun."""
+    begun = []
+    chunk = experiment._chunk
+
+    def scripted(binding, world, master_seed, start, stop, lambda_dtype):
+        begun.append(start // _CHUNK_ROWS)
+        script(start // _CHUNK_ROWS)
+        return chunk(binding, world, master_seed, start, stop, lambda_dtype)
+
+    monkeypatch.setattr(experiment, "_chunk", scripted)
+    return begun
+
+
+def _ended(thread):
+    thread.join(10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("failing", [[4], [4, 7]], ids=["one", "two"])
+def test_a_failing_chunk_stops_the_chunks_after_it_and_raises_as_the_stream_does(
+    magic_binding, monkeypatch, failing
+):
+    # ten chunks over three CPUs: 0 alone, then 1-3 here, 4-6 and 7-9 on workers
+    monkeypatch.setattr(experiment, "_cpus", lambda: 3)
+    threads, begun_on = {}, {k: threading.Event() for k in (4, 7)}
+
+    def script(k):
+        if k in begun_on:
+            threads[k] = threading.current_thread()
+            begun_on[k].set()
+        if k == 4:
+            assert begun_on[7].wait(10)  # each worker is in its first chunk
+        # chunk 2 waits until chunk 4 has failed and its worker ended, and the
+        # later of the two failing chunks fails first
+        wait_for = {2: 4, 4: 7 if 7 in failing else None, 7: None if 7 in failing else 4}.get(k)
+        if wait_for is not None:
+            assert begun_on[wait_for].wait(10)
+            _ended(threads[wait_for])
+        if k in failing:
+            raise ValueError(f"chunk {k} fails")
+
+    begun = _scripted_chunks(monkeypatch, script)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^chunk 4 fails$"):
+        run_experiment(magic_binding, QuantumWorld(), 10 * _CHUNK_ROWS, 3, GEOMETRY)
+    assert threading.active_count() == before
+    # this thread's chunks come before the failure and all run; each worker
+    # stops at the chunk after the one it was in
+    assert sorted(begun) == [0, 1, 2, 3, 4, 7]
+    with pytest.raises(ValueError, match="^chunk 4 fails$"):
+        list(run_chunks(magic_binding, QuantumWorld(), 10 * _CHUNK_ROWS, 3, GEOMETRY))
+
+
+@pytest.mark.parametrize("interrupt", ["raised", "signalled"])
+def test_an_interrupt_on_the_calling_thread_stops_every_worker_at_its_next_chunk(
+    magic_binding, monkeypatch, interrupt
+):
+    # ten chunks over three CPUs: 0 alone, then 1-3 here, 4-6 and 7-9 on workers
+    monkeypatch.setattr(experiment, "_cpus", lambda: 3)
+    failed, recorded, last_begun = experiment._Fill.failed, threading.Event(), threading.Event()
+
+    def record(fill, index, error):
+        failed(fill, index, error)
+        recorded.set()
+
+    monkeypatch.setattr(experiment._Fill, "failed", record)
+
+    def script(k):
+        if k == 2 and interrupt == "raised":
+            raise KeyboardInterrupt  # as if SIGINT came in this chunk
+        if k == 3:
+            last_begun.set()
+        if k == 4 and interrupt == "signalled":
+            # SIGINT, most likely while this thread waits for the workers
+            assert last_begun.wait(10)
+            time.sleep(0.05)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        if k in (4, 7):
+            assert recorded.wait(10)  # each worker ends the chunk it is in
+
+    begun = _scripted_chunks(monkeypatch, script)
+    before = threading.active_count()
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(magic_binding, QuantumWorld(), 10 * _CHUNK_ROWS, 3, GEOMETRY)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert threading.active_count() == before
+    assert sorted(begun) == ([0, 1, 2, 4, 7] if interrupt == "raised" else [0, 1, 2, 3, 4, 7])
+
+
+def test_more_workers_than_cpus_keep_the_log_and_the_earliest_error(magic_binding, monkeypatch):
+    monkeypatch.setattr(experiment, "_cpus", lambda: 8)
+    n = 20 * _CHUNK_ROWS + 7
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for world in _built_in_worlds(magic_binding)[2:4]:
+            log = run_experiment(magic_binding, world, n, 5, GEOMETRY)
+            _assert_is_the_stream(log, list(run_chunks(magic_binding, world, n, 5, GEOMETRY)))
+        first, later, _, _ = DRIFTS["int_then_float"]
+        with pytest.raises(ValueError, match=rf"^world 'drift': the chunk from trial {_CHUNK_ROWS} "):
+            run_experiment(magic_binding, SchemaDrift(first, later), n, 5, GEOMETRY)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- count-based estimators against a float64 reference -------------------------

@@ -210,3 +210,13 @@ def test_only_the_bootstrap_names_numpy_random():
                 if any(map(random_module, names)):
                     users.add(f"{path.stem}.{getattr(top, 'name', type(top).__name__)}")
     assert users == {"analysis._bootstrap_lhs_std_error"}
+
+
+def test_only_the_engine_imports_threading():
+    # run_experiment's fill of its log is the one place that runs lglab code
+    # on more than one thread, so no other module can come to depend on it
+    for path in sorted(Path(lglab.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {a.name.split(".")[0] for node in nodes if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module.split(".")[0] for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
+        assert ("threading" in imported) == (path.name == "experiment.py"), path.name

@@ -548,6 +548,30 @@ def test_runs_past_2_63_trials_start_like_any_run(magic_binding, spacelike_geome
     assert first == next(run_chunks(magic_binding, world, _CHUNK_ROWS, 9, spacelike_geometry))
 
 
+def test_a_run_reads_its_chunk_bounds_as_it_samples_them(magic_binding, spacelike_geometry, monkeypatch):
+    # a stream that listed its chunk bounds first would not return at 2^63
+    # trials, its memory climbing
+    read = []
+    bounds = experiment._chunk_bounds
+
+    def counted(n_trials, n_shards):
+        for bound in bounds(n_trials, n_shards):
+            assert len(read) < 2, "a run read a third chunk bound before it sampled two chunks"
+            read.append(bound)
+            yield bound
+
+    monkeypatch.setattr(experiment, "_chunk_bounds", counted)
+    world = experiment.QuantumWorld()
+    next(run_chunks(magic_binding, world, 2**63 + 10, 9, spacelike_geometry))
+    assert read == [(0, _CHUNK_ROWS)]
+    # run_experiment allocates the log before it counts the later chunks, and
+    # numpy refuses an array of 2^63 entries
+    read.clear()
+    with pytest.raises(ValueError, match="dimension"):
+        run_experiment(magic_binding, world, 2**63 + 10, 9, spacelike_geometry)
+    assert read == [(0, _CHUNK_ROWS)]
+
+
 @pytest.mark.parametrize("span", [(2**63 - 100, 2**63 + 100), (2**64 - 70_000, 2**64)], ids=["2^63", "2^64"])
 @pytest.mark.parametrize("world", ["quantum", "conspiracy"])
 def test_chunks_at_the_top_of_the_index_range_match_the_scalar_trials(
