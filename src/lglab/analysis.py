@@ -144,11 +144,10 @@ def evaluate_lg(
     which must be a finite real number (not a bool).
     """
     _real(significance, "significance")
-    got = {e.pair for e in estimates}
-    missing = [p.value for p in PAIR_ORDER if p not in got]
-    if missing or len(estimates) != 3:
-        raise AnalysisError(f"estimates must cover pairs 12, 13, 23 exactly; missing {missing}")
     by_pair = {e.pair: e for e in estimates}
+    if len(by_pair) != 3 or len(estimates) != 3:
+        got = ", ".join(e.pair.value for e in estimates) or "none"
+        raise AnalysisError(f"estimates must cover pairs 12, 13, 23 exactly, got {got}")
     ordered = tuple(by_pair[p] for p in PAIR_ORDER)
     e12, e13, e23 = ordered
 

@@ -13,12 +13,12 @@ The engine works through the index range in fixed chunks: each chunk selects
 one pair per lane and hands every lane to the world's lane kernel at once.
 The chunks form one stream (run_chunks) that `lglab run` samples, folds into
 the estimators and writes one chunk at a time, in order. run_experiment
-samples the same chunks into one log: the first alone, the rest on every CPU
-the process may use, since no chunk depends on another.
+samples the same chunks into one log: the first alone, the rest on the
+calling thread and a thread pool of one worker for each other CPU the process
+may use, since no chunk depends on another.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .hidden_vars import PAIR_ORDER, PairChoice, World, signs
-from .quantum import Direction, PolarizationState, cos_squared, reduce_direction_angle, run_quantum_trial
+from .quantum import Direction, PolarizationState, _direction, cos_squared, reduce_direction_angle, run_quantum_trial
 from .rng import (
     MASK64,
     SeededGenerator,
@@ -84,6 +84,8 @@ class SlotBinding:
             _real(getattr(self, name), f"time {name}")
         if not (self.t1 < self.t2 < self.t3):
             raise ValueError(f"times must strictly increase, got {self.t1}, {self.t2}, {self.t3}")
+        for name in ("a", "b", "c"):
+            _direction(getattr(self, name), f"direction {name}")
 
     @property
     def directions(self) -> tuple[Direction, Direction, Direction]:
@@ -375,11 +377,12 @@ def run_experiment(
     The first chunk is sampled alone and first, on the calling thread, and a
     run of one chunk returns it as the log. A longer run allocates the log,
     then shares the later chunks out in contiguous runs between the calling
-    thread and a worker thread for each other CPU the process may use, at
-    most one run per chunk; so later chunks may be sampled concurrently and
-    out of index order, each into its own slice of the log. A failing chunk
-    stops the runs after it, and the error raised, once every thread has
-    stopped, is the one run_chunks would raise: the earliest failing chunk's.
+    thread and a ThreadPoolExecutor of one worker for each other CPU the
+    process may use, at most one run per chunk; so later chunks may be
+    sampled concurrently and out of index order, each into its own slice of
+    the log. A failing chunk stops the runs after it, and the error raised,
+    once every worker's run has ended, is the one run_chunks would raise: the
+    earliest failing chunk's.
     """
     n_trials, master_seed, n_shards = _checked_run(n_trials, master_seed, geometry, override_foc, n_shards)
     bounds = _chunk_bounds(n_trials, n_shards)
@@ -395,11 +398,44 @@ def run_experiment(
         world.tag,
     )
     _put(log, first)
-    fill = _Fill(log, binding, world, master_seed, n_shards, lambda_dtype)
+    import concurrent.futures  # only a run of more than one chunk pays for the pool's import
+
+    rest = sum(1 for _ in bounds)
+    workers = min(_cpus(), rest)
+    runs = [(1 + rest * k // workers, 1 + rest * (k + 1) // workers) for k in range(workers)]
+    stop, failed, lock = math.inf, {}, threading.Lock()  # the earliest failing chunk, and each failure's error
+
+    def fill(lo: int, hi: int) -> None:
+        """Sample chunks lo to hi - 1 into the log, in order, until one fails or
+        a chunk before it has."""
+        nonlocal stop
+        for index, (start, end) in enumerate(itertools.islice(_chunk_bounds(n_trials, n_shards), lo, hi), lo):
+            if index > stop:
+                return
+            try:
+                _put(log, _chunk(binding, world, master_seed, start, end, lambda_dtype))
+            except BaseException as exc:  # raised below, on the calling thread
+                with lock:
+                    failed[index], stop = exc, min(stop, index)
+                return
+
+    futures = []
     try:
-        fill.run(1 + sum(1 for _ in bounds))
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            try:
+                for run in runs[1:]:
+                    futures.append(pool.submit(fill, *run))
+                fill(*runs[0])
+                concurrent.futures.wait(futures)
+            except BaseException:  # an interrupt, or a thread that would not start
+                with lock:
+                    stop = 0  # every worker's chunks come after this thread's
+                concurrent.futures.wait(futures)
+                raise
+        if failed:
+            raise failed[min(failed)]
     finally:
-        fill.error = None  # an error raised holds this frame, so the fill: no cycle keeps the log alive
+        failed.clear()  # the error raised holds this frame, so failed: no cycle keeps the log alive
     return log
 
 
@@ -418,80 +454,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-class _Fill:
-    """The chunks of a run after its first, sampled into their slices of the
-    run's log by the calling thread and its workers."""
-
-    def __init__(
-        self, log: TrialLog, binding: SlotBinding, world: World, master_seed: int, n_shards: int, lambda_dtype
-    ):
-        self.log = log
-        self.sample = functools.partial(_chunk, binding, world, master_seed)
-        self.n_shards = n_shards
-        self.lambda_dtype = lambda_dtype
-        self.stop = math.inf  # the index of the earliest chunk that failed
-        self.error: Optional[BaseException] = None  # and its error
-        self.ended = 0  # the workers whose runs have ended
-        self._changed = threading.Condition()
-
-    def run(self, n_chunks: int) -> None:
-        """Sample chunks 1 to n_chunks - 1, on this thread and up to one worker
-        per other CPU, and raise the earliest failing chunk's error, if any."""
-        rest = n_chunks - 1
-        workers = min(_cpus(), rest)
-        runs = [(1 + rest * k // workers, 1 + rest * (k + 1) // workers) for k in range(workers)]
-        threads = []
-        try:
-            for lo, hi in runs[1:]:
-                thread = threading.Thread(target=self.work, args=(lo, hi))
-                thread.start()
-                threads.append(thread)
-            self.chunks(*runs[0])
-            self.wait(len(threads))
-        except BaseException as exc:  # an interrupt, or a thread that would not start
-            self.failed(0, exc)  # every worker's chunks come after this thread's
-            self.wait(len(threads))
-            raise
-        finally:
-            # only once the workers' runs have ended: on CPython 3.11 a join
-            # that an interrupt breaks marks a thread still running as stopped
-            for thread in threads:
-                thread.join()
-        if self.error is not None:
-            raise self.error
-
-    def work(self, lo: int, hi: int) -> None:
-        """chunks(lo, hi) on a worker thread, counted in ended as it returns."""
-        try:
-            self.chunks(lo, hi)
-        finally:
-            with self._changed:
-                self.ended += 1
-                self._changed.notify()
-
-    def wait(self, workers: int) -> None:
-        with self._changed:
-            self._changed.wait_for(lambda: self.ended == workers)
-
-    def chunks(self, lo: int, hi: int) -> None:
-        """Sample chunks lo to hi - 1 into the log, in order, until one fails or
-        a chunk before it has."""
-        bounds = itertools.islice(_chunk_bounds(len(self.log), self.n_shards), lo, hi)
-        for index, (start, stop) in enumerate(bounds, lo):
-            if index > self.stop:
-                return
-            try:
-                _put(self.log, self.sample(start, stop, self.lambda_dtype))
-            except BaseException as exc:  # raised by run, on the calling thread
-                self.failed(index, exc)
-                return
-
-    def failed(self, index: int, error: BaseException) -> None:
-        with self._changed:
-            if index < self.stop:
-                self.stop, self.error = index, error
 
 
 def run_trial_scalar(

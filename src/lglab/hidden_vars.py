@@ -21,6 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .quantum import _direction, sequential_correlation_exact
 from .rng import SeededGenerator, UnitUniformSource, _integer, _is_finite_real, _real, angles, draw_integers, thresholds
 
 # lambda identifiers: a row index for discrete models, an angle for continuous ones
@@ -136,9 +137,10 @@ class World(ABC):
         lambdas are None and others not is refused with ValueError.
 
         The engine samples a run's first chunk alone and first; run_experiment
-        may sample the later chunks concurrently, on other threads and out of
-        index order. So a kernel keeps no state between calls: what it returns
-        depends on its arguments alone.
+        may sample the later chunks concurrently, on the calling thread and
+        the workers of a thread pool, and out of index order. So a kernel
+        keeps no state between calls: what it returns depends on its
+        arguments alone.
         """
         gens = [SeededGenerator(state) for state in states.tolist()]
         codes = np.broadcast_to(codes, states.shape).tolist()
@@ -258,7 +260,7 @@ class RotorModel(ResponseModel):
     def __init__(self, directions: Sequence):
         if len(directions) != 3:
             raise ValueError(f"rotor model needs exactly three directions, got {len(directions)}")
-        self.directions = tuple(directions)
+        self.directions = tuple(_direction(d, f"rotor model direction {s.name}") for d, s in zip(directions, TimeSlot))
         self._angles = np.array([d.angle for d in self.directions], dtype=np.float64)
         self._first_angle = self._angles[_FIRST_SLOT]
         self._second_angle = self._angles[_SECOND_SLOT]
@@ -406,8 +408,6 @@ def conspiracy_from_quantum(a, b, c, strength: float = 1.0) -> ConspiracyModel:
     the model reproduce the quantum statistics, including the inequality
     violation, which is exactly the loophole being demonstrated.
     """
-    from .quantum import sequential_correlation_exact
-
     directions = (a, b, c)
     means = {p: sequential_correlation_exact(*(directions[s.value] for s in p.slots)) for p in PAIR_ORDER}
     return ConspiracyModel(target_means=means, strength=strength)

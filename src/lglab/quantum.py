@@ -55,6 +55,13 @@ class Direction:
         object.__setattr__(self, "angle", reduce_direction_angle(_real(self.angle, "direction angle")))
 
 
+def _direction(value, name: str) -> Direction:
+    """value, if it is a Direction; ValueError naming it as name otherwise."""
+    if not isinstance(value, Direction):
+        raise ValueError(f"{name} must be a Direction, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PolarizationState:
     """Pure linear polarization state of one photon, angle in [0, pi)."""

@@ -151,8 +151,9 @@ def test_deterministic_strategies_sit_exactly_on_the_bound():
 
 def test_missing_pair_is_named():
     e = exact_estimates(0.5, -0.5, 0.5)
-    with pytest.raises(AnalysisError, match="23"):
-        evaluate_lg((e[0], e[1], e[0]))
+    for given, got in [((e[0], e[1], e[0]), "12, 13, 12"), (e + (e[2],), "12, 13, 23, 23"), ((), "none")]:
+        with pytest.raises(AnalysisError, match=f"^estimates must cover pairs 12, 13, 23 exactly, got {got}$"):
+            evaluate_lg(given)
 
 
 def test_degenerate_difference_triggers_bootstrap():

@@ -4,6 +4,7 @@ run_trial_scalar draws one trial at a time through the public single-draw
 operations, so it is the oracle for every lane kernel; a float64 mean and
 cumsum of the outcome products is the oracle for the estimators.
 """
+import concurrent.futures
 import dataclasses
 import gc
 import math
@@ -462,9 +463,27 @@ def _scripted_chunks(monkeypatch, script):
     return begun
 
 
-def _ended(thread):
-    thread.join(10)
-    assert not thread.is_alive()
+def _submitted_runs(monkeypatch):
+    """Patch the pool to keep the future of each run it is given; returns a
+    function that waits until the run that begins at chunk k has ended."""
+    futures, kept = {}, threading.Condition()
+    submit = concurrent.futures.ThreadPoolExecutor.submit
+
+    def keep(pool, fn, lo, hi):
+        future = submit(pool, fn, lo, hi)
+        with kept:
+            futures[lo] = future
+            kept.notify_all()
+        return future
+
+    def ended(k):
+        # a worker may begin its run before submit has returned its future
+        with kept:
+            assert kept.wait_for(lambda: k in futures, 10)
+        futures[k].result(10)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", keep)
+    return ended
 
 
 @pytest.mark.parametrize("failing", [[4], [4, 7]], ids=["one", "two"])
@@ -473,20 +492,20 @@ def test_a_failing_chunk_stops_the_chunks_after_it_and_raises_as_the_stream_does
 ):
     # ten chunks over three CPUs: 0 alone, then 1-3 here, 4-6 and 7-9 on workers
     monkeypatch.setattr(experiment, "_cpus", lambda: 3)
-    threads, begun_on = {}, {k: threading.Event() for k in (4, 7)}
+    begun_on = {k: threading.Event() for k in (4, 7)}
+    ended = _submitted_runs(monkeypatch)
 
     def script(k):
         if k in begun_on:
-            threads[k] = threading.current_thread()
             begun_on[k].set()
         if k == 4:
             assert begun_on[7].wait(10)  # each worker is in its first chunk
-        # chunk 2 waits until chunk 4 has failed and its worker ended, and the
-        # later of the two failing chunks fails first
+        # chunk 2 waits until chunk 4 has failed and its worker's run ended,
+        # and the later of the two failing chunks fails first
         wait_for = {2: 4, 4: 7 if 7 in failing else None, 7: None if 7 in failing else 4}.get(k)
         if wait_for is not None:
             assert begun_on[wait_for].wait(10)
-            _ended(threads[wait_for])
+            ended(wait_for)
         if k in failing:
             raise ValueError(f"chunk {k} fails")
 
@@ -508,13 +527,19 @@ def test_an_interrupt_on_the_calling_thread_stops_every_worker_at_its_next_chunk
 ):
     # ten chunks over three CPUs: 0 alone, then 1-3 here, 4-6 and 7-9 on workers
     monkeypatch.setattr(experiment, "_cpus", lambda: 3)
-    failed, recorded, last_begun = experiment._Fill.failed, threading.Event(), threading.Event()
+    waits, recorded, last_begun = [], threading.Event(), threading.Event()
+    wait = concurrent.futures.wait
 
-    def record(fill, index, error):
-        failed(fill, index, error)
-        recorded.set()
+    def counted(futures):
+        # the workers' stop is lowered before this thread first waits for them
+        # if the interrupt was raised in a chunk, and before it waits again if
+        # the interrupt came in while it waited
+        waits.append(futures)
+        if len(waits) == (1 if interrupt == "raised" else 2):
+            recorded.set()
+        return wait(futures)
 
-    monkeypatch.setattr(experiment._Fill, "failed", record)
+    monkeypatch.setattr(concurrent.futures, "wait", counted)
 
     def script(k):
         if k == 2 and interrupt == "raised":
@@ -539,6 +564,28 @@ def test_an_interrupt_on_the_calling_thread_stops_every_worker_at_its_next_chunk
         signal.signal(signal.SIGINT, handler)
     assert threading.active_count() == before
     assert sorted(begun) == ([0, 1, 2, 4, 7] if interrupt == "raised" else [0, 1, 2, 3, 4, 7])
+
+
+def test_a_worker_that_will_not_start_stops_the_run_and_raises_its_error(magic_binding, monkeypatch):
+    # ten chunks over three CPUs: 0 alone, then 1-3 here and 4-6 on a worker;
+    # the worker for 7-9 will not start
+    monkeypatch.setattr(experiment, "_cpus", lambda: 3)
+    start, starts = threading.Thread.start, []
+
+    def refuse_the_second(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", refuse_the_second)
+    begun = _scripted_chunks(monkeypatch, lambda k: None)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        run_experiment(magic_binding, QuantumWorld(), 10 * _CHUNK_ROWS, 3, GEOMETRY)
+    assert threading.active_count() == before
+    assert len(starts) == 2 and begun[0] == 0
+    assert not {1, 2, 3} & set(begun)  # this thread's run never began
 
 
 def test_more_workers_than_cpus_keep_the_log_and_the_earliest_error(magic_binding, monkeypatch):

@@ -183,6 +183,8 @@ _LOG = TrialLog(np.repeat(np.arange(3, dtype=np.uint8), 2), np.ones(6, np.int8),
         (lambda: PolarizationState(True), "state angle"),
         (lambda: SpacetimeEvent(10**400, 0, 0, 0), "event coordinate t"),
         (lambda: SlotBinding(0, 1, math.inf, Direction(0), Direction(0), Direction(0)), "time t3"),
+        (lambda: SlotBinding(1, 2, 3, 0.0, 0.5, 1.0), "direction a"),
+        (lambda: SlotBinding(1, 2, 3, Direction(0), Direction(0), "0"), "direction c"),
         (lambda: ConspiracyModel(_MEANS, strength=True), "strength"),
         (lambda: ConspiracyModel(_MEANS, strength="1"), "strength"),
         (lambda: ConspiracyModel({**_MEANS, PairChoice.P13: True}), "target mean"),
@@ -237,6 +239,8 @@ _LOG = TrialLog(np.repeat(np.arange(3, dtype=np.uint8), 2), np.ones(6, np.int8),
         "state_bool",
         "event_beyond_float_range",
         "binding_infinite_time",
+        "binding_float_direction",
+        "binding_str_direction",
         "conspiracy_bool_strength",
         "conspiracy_str_strength",
         "conspiracy_bool_target_mean",
@@ -303,6 +307,8 @@ _TWO_ROWS = TableModel([(0.5, (1, 1, 1)), (0.5, (-1, -1, -1))])
     [
         (lambda: QuantumWorld(policy="x"), "unknown initial-state policy 'x'"),
         (lambda: RotorModel((Direction(0), Direction(1))), "rotor model needs exactly three directions, got 2"),
+        (lambda: RotorModel([0, 1, 2]), "rotor model direction T1 must be a Direction, got 0"),
+        (lambda: RotorModel([Direction(0), Direction(1), 2.0]), "rotor model direction T3 must be a Direction, got 2.0"),
         (lambda: ConspiracyModel(_MEANS).respond(8, TimeSlot.T1), f"{_NOT_A_STRATEGY} 8"),
         (lambda: ConspiracyModel(_MEANS).respond(-1, TimeSlot.T1), f"{_NOT_A_STRATEGY} -1"),
         (lambda: ConspiracyModel(_MEANS).respond(1.7, TimeSlot.T1), f"{_NOT_A_STRATEGY} 1.7"),
@@ -315,6 +321,8 @@ _TWO_ROWS = TableModel([(0.5, (1, 1, 1)), (0.5, (-1, -1, -1))])
     ids=[
         "quantum_policy",
         "rotor_two_directions",
+        "rotor_int_directions",
+        "rotor_float_direction",
         "conspiracy_lambda_8",
         "conspiracy_lambda_minus_1",
         "conspiracy_lambda_1_7",

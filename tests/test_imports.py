@@ -219,4 +219,15 @@ def test_only_the_engine_imports_threading():
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
         imported = {a.name.split(".")[0] for node in nodes if isinstance(node, ast.Import) for a in node.names}
         imported |= {node.module.split(".")[0] for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
-        assert ("threading" in imported) == (path.name == "experiment.py"), path.name
+        in_engine = path.name == "experiment.py"
+        assert ("threading" in imported, "concurrent" in imported) == (in_engine, in_engine), path.name
+
+
+def test_the_cli_does_not_import_the_thread_pool():
+    # the pool's import, with the logging it pulls in, is paid by a run of
+    # more than one chunk in run_experiment, never by a start of the CLI
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import lglab.cli; "
+    code += "print(sorted({'concurrent', 'logging'} & set(sys.modules)))"
+    source = str(Path(lglab.__file__).parents[1])
+    res = subprocess.run([sys.executable, "-c", code, source], capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
